@@ -76,13 +76,12 @@ def _parse_state(args) -> cube.CanonicalState:
 
 
 def _actuation_model(args) -> ActuationModel:
-    model = ActuationModel()
-    for name in ("p_rot", "p_op", "p_restore"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(model, name, value)
-    model.__post_init__()  # re-validate after overrides
-    return model
+    overrides = {name: getattr(args, name) for name in ("p_rot", "p_op", "p_restore")
+                 if getattr(args, name, None) is not None}
+    try:
+        return ActuationModel(**overrides)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}") from None
 
 
 def _executor_config(args) -> ExecutorConfig:
@@ -172,6 +171,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.trials < 1:
+        raise SystemExit("error: --trials must be >= 1")
     table = _load_distance_table(args)
     if args.modes == "both":
         modes = (ExecutionMode.ROLLBACK, ExecutionMode.OPEN_LOOP)
@@ -216,6 +217,7 @@ def cmd_verify(args) -> int:
     if table is not None and pdb is not None:
         run("state count", tables.check_state_count, table)
         run("diameter 14", tables.check_diameter, table)
+        run("exact distances", tables.check_exact_distances, table)
         run("rank round-trip", tables.check_rank_roundtrip)
         run("pdb admissibility", tables.check_admissibility, table, pdb)
         run("move reduction", _check_move_reduction)

@@ -445,10 +445,6 @@ def reduce_move(move: Move) -> GeneralizedMove:
     return _reduction_table()[move]
 
 
-def reduce_seq(seq: MoveSeq) -> list[Move]:
-    return [reduce_move(m) for m in seq]
-
-
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------

@@ -1,25 +1,35 @@
 """Optimal planners: IDA* with the pattern-database heuristic, plus the
 distance-table greedy oracle used to cross-check it.
 
-Both operate on canonical ranks through the shared successor matrix and
-return move lists over the generalized set.  Child order is fixed
-(U, U', R, R', F, F'), so identical inputs always produce identical
-solutions and node counts.
+Both operate on canonical ranks through the coordinate move tables (a
+child's rank is the sum of a perm part and a twist part) and return move
+lists over the generalized set.  Child order is fixed (U, U', R, R', F,
+F'), so identical inputs always produce identical solutions and node
+counts.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .cube import GENERALIZED_MOVES, CanonicalState, CubeletState, Move, canonicalize
-from .tables import DistanceTable, PatternDB, successor_matrix
+from .tables import N_ORI, DistanceTable, InconsistentTable, PatternDB, move_tables
 
 MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
 
 # index of the inverse of each generalized move, in child order
 _INV = (1, 0, 3, 2, 5, 4)
+
+# _ALLOWED[m1][m2]: the moves tried after last move m1 and the one before
+# it, m2 (-1 = none, which indexes the last entry), in child order: no
+# immediate undo, no third repeat of one move
+_ALLOWED = tuple(
+    tuple(tuple(mi for mi in range(6)
+                if not (m1 >= 0 and (mi == _INV[m1] or mi == m1 == m2)))
+          for m2 in (*range(6), -1))
+    for m1 in (*range(6), -1)
+)
 
 _FOUND = -1
 
@@ -33,10 +43,13 @@ class SolveResult:
 
 
 @lru_cache(maxsize=1)
-def _flat_successors() -> array:
-    # array('I') scalar indexing is ~3x faster than numpy scalars in the
-    # depth-first inner loop
-    return array("I", successor_matrix().tobytes())
+def _child_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    # per perm code and per twist code, the six children's rank parts (the
+    # perm part already times 729): a child's rank is perm[p][mi] + ori[o][mi].
+    # Tuples of ints index ~3x faster than numpy scalars in the inner loop.
+    perm, ori = move_tables()
+    return (tuple(map(tuple, (perm * N_ORI).tolist())),
+            tuple(map(tuple, ori.tolist())))
 
 
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
@@ -50,7 +63,8 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     if root == 0:
         return SolveResult([], 0, 0)
 
-    succ = _flat_successors()
+    perm_parts, ori_parts = _child_parts()
+    allowed = _ALLOWED
     h = pdb.dense_heuristic()
     path: list[int] = []
     nodes = 0
@@ -59,12 +73,13 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
         nonlocal nodes
         nodes += 1
         nxt = MAX_DEPTH + 1
-        base = r * 6
-        for mi in range(6):
-            if m1 >= 0 and (mi == _INV[m1] or (mi == m1 and mi == m2)):
-                continue
-            child = succ[base + mi]
-            f = g + 1 + h[child]
+        p, o = divmod(r, N_ORI)
+        prow = perm_parts[p]
+        orow = ori_parts[o]
+        g += 1
+        for mi in allowed[m1][m2]:
+            child = prow[mi] + orow[mi]
+            f = g + h[child]
             if f > bound:
                 if f < nxt:
                     nxt = f
@@ -72,7 +87,7 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
             path.append(mi)
             if child == 0:
                 return _FOUND
-            t = dfs(child, g + 1, bound, mi, m1)
+            t = dfs(child, g, bound, mi, m1)
             if t == _FOUND:
                 return _FOUND
             path.pop()
@@ -97,20 +112,23 @@ def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> 
     """Greedy descent on the exact table: always optimal, trivially correct.
 
     Independent of ida_star's search; serves as its oracle and as the
-    executor's default planner.
+    executor's default planner.  Raises InconsistentTable when some state
+    on the way has no neighbour one move closer.
     """
-    succ = successor_matrix()
-    dist = table.dist
+    perm_parts, ori_parts = _child_parts()
+    dist = memoryview(table.dist)
     r = canonicalize(state).rank
     moves: list[Move] = []
     while r != 0:
-        d = int(dist[r])
+        d = dist[r] - 1
+        p, o = divmod(r, N_ORI)
+        prow, orow = perm_parts[p], ori_parts[o]
         for mi in range(6):
-            child = int(succ[r, mi])
-            if int(dist[child]) == d - 1:
+            child = prow[mi] + orow[mi]
+            if dist[child] == d:
                 moves.append(GENERALIZED_MOVES[mi])
                 r = child
                 break
         else:
-            raise RuntimeError("distance table is inconsistent")
+            raise InconsistentTable(f"distance table is inconsistent at rank {r}")
     return moves

@@ -6,9 +6,12 @@ the six generalized moves.  The two pattern databases are exact distances
 in the orientation-only (3^6 states) and permutation-only (7! states)
 quotients; their pointwise max is an admissible IDA* heuristic.
 
-Everything heavy is vectorized over rank space with numpy.  The rank
-layout (lehmer * 729 + twist digits) makes both abstractions free:
-ori index = rank % 729, perm index = rank // 729.
+A rank is perm code * 729 + twist code (lehmer code of the slot
+permutation, base-3 twist digits), and a generalized move acts on each
+coordinate on its own.  So two small coordinate move tables, 5040 x 6 and
+729 x 6, give the successor of any rank, and the abstractions are free:
+ori index = rank % 729, perm index = rank // 729.  Everything heavy is
+vectorized with numpy over those tables.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -46,6 +49,8 @@ KIND_PERM_PDB = 2
 N_ORI = 729
 N_PERM = 5040
 
+_ENTRIES = {KIND_FULL: N_STATES, KIND_ORI_PDB: N_ORI, KIND_PERM_PDB: N_PERM}
+
 _FACT = np.array([720, 120, 24, 6, 2, 1, 1], dtype=np.int64)
 _POW3 = np.array([1, 3, 9, 27, 81, 243], dtype=np.int64)
 
@@ -75,8 +80,16 @@ class TruncatedFile(TableFormatError):
     pass
 
 
+class BadEntryCount(TableFormatError):
+    """The header's entry count does not fit the table kind."""
+
+
+class InconsistentTable(TableFormatError):
+    """A well-formed table whose distances contradict the move graph."""
+
+
 # ---------------------------------------------------------------------------
-# vectorized rank kernel
+# coordinate kernel and move tables
 # ---------------------------------------------------------------------------
 
 def perm_unrank_all(codes: np.ndarray) -> np.ndarray:
@@ -108,58 +121,59 @@ def perm_rank_all(perm: np.ndarray) -> np.ndarray:
     return out
 
 
-def unrank_all(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks -> (perm (n,7) int8, twist digits of slots 0..5 (n,6) int8)."""
-    lehmer, twist = np.divmod(ranks.astype(np.int64), N_ORI)
-    perm = perm_unrank_all(lehmer)
-    digits = ((twist[:, None] // _POW3[None, :]) % 3).astype(np.int8)
-    return perm, digits
+def _twist_digits(codes: np.ndarray) -> np.ndarray:
+    """Twist codes -> base-3 twist digits of slots 0..5, shape (n, 6)."""
+    return (codes[:, None] // _POW3[None, :]) % 3
 
 
-def rank_all(perm: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    return perm_rank_all(perm) * N_ORI + digits.astype(np.int64) @ _POW3
-
-
-def apply_move_all(perm: np.ndarray, digits: np.ndarray, move_index: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One generalized move applied to every row of (perm, digits)."""
-    src = _GEN_SRC[move_index]
-    dori = _GEN_DORI[move_index].astype(np.int8)
-    ori7 = np.empty((perm.shape[0], 7), dtype=np.int8)
-    ori7[:, :6] = digits
-    ori7[:, 6] = (-digits.sum(axis=1, dtype=np.int64)) % 3
-    new_perm = perm[:, src]
-    new_ori = (ori7[:, src] + dori) % 3
-    return new_perm, new_ori[:, :6]
-
-
-@lru_cache(maxsize=1)
-def successor_matrix() -> np.ndarray:
-    """Rank of each generalized-move successor, shape (N_STATES, 6) uint32.
-
-    Built once per process (~100 MB); immutable after construction.
-    """
-    ranks = np.arange(N_STATES, dtype=np.int64)
-    perm, digits = unrank_all(ranks)
-    out = np.empty((N_STATES, 6), dtype=np.uint32)
+def _perm_successors() -> np.ndarray:
+    perm = perm_unrank_all(np.arange(N_PERM, dtype=np.int64))
+    out = np.empty((N_PERM, 6), dtype=np.int64)
     for mi in range(6):
-        p2, d2 = apply_move_all(perm, digits, mi)
-        out[:, mi] = rank_all(p2, d2)
+        out[:, mi] = perm_rank_all(perm[:, _GEN_SRC[mi]])
     return out
 
 
-def _bfs_distances(succ: np.ndarray, start: int = 0) -> np.ndarray:
-    """Exact distances from `start` over an (n, 6) successor matrix."""
-    dist = np.full(succ.shape[0], 0xFF, dtype=np.uint8)
-    dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
+def _ori_successors() -> np.ndarray:
+    digits = _twist_digits(np.arange(N_ORI, dtype=np.int64))
+    ori7 = np.concatenate([digits, -digits.sum(axis=1, keepdims=True) % 3], axis=1)
+    # (code, move, slot): twist now in slot s = twist of its source + delta
+    moved = (ori7[:, _GEN_SRC[:, :6]] + _GEN_DORI[None, :, :6]) % 3
+    return moved @ _POW3
+
+
+@lru_cache(maxsize=1)
+def move_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Successor codes of the six generalized moves, per coordinate.
+
+    Returns (perm, ori): int64 arrays of shape (5040, 6) and (729, 6).  A
+    generalized move permutes slots regardless of twist and adds twists
+    regardless of which cubelet sits where, so the successor of a rank is
+    ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Built once per process
+    in milliseconds; read-only.
+    """
+    perm, ori = _perm_successors(), _ori_successors()
+    perm.flags.writeable = ori.flags.writeable = False
+    return perm, ori
+
+
+def _bfs_distances(n: int, expand) -> np.ndarray:
+    """Exact distances from index 0 in a graph of `n` nodes.
+
+    `expand(frontier, mi)` gives the successors of every frontier node
+    under move `mi`.  One move at a time keeps the temporaries at the size
+    of the frontier.
+    """
+    dist = np.full(n, 0xFF, dtype=np.uint8)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
-        nxt = succ[frontier].ravel().astype(np.int64)
-        nxt = np.unique(nxt[dist[nxt] == 0xFF])
-        dist[nxt] = depth
-        frontier = nxt
+        for mi in range(6):
+            nxt = expand(frontier, mi)
+            dist[nxt[dist[nxt] == 0xFF]] = depth
+        frontier = np.flatnonzero(dist == depth)
     return dist
 
 
@@ -208,32 +222,19 @@ class DistanceTable:
 
 
 def build_distance_table() -> DistanceTable:
-    """BFS over the whole canonical space; seconds on one core."""
-    return DistanceTable(_bfs_distances(successor_matrix()))
+    """BFS over the whole canonical space; under a second on one core."""
+    perm, ori = move_tables()
+
+    def successors(ranks: np.ndarray, mi: int) -> np.ndarray:
+        p, o = np.divmod(ranks, N_ORI)
+        return perm[p, mi] * N_ORI + ori[o, mi]
+
+    return DistanceTable(_bfs_distances(N_STATES, successors))
 
 
 # ---------------------------------------------------------------------------
 # pattern databases
 # ---------------------------------------------------------------------------
-
-def _ori_successors() -> np.ndarray:
-    codes = np.arange(N_ORI, dtype=np.int64)
-    digits = ((codes[:, None] // _POW3[None, :]) % 3).astype(np.int8)
-    out = np.empty((N_ORI, 6), dtype=np.uint32)
-    for mi in range(6):
-        _, d2 = apply_move_all(np.tile(np.arange(7, dtype=np.int8), (N_ORI, 1)),
-                               digits, mi)
-        out[:, mi] = d2.astype(np.int64) @ _POW3
-    return out
-
-
-def _perm_successors() -> np.ndarray:
-    perm = perm_unrank_all(np.arange(N_PERM, dtype=np.int64))
-    out = np.empty((N_PERM, 6), dtype=np.uint32)
-    for mi in range(6):
-        out[:, mi] = perm_rank_all(perm[:, _GEN_SRC[mi]])
-    return out
-
 
 @dataclass
 class PatternDB:
@@ -253,14 +254,10 @@ class PatternDB:
         """Admissible lower bound on the distance of the state at `rank`."""
         return max(int(self.ori_db[rank % N_ORI]), int(self.perm_db[rank // N_ORI]))
 
-    def heuristic_all(self) -> np.ndarray:
-        ranks = np.arange(N_STATES, dtype=np.int64)
-        return np.maximum(self.ori_db[ranks % N_ORI], self.perm_db[ranks // N_ORI])
-
     def dense_heuristic(self) -> bytes:
         """max(ori, perm) memoized over all ranks, as one byte per state."""
         if self._dense is None:
-            self._dense = self.heuristic_all().tobytes()
+            self._dense = np.maximum.outer(self.perm_db, self.ori_db).tobytes()
         return self._dense
 
     def save(self, ori_path, perm_path) -> None:
@@ -276,8 +273,9 @@ class PatternDB:
 
 
 def build_pattern_dbs() -> PatternDB:
-    ori = _bfs_distances(_ori_successors())
-    perm = _bfs_distances(_perm_successors())
+    perm_moves, ori_moves = move_tables()
+    ori = _bfs_distances(N_ORI, lambda codes, mi: ori_moves[codes, mi])
+    perm = _bfs_distances(N_PERM, lambda codes, mi: perm_moves[codes, mi])
     if (ori == 0xFF).any() or (perm == 0xFF).any():
         raise RuntimeError("abstract space not fully reachable")
     return PatternDB(ori, perm)
@@ -309,11 +307,13 @@ def _read_table(path, expect_kind: int | None = None) -> bytes:
     kind = blob[len(MAGIC) + 5]
     if metric != METRIC_QTM:
         raise TableFormatError(f"{path}: unknown metric byte {metric}")
-    if kind not in (KIND_FULL, KIND_ORI_PDB, KIND_PERM_PDB):
+    if kind not in _ENTRIES:
         raise TableFormatError(f"{path}: unknown table kind {kind}")
     if expect_kind is not None and kind != expect_kind:
         raise TableFormatError(f"{path}: table kind {kind}, expected {expect_kind}")
     count, = struct.unpack_from("<I", blob, len(MAGIC) + 6)
+    if count != _ENTRIES[kind]:
+        raise BadEntryCount(f"{path}: {count} entries, expected {_ENTRIES[kind]}")
     start = len(MAGIC) + 10
     if len(blob) < start + count + 4:
         raise TruncatedFile(f"{path}: payload cut short")
@@ -340,29 +340,54 @@ def check_diameter(table: DistanceTable) -> tuple[bool, str]:
     return table.max_depth == 14, f"max depth {table.max_depth}"
 
 def check_rank_roundtrip() -> tuple[bool, str]:
-    ranks = np.arange(N_STATES, dtype=np.int64)
-    perm, digits = unrank_all(ranks)
-    ok = bool((rank_all(perm, digits) == ranks).all())
-    return ok, "unrank/rank round-trip over the full space"
+    # rank = perm code * 729 + twist code: both codes round-trip, and the
+    # grid of every (perm, twist) pair enumerates the ranks in order
+    codes = np.arange(N_PERM, dtype=np.int64)
+    perm = perm_unrank_all(codes)
+    perm_codes = perm_rank_all(perm)
+    ok = bool((np.sort(perm, axis=1) == np.arange(7)).all() and (perm_codes == codes).all())
+    twist_codes = _twist_digits(np.arange(N_ORI, dtype=np.int64)) @ _POW3
+    ok &= bool((twist_codes == np.arange(N_ORI)).all())
+    ranks = perm_codes[:, None] * N_ORI + twist_codes[None, :]
+    ok &= bool((ranks.ravel() == np.arange(N_STATES)).all())
+    return ok, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
 def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str]:
-    h = pdb.heuristic_all()
+    h = np.frombuffer(pdb.dense_heuristic(), dtype=np.uint8)
     bad = int(np.count_nonzero(h > table.dist))
     return bad == 0, f"{bad} states with heuristic above the exact distance"
 
+def _successor_distances(table: DistanceTable, mi: int) -> np.ndarray:
+    """Distance of every state's successor under move `mi`, by rank."""
+    perm, ori = move_tables()
+    grid = table.dist.reshape(N_PERM, N_ORI)
+    return grid[np.ix_(perm[:, mi], ori[:, mi])].ravel()
+
 def check_neighbor_consistency(table: DistanceTable, sample: int | None = 1_000_000,
                                seed: int = 0) -> tuple[bool, str]:
-    succ = successor_matrix()
-    dist = table.dist.astype(np.int16)
     if sample is None:
-        rows = np.arange(N_STATES, dtype=np.int64)
-        what = "all"
+        rows, what = slice(None), "all"
     else:
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, N_STATES, size=sample)
+        rows = np.random.default_rng(seed).integers(0, N_STATES, size=sample)
         what = f"{sample} sampled"
+    dist = table.dist[rows].astype(np.int16)
     for mi in range(6):
-        gap = np.abs(dist[succ[rows, mi].astype(np.int64)] - dist[rows])
+        gap = np.abs(_successor_distances(table, mi)[rows] - dist)
         if int(gap.max()) > 1:
             return False, f"move {mi}: distance gap {int(gap.max())}"
     return True, f"{what} states, all 6 moves within +-1"
+
+def check_exact_distances(table: DistanceTable) -> tuple[bool, str]:
+    """Bellman certificate: dist[0] == 0 and, for every other rank,
+    dist == 1 + the least distance among its six successors.  Any table
+    that passes holds the exact distance of every state."""
+    if table.dist[0] != 0:
+        return False, f"solved state at distance {int(table.dist[0])}"
+    nearest = _successor_distances(table, 0)
+    for mi in range(1, 6):
+        np.minimum(nearest, _successor_distances(table, mi), out=nearest)
+    bad = np.flatnonzero(table.dist[1:] != nearest[1:].astype(np.int16) + 1) + 1
+    if bad.size:
+        return False, (f"{bad.size} states not 1 + their nearest successor, "
+                       f"first rank {int(bad[0])}")
+    return True, "dist = 1 + nearest successor's on every state but solved (0)"

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from pocketcube import cli
-from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets
+from pocketcube import cli, tables
+from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
 
 
 def run_cli(capsys, *argv):
@@ -11,9 +13,44 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_exit(capsys, *argv):
+    """run_cli, with SystemExit turned into the exit code and stderr text
+    the interpreter would produce for it."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 1
+        if isinstance(exc.code, str):
+            print(exc.code, file=sys.stderr)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def copy_tables(table_dir, dest):
+    dest.mkdir()
+    for name in (cli.DIST_FILE, cli.ORI_PDB_FILE, cli.PERM_PDB_FILE):
+        dest.joinpath(name).write_bytes(table_dir.joinpath(name).read_bytes())
+    return dest
+
+
+# a state at depth 14 whose neighbours are all at depth 13
+ANTIPODE_RANK = 19364
+
+
 @pytest.fixture()
 def tdir(table_dir):
     return str(table_dir)
+
+
+@pytest.fixture()
+def understated_dir(table_dir, dist_table, tmp_path):
+    """Tables whose distance file says 12 for ANTIPODE_RANK, with a valid CRC."""
+    d = copy_tables(table_dir, tmp_path / "understated")
+    dist = dist_table.dist.copy()
+    assert dist[ANTIPODE_RANK] == 14
+    dist[ANTIPODE_RANK] = 12
+    tables.DistanceTable(dist).save(d / cli.DIST_FILE)
+    return d
 
 
 class TestSolve:
@@ -142,9 +179,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "--tables", tdir, "verify")
         assert code == 0
         assert "FAIL" not in out
-        for name in ("state count", "diameter", "rank round-trip",
+        for name in ("state count", "diameter", "exact distances", "rank round-trip",
                      "pdb admissibility", "move reduction", "neighbor consistency"):
             assert f"PASS  {name}" in out
+
+    def test_understated_distance_fails_exact_check(self, understated_dir, capsys):
+        # the +-1 neighbour check and the diameter still pass on this table
+        code, out, _ = run_cli(capsys, "--tables", str(understated_dir), "verify", "--full")
+        assert code == 1
+        assert "FAIL  exact distances" in out
+        assert "PASS  neighbor consistency" in out
+        assert "PASS  diameter 14" in out
+
+    def test_wrong_entry_count_fails_table_files(self, table_dir, tmp_path, capsys):
+        d = copy_tables(table_dir, tmp_path / "short")
+        tables._write_table(d / cli.DIST_FILE, tables.KIND_FULL, bytes(100))
+        code, out, _ = run_cli(capsys, "--tables", str(d), "verify")
+        assert code == 1
+        assert "FAIL  table files" in out
+        assert "BadEntryCount" in out
 
     def test_corrupted_table_reports_checksum(self, table_dir, tmp_path, capsys):
         bad = tmp_path / "bad"
@@ -187,3 +240,36 @@ class TestBuildTables:
             cli.main(["--tables", str(tmp_path), "solve", "--scramble", "U"])
         assert "build-tables" in str(err.value)
         capsys.readouterr()
+
+
+class TestBadInputErrors:
+    """Bad flags and bad table content end in 'error: ...' and exit 1."""
+
+    def test_zero_trials(self, tdir, tmp_path, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, "eval", "--trials", "0",
+                                    "--out", str(tmp_path / "r.csv"), "--quiet")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_rate_above_one(self, tdir, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, "simulate",
+                                    "--scramble", "R", "--p-rot", "2")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_wrong_entry_count(self, table_dir, tmp_path, capsys):
+        d = copy_tables(table_dir, tmp_path / "short")
+        tables._write_table(d / cli.DIST_FILE, tables.KIND_FULL, bytes(100))
+        code, _, err = run_cli_exit(capsys, "--tables", str(d), "solve",
+                                    "--scramble", "R", "--planner", "oracle")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "100 entries" in err
+
+    def test_oracle_on_inconsistent_table(self, understated_dir, capsys):
+        state = facelets_to_string(to_facelets(unrank(ANTIPODE_RANK)))
+        code, _, err = run_cli_exit(capsys, "--tables", str(understated_dir), "solve",
+                                    "--state", state, "--planner", "oracle")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "inconsistent" in err

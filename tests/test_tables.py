@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocketcube import tables
 from pocketcube.cube import (
@@ -12,6 +14,7 @@ from pocketcube.cube import (
     apply_generalized,
     apply_seq,
     canonicalize,
+    rank,
     unrank,
 )
 from pocketcube.tables import (
@@ -22,13 +25,19 @@ from pocketcube.tables import (
     PatternDB,
     TableFormatError,
     TruncatedFile,
-    successor_matrix,
+    move_tables,
 )
 
 # Depth histogram of the quarter-turn metric, pinned after the first
 # verified exhaustive build as a regression artifact.
 EXPECTED_HISTOGRAM = (1, 6, 27, 120, 534, 2256, 8969, 33058, 114149,
                       360508, 930588, 1350852, 782536, 90280, 276)
+
+
+def succ(r: int, mi: int) -> int:
+    """Rank of the successor of rank r under generalized move mi."""
+    perm_moves, ori_moves = move_tables()
+    return int(perm_moves[r // 729, mi]) * 729 + int(ori_moves[r % 729, mi])
 
 
 class TestBuild:
@@ -83,22 +92,45 @@ class TestRankKernel:
         assert ok, detail
 
     def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(21)
-        ranks = rng.integers(0, N_STATES, size=2000)
-        perm, digits = tables.unrank_all(ranks)
-        for row, r in enumerate(ranks):
-            s = unrank(int(r))
-            assert tuple(int(x) for x in perm[row]) == s.perm[:7]
-            assert tuple(int(x) for x in digits[row]) == s.ori[:6]
+        # every perm code and every twist code, through the scalar
+        # rank/unrank and the kernel
+        codes = np.arange(tables.N_PERM, dtype=np.int64)
+        perm = tables.perm_unrank_all(codes)
+        assert np.array_equal(tables.perm_rank_all(perm), codes)
+        for code in range(tables.N_PERM):
+            s = unrank(code * 729)
+            assert tuple(int(x) for x in perm[code]) == s.perm[:7]
+            assert rank(s) == code * 729
+        digits = tables._twist_digits(np.arange(729, dtype=np.int64))
+        for code in range(729):
+            s = unrank(code)
+            assert tuple(int(x) for x in digits[code]) == s.ori[:6]
+            assert rank(s) == code
 
     def test_successors_match_scalar_apply(self):
-        succ = successor_matrix()
-        rng = np.random.default_rng(22)
-        for _ in range(300):
-            r = int(rng.integers(0, N_STATES))
-            s = unrank(r)
+        # A generalized move permutes slots whatever the twists are and adds
+        # twists whatever cubelets sit where, so checking every (perm code,
+        # move) and every (twist code, move) covers every (rank, move).  Each
+        # code is paired with a spread of codes of the other coordinate.
+        perm_moves, ori_moves = move_tables()
+        pairs = [(p, (p * 7) % 729) for p in range(tables.N_PERM)]
+        pairs += [((o * 11) % tables.N_PERM, o) for o in range(729)]
+        for p, o in pairs:
+            s = unrank(p * 729 + o)
             for mi, m in enumerate(GENERALIZED_MOVES):
-                assert int(succ[r, mi]) == apply_generalized(s, m).rank
+                child = apply_generalized(s, m).rank
+                assert divmod(child, 729) == (perm_moves[p, mi], ori_moves[o, mi])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, N_STATES - 1), st.integers(0, 5))
+    def test_successor_is_scalar_apply(self, r, mi):
+        assert succ(r, mi) == apply_generalized(unrank(r), GENERALIZED_MOVES[mi]).rank
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, N_STATES - 1), st.integers(0, 5))
+    def test_inverse_move_undoes_successor(self, r, mi):
+        inv = GENERALIZED_MOVES.index(GENERALIZED_MOVES[mi].inverse)
+        assert succ(succ(r, mi), inv) == r
 
 
 class TestPatternDB:
