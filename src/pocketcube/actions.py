@@ -27,10 +27,9 @@ from typing import Sequence
 
 from .cube import GENERALIZED_MOVES, CubeError, Move
 
-# goal-check thresholds: 0.01 m position, 0.1 rad orientation and twist angle
+# goal-check thresholds: 0.01 m position, 0.1 rad orientation
 DELTA_X = 0.01
 DELTA_Q = 0.1
-DELTA_THETA = 0.1
 
 TWIST_TARGET = -math.pi / 2
 
@@ -86,10 +85,6 @@ class Quaternion:
             a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
         )
 
-    def rotate(self, v: Vector3) -> Vector3:
-        p = self * Quaternion(0.0, v[0], v[1], v[2]) * self.conjugate()
-        return (p.x, p.y, p.z)
-
 
 _SQ2 = math.sqrt(0.5)  # exact 1/sqrt(2); the table's 0.707 is its rounding
 
@@ -133,11 +128,6 @@ def pose_goal_reached(pose: Pose, goal: PoseGoal,
                       delta_x: float = DELTA_X, delta_q: float = DELTA_Q) -> bool:
     dx = math.dist(pose.position, goal.x_target)
     return dx < delta_x and orientation_distance(pose.orientation, goal.q_target) < delta_q
-
-
-def twist_goal_reached(theta: float, theta_target: float = TWIST_TARGET,
-                       delta_theta: float = DELTA_THETA) -> bool:
-    return abs(theta - theta_target) < delta_theta
 
 
 @dataclass(frozen=True)

@@ -75,24 +75,23 @@ def _parse_state(args) -> cube.CanonicalState:
     return canonicalize(from_facelets(string_to_facelets(args.state)))
 
 
-def _actuation_model(args) -> ActuationModel:
-    overrides = {name: getattr(args, name) for name in ("p_rot", "p_op", "p_restore")
+def _from_flags(cls, args, names):
+    """`cls` built from the flags among `names` that were given; its own
+    validation error ends the command as 'error: ...'."""
+    overrides = {name: getattr(args, name) for name in names
                  if getattr(args, name, None) is not None}
     try:
-        return ActuationModel(**overrides)
+        return cls(**overrides)
     except ValueError as err:
         raise SystemExit(f"error: {err}") from None
 
 
+def _actuation_model(args) -> ActuationModel:
+    return _from_flags(ActuationModel, args, ("p_rot", "p_op", "p_restore"))
+
+
 def _executor_config(args) -> ExecutorConfig:
-    config = ExecutorConfig()
-    for flag in ("delta_x", "delta_q", "delta_theta"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value <= 0:
-                raise SystemExit(f"error: --{flag.replace('_', '-')} must be positive")
-            setattr(config, flag, value)
-    return config
+    return _from_flags(ExecutorConfig, args, ("delta_x", "delta_q"))
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
@@ -107,7 +106,6 @@ def _add_actuator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-restore", dest="p_restore", type=float, help="restore success rate")
     p.add_argument("--delta-x", dest="delta_x", type=float, help="position threshold, m")
     p.add_argument("--delta-q", dest="delta_q", type=float, help="orientation threshold, rad")
-    p.add_argument("--delta-theta", dest="delta_theta", type=float, help="twist threshold, rad")
 
 
 def cmd_build_tables(args) -> int:
@@ -221,9 +219,7 @@ def cmd_verify(args) -> int:
         run("rank round-trip", tables.check_rank_roundtrip)
         run("pdb admissibility", tables.check_admissibility, table, pdb)
         run("move reduction", _check_move_reduction)
-        sample = None if args.full else 1_000_000
-        run("neighbor consistency", tables.check_neighbor_consistency, table,
-            sample=sample)
+        run("neighbor consistency", tables.check_neighbor_consistency, table)
 
     failed = 0
     for name, ok, detail in checks:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exhaustive self-checks")
     p.add_argument("--full", action="store_true",
-                   help="neighbor consistency over all states instead of a sample")
+                   help="accepted for compatibility; verify always checks every state")
     p.set_defaults(fn=cmd_verify)
 
     return parser

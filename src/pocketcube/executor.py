@@ -1,5 +1,6 @@
-"""Stochastic execution of compiled plans: parameterized actuators, the
-closed-loop rollback workflow, and an open-loop baseline.
+"""Stochastic execution of compiled plans: parameterized actuators and one
+action loop that runs either the closed-loop rollback workflow or the
+open-loop baseline.
 
 The two actuators are Bernoulli gates with configured success rates (the
 defaults are the measured rates of the trained hand policies, entering
@@ -15,18 +16,23 @@ broken in face order U D R L F B), folded through reduce_move when that
 layer contains the anchor piece; in that case the body frame rotates
 with the layer, so the tracked orientation advances by the twist.
 
-Rollback workflow per move (the open-loop baseline skips every check):
+Each move runs its compiled actions (actions.compile_moves): one re-pose
+goal, then 1 or 3 twists.  The two modes differ only in whether the
+operator checks its own results.  Rollback (checked) per move:
   Stage 1  attempt the re-pose; if the pose check fails, randomize the
            pose and retry, at most r1_max rotate attempts.
-  Stage 2  attempt the 1 or 3 twists; after each, if the layers are
+  Stage 2  attempt the twists; after each, if the layers are
            misaligned, attempt restore randomizations (Bernoulli
            p_restore, snapping to the nearest alignment -- which can
            itself commit the move) up to r2_max times.
   Finally  compare the logical state against the expected one; a
            mismatch asks the episode driver to re-plan.
+Open loop (unchecked) fires one rotate attempt and the twists, with no
+randomize, no restore and no completion check, and plans once.
 
 Every attempt of rotate, twist, randomize and restore counts one atomic
-action toward the episode budget and the reported action number.
+action toward the episode budget and the reported action number.  A move
+counts as attempted once at least one of its actions ran.
 """
 
 from __future__ import annotations
@@ -38,17 +44,15 @@ from typing import Callable, Sequence
 
 from .actions import (
     DELTA_Q,
-    DELTA_THETA,
     DELTA_X,
     PALM_CENTER,
     TWIST_TARGET,
+    AtomicAction,
     Pose,
     PoseGoal,
     Quaternion,
-    Rotate,
     Vector3,
     compile_moves,
-    goal_orientation,
     orientation_distance,
     pose_goal_reached,
 )
@@ -63,16 +67,6 @@ from .cube import (
 CHAMFER_TOLERANCE = math.radians(5.0)  # layer slack that still permits a twist
 
 HAND_UP: Vector3 = (0.0, 0.0, 1.0)
-
-# body-frame outward normals of the six faces (see actions.py for the frame)
-_FACE_NORMALS: tuple[tuple[str, Vector3], ...] = (
-    ("U", (0.0, 0.0, 1.0)),
-    ("D", (0.0, 0.0, -1.0)),
-    ("R", (1.0, 0.0, 0.0)),
-    ("L", (-1.0, 0.0, 0.0)),
-    ("F", (0.0, -1.0, 0.0)),
-    ("B", (0.0, 1.0, 0.0)),
-)
 
 # faces whose layer contains the DLB anchor piece
 _ANCHOR_FACES = frozenset("DLB")
@@ -91,6 +85,7 @@ class MoveOutcome(Enum):
     COMPLETED = "completed"
     NEEDS_REPLAN = "needs_replan"
     BUDGET_EXHAUSTED = "budget_exhausted"
+    UNCHECKED = "unchecked"  # open loop: every action ran, result not checked
 
 
 @dataclass
@@ -121,12 +116,21 @@ class ActuationModel:
 class ExecutorConfig:
     delta_x: float = DELTA_X
     delta_q: float = DELTA_Q
-    delta_theta: float = DELTA_THETA
     chamfer: float = CHAMFER_TOLERANCE
     r1_max: int = 10
     r2_max: int = 10
     action_budget: int = 200
     x_target: Vector3 = PALM_CENTER
+
+    def __post_init__(self):
+        for name in ("delta_x", "delta_q", "chamfer"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        # r1_max 0 would fail every move before acting and re-plan forever
+        for name, low in (("r1_max", 1), ("r2_max", 0), ("action_budget", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -192,13 +196,15 @@ class _ActionLog:
 # ---------------------------------------------------------------------------
 
 def up_face(orientation: Quaternion) -> str:
-    """Body face whose outward normal points closest to the hand up axis."""
-    best, best_dot = "U", -2.0
-    for face, normal in _FACE_NORMALS:
-        v = orientation.rotate(normal)
-        if v[2] > best_dot:
-            best, best_dot = face, v[2]
-    return best
+    """Body face whose outward normal points closest to the hand up axis.
+
+    The hand-frame z of the body axes is the third row of the rotation
+    matrix; faces are taken in order U D R L F B, the first maximum wins.
+    """
+    w, x, y, z = orientation.w, orientation.x, orientation.y, orientation.z
+    up_x, up_y, up_z = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
+    heights = (up_z, -up_z, up_x, -up_x, -up_y, up_y)
+    return "UDRLFB"[heights.index(max(heights))]
 
 
 def committed_move(orientation: Quaternion) -> Move:
@@ -262,17 +268,15 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
 
 
 def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng,
-                  delta_theta: float = DELTA_THETA,
                   chamfer: float = CHAMFER_TOLERANCE) -> bool:
     """One -90 degree top-layer twist attempt.
 
     Misalignment beyond the chamfer tolerance jams the layer: automatic
-    failure with no state change.  A successful attempt lands within
-    delta_theta of -90 degrees, snaps the layers into alignment and
-    commits the move of the face currently up.  A failed attempt leaves a
-    residual angle from the failure distribution, snapping to the nearest
-    alignment when within 5 degrees of 0 or -90 (the latter still
-    commits the move).
+    failure with no state change.  A successful attempt snaps the layers
+    into alignment at -90 degrees and commits the move of the face
+    currently up.  A failed attempt leaves a residual angle from the
+    failure distribution, snapping to the nearest alignment when within
+    5 degrees of 0 or -90 (the latter still commits the move).
     """
     if abs(cube.layer_misalignment) > chamfer:
         return False
@@ -315,39 +319,48 @@ def _pose_errors(cube: PhysicalCube, goal: PoseGoal) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# rollback state machine
+# the action loop
 # ---------------------------------------------------------------------------
 
-def execute_move_rollback(cube: PhysicalCube, move: Move, model: ActuationModel,
-                          config: ExecutorConfig, rng,
-                          log: _ActionLog | None = None) -> MoveOutcome:
+def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicAction, ...]],
+                          model: ActuationModel, config: ExecutorConfig, rng,
+                          log: _ActionLog | None = None, checked: bool = True) -> MoveOutcome:
+    """Run one compiled step, a move and its [Rotate, Twist x1 or x3].
+
+    Checked, this is the rollback workflow of the module docstring and
+    the outcome is the completion check's.  Unchecked (open loop) it
+    fires one rotate attempt and the twists and returns UNCHECKED.
+    """
     if log is None:
         log = _ActionLog(config.action_budget)
-    expected = apply_generalized(cube.logical, move)
-    goal = PoseGoal(config.x_target, goal_orientation(move))
-    twists = 1 if move.is_prime else 3
+    move, (rotate, *twists) = step
+    goal = rotate.goal
+    rotates = config.r1_max if checked else 1
 
+    expected = apply_generalized(cube.logical, move) if checked else None
     posed = False
-    for attempt in range(config.r1_max):
+    for attempt in range(rotates):
         if log.exhausted:
             return MoveOutcome.BUDGET_EXHAUSTED
         ok = attempt_rotate(cube, goal, model, rng, config.delta_x, config.delta_q)
         log.record("rotate", ok, cube, *_pose_errors(cube, goal))
-        if pose_goal_reached(cube.pose, goal, config.delta_x, config.delta_q):
-            posed = True
+        posed = not checked or pose_goal_reached(cube.pose, goal, config.delta_x, config.delta_q)
+        if posed:
             break
-        if attempt + 1 < config.r1_max:
+        if attempt + 1 < rotates:
             if log.exhausted:
                 return MoveOutcome.BUDGET_EXHAUSTED
             randomize_pose(cube, model, rng)
             log.record("randomize", True, cube, *_pose_errors(cube, goal))
 
     if posed:
-        for _ in range(twists):
+        for _ in twists:
             if log.exhausted:
                 return MoveOutcome.BUDGET_EXHAUSTED
-            ok = attempt_twist(cube, model, rng, config.delta_theta, config.chamfer)
+            ok = attempt_twist(cube, model, rng, config.chamfer)
             log.record("twist", ok, cube, None, abs(cube.layer_misalignment))
+            if not checked:
+                continue
             restores = 0
             while cube.layer_misalignment != 0.0 and restores < config.r2_max:
                 if log.exhausted:
@@ -358,6 +371,8 @@ def execute_move_rollback(cube: PhysicalCube, move: Move, model: ActuationModel,
             if cube.layer_misalignment != 0.0:
                 break  # layer stuck beyond the restore budget; give up on this move
 
+    if not checked:
+        return MoveOutcome.UNCHECKED
     return (MoveOutcome.COMPLETED if cube.logical == expected
             else MoveOutcome.NEEDS_REPLAN)
 
@@ -374,46 +389,24 @@ def execute_episode(scramble: CanonicalState, mode: ExecutionMode, planner: Plan
     compiled action with no checks at all.  Success is judged only on the
     final logical state.
     """
+    checked = mode is ExecutionMode.ROLLBACK
     cube = PhysicalCube.at_rest(scramble)
     log = _ActionLog(config.action_budget)
     moves_attempted = 0
     replans = 0
 
-    if mode is ExecutionMode.ROLLBACK:
-        while not is_solved(cube.logical) and not log.exhausted:
-            plan = planner(cube.logical)
-            aborted = False
-            for move in plan:
-                moves_attempted += 1
-                outcome = execute_move_rollback(cube, move, model, config, rng, log)
-                if outcome is MoveOutcome.NEEDS_REPLAN:
-                    replans += 1
-                    aborted = True
-                    break
-                if outcome is MoveOutcome.BUDGET_EXHAUSTED:
-                    aborted = True
-                    break
-            if not plan and not aborted:
-                break
-    elif mode is ExecutionMode.OPEN_LOOP:
-        plan = compile_moves(planner(cube.logical), config.x_target)
-        for _move, acts in plan.steps:
+    while not is_solved(cube.logical) and not log.exhausted:
+        steps = compile_moves(planner(cube.logical), config.x_target).steps
+        for step in steps:
             if log.exhausted:
                 break
             moves_attempted += 1
-            for action in acts:
-                if log.exhausted:
-                    break
-                if isinstance(action, Rotate):
-                    ok = attempt_rotate(cube, action.goal, model, rng,
-                                        config.delta_x, config.delta_q)
-                    log.record("rotate", ok, cube, *_pose_errors(cube, action.goal))
-                else:
-                    ok = attempt_twist(cube, model, rng,
-                                       config.delta_theta, config.chamfer)
-                    log.record("twist", ok, cube, None, abs(cube.layer_misalignment))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+            outcome = execute_move_rollback(cube, step, model, config, rng, log, checked)
+            if outcome is MoveOutcome.NEEDS_REPLAN:
+                replans += 1
+                break
+        if not checked or not steps:
+            break
 
     return EpisodeReport(
         success=is_solved(cube.logical),

@@ -5,7 +5,6 @@ import pytest
 
 from pocketcube.actions import (
     DELTA_Q,
-    DELTA_THETA,
     DELTA_X,
     Pose,
     PoseGoal,
@@ -16,7 +15,6 @@ from pocketcube.actions import (
     goal_orientation,
     orientation_distance,
     pose_goal_reached,
-    twist_goal_reached,
 )
 from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
 
@@ -110,12 +108,6 @@ class TestGoalPredicates:
         goal = PoseGoal((0.0, 0.0, 0.0), Quaternion.identity())
         pose = Pose((DELTA_X, 0.0, 0.0), Quaternion.identity())
         assert not pose_goal_reached(pose, goal, DELTA_X, DELTA_Q)
-
-    def test_twist_goal(self):
-        target = -math.pi / 2
-        assert twist_goal_reached(target, target, DELTA_THETA)
-        assert twist_goal_reached(target + 0.09, target, DELTA_THETA)
-        assert not twist_goal_reached(target + 0.11, target, DELTA_THETA)
 
 
 class TestCompile:

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -35,6 +36,15 @@ def copy_tables(table_dir, dest):
 
 # a state at depth 14 whose neighbours are all at depth 13
 ANTIPODE_RANK = 19364
+
+
+@pytest.fixture()
+def overestimating_dir(table_dir, pdb, tmp_path):
+    """Tables whose perm PDB says 20 everywhere, with a valid CRC."""
+    d = copy_tables(table_dir, tmp_path / "overestimating")
+    tables.PatternDB(pdb.ori_db, np.full(5040, 20, dtype=np.uint8)).save(
+        d / cli.ORI_PDB_FILE, d / cli.PERM_PDB_FILE)
+    return d
 
 
 @pytest.fixture()
@@ -148,6 +158,19 @@ class TestSimulate:
         b = run_cli(capsys, *argv)
         assert a == b
 
+    @pytest.mark.parametrize("mode, digest", [
+        ("rollback", "20f627e00cc6a9e73d7abd9085d8904d5bd10cbc3b5811de8a73594f13953fb2"),
+        ("open", "07d1177695c0b8d8437066ebb5d39f0d2c41ccc8ec163c8466a042058b01aa84"),
+    ])
+    def test_stress_trace_is_pinned(self, tdir, capsys, mode, digest):
+        # byte-identical output across refactors of the executor
+        code, out, _ = run_cli(capsys, "--tables", tdir, "simulate",
+                               "--scramble", "R U F' U R' F U'", "--seed", "9",
+                               "--p-rot", "0.6", "--p-op", "0.5", "--p-restore", "0.6",
+                               "--trace", "--mode", mode)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_open_mode(self, tdir, capsys):
         code, out, _ = run_cli(capsys, "--tables", tdir, "simulate",
                                "--scramble", "R U", "--mode", "open", "--seed", "2")
@@ -165,6 +188,14 @@ class TestEval:
         assert "average SR (rollback): 1.0000" in out
         lines = out_csv.read_text().splitlines()
         assert len(lines) == 29
+
+    def test_csv_is_pinned(self, tdir, capsys, tmp_path):
+        out_csv = tmp_path / "r.csv"
+        code, _, _ = run_cli(capsys, "--tables", tdir, "eval", "--trials", "5",
+                             "--seed", "0", "--out", str(out_csv), "--quiet")
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
+            "224c4f1eeb2499274282e895218937ec2ccd0e08c8d6f2750b39028fc751a927"
 
     def test_single_mode(self, tdir, capsys, tmp_path):
         out_csv = tmp_path / "r.csv"
@@ -211,6 +242,12 @@ class TestVerify:
         assert code == 1
         assert "FAIL  table files" in out
         assert "ChecksumMismatch" in out
+
+    def test_overestimating_pdb_fails_table_files(self, overestimating_dir, capsys):
+        code, out, _ = run_cli(capsys, "--tables", str(overestimating_dir), "verify")
+        assert code == 1
+        assert "FAIL  table files" in out
+        assert "InconsistentTable" in out
 
     def test_missing_tables_fail(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--tables", str(tmp_path), "verify")
@@ -273,3 +310,17 @@ class TestBadInputErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert "inconsistent" in err
+
+    def test_nan_threshold(self, tdir, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, "simulate",
+                                    "--scramble", "R", "--delta-x", "nan")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "delta_x" in err
+
+    def test_ida_on_overestimating_pdb(self, overestimating_dir, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", str(overestimating_dir), "solve",
+                                    "--scramble", "R U")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert cli.PERM_PDB_FILE in err

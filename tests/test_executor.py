@@ -39,6 +39,11 @@ def oracle_planner(table):
     return lambda s: oracle_solve(s, table)
 
 
+def step(move):
+    """The compiled step of one move: (move, [Rotate, Twist x1 or x3])."""
+    return compile_moves([move]).steps[0]
+
+
 class TestUpFace:
     def test_identity_orientation_points_u_up(self):
         assert up_face(Quaternion.identity()) == "U"
@@ -49,11 +54,25 @@ class TestUpFace:
         assert committed_move(goal_orientation(Move.R)) is Move.R_PRIME
         assert committed_move(goal_orientation(Move.F)) is Move.F_PRIME
 
-    def test_tie_breaks_in_face_order(self):
-        # 45 degrees between U and R leaves a dot-product tie; U wins
-        q = Quaternion.from_axis_angle((0, 1, 0), -math.pi / 4)
-        assert up_face(q) in "UDRLFB"
-        assert up_face(Quaternion.from_axis_angle((0, 1, 0), 0.0)) == "U"
+    def test_matches_rotated_normal_reference(self):
+        # reference: rotate each face normal by q and take the highest,
+        # first in face order on a tie
+        normals = ((0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0))
+
+        def reference(q):
+            heights = [(q * Quaternion(0.0, *n) * q.conjugate()).z for n in normals]
+            return "UDRLFB"[heights.index(max(heights))]
+
+        rng = np.random.default_rng(79)
+        draws = [Quaternion.random_uniform(rng) for _ in range(2000)]
+        for m in GENERALIZED_MOVES:
+            for _ in range(200):
+                axis = rng.standard_normal(3)
+                wobble = Quaternion.from_axis_angle(tuple(axis), float(rng.uniform(0, 0.1)))
+                draws.append((wobble * goal_orientation(m)).normalized())
+        faces = [up_face(q) for q in draws]
+        assert faces == [reference(q) for q in draws]
+        assert set(faces) == set("UDRLFB")
 
 
 class TestAttemptRotate:
@@ -180,7 +199,7 @@ class TestMoveRollback:
         for m in GENERALIZED_MOVES:
             cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
             rng = np.random.default_rng(61)
-            outcome = execute_move_rollback(cube, m, PERFECT, cfg, rng)
+            outcome = execute_move_rollback(cube, step(m), PERFECT, cfg, rng)
             assert outcome is MoveOutcome.COMPLETED
             assert cube.logical == apply_generalized(CANONICAL_SOLVED, m)
 
@@ -190,7 +209,7 @@ class TestMoveRollback:
         for seed in range(20):
             cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
             rng = np.random.default_rng((62, seed))
-            outcome = execute_move_rollback(cube, Move.U_PRIME, model, cfg, rng)
+            outcome = execute_move_rollback(cube, step(Move.U_PRIME), model, cfg, rng)
             assert outcome in (MoveOutcome.NEEDS_REPLAN, MoveOutcome.BUDGET_EXHAUSTED)
             assert cube.logical == CANONICAL_SOLVED
 
@@ -198,7 +217,7 @@ class TestMoveRollback:
         model = ActuationModel(p_rot=0.0)
         cfg = ExecutorConfig(r1_max=10, action_budget=3)
         cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
-        outcome = execute_move_rollback(cube, Move.U, model, cfg,
+        outcome = execute_move_rollback(cube, step(Move.U), model, cfg,
                                         np.random.default_rng(63))
         assert outcome is MoveOutcome.BUDGET_EXHAUSTED
 
@@ -319,6 +338,25 @@ class TestEpisode:
             assert rep.replans == 0
             assert {e.kind for e in rep.trace} <= {"rotate", "twist"}
 
+    def test_move_counts_once_an_action_ran(self):
+        # the first prime move uses the whole budget of 2; the second never starts
+        plan = [Move.U_PRIME, Move.R_PRIME]
+        s = canonicalize(apply_seq(CANONICAL_SOLVED, [m.inverse for m in reversed(plan)]))
+        for mode in ExecutionMode:
+            rep = execute_episode(s, mode, lambda _: plan, PERFECT,
+                                  ExecutorConfig(action_budget=2), np.random.default_rng(80))
+            assert rep.atomic_actions == 2
+            assert rep.moves_attempted == 1
+
     def test_model_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             ActuationModel(p_rot=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("r1_max", 0), ("r2_max", -1), ("action_budget", 0),
+        ("delta_x", math.nan), ("delta_x", 0.0), ("delta_q", -0.1),
+        ("delta_q", math.inf), ("chamfer", math.nan),
+    ])
+    def test_config_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExecutorConfig(**{field: value})

@@ -22,6 +22,7 @@ from pocketcube.tables import (
     BadVersion,
     ChecksumMismatch,
     DistanceTable,
+    InconsistentTable,
     PatternDB,
     TableFormatError,
     TruncatedFile,
@@ -78,7 +79,7 @@ class TestDistance:
         assert dist_table.distance(apply(SOLVED, Move.D)) == 1
 
     def test_neighbor_consistency_exhaustive(self, dist_table):
-        ok, detail = tables.check_neighbor_consistency(dist_table, sample=None)
+        ok, detail = tables.check_neighbor_consistency(dist_table)
         assert ok, detail
 
     def test_buckets_partition_the_space(self, dist_table):
@@ -168,6 +169,13 @@ class TestPersistence:
         loaded = PatternDB.load(tmp_path / "o.bin", tmp_path / "p.bin")
         assert np.array_equal(loaded.ori_db, pdb.ori_db)
         assert np.array_equal(loaded.perm_db, pdb.perm_db)
+
+    def test_pattern_db_with_wrong_content(self, pdb, tmp_path):
+        # well-formed, valid CRC, but every perm entry overestimates
+        PatternDB(pdb.ori_db, np.full(5040, 20, dtype=np.uint8)).save(
+            tmp_path / "o.bin", tmp_path / "p.bin")
+        with pytest.raises(InconsistentTable, match="p.bin"):
+            PatternDB.load(tmp_path / "o.bin", tmp_path / "p.bin")
 
     def test_save_is_deterministic(self, pdb, tmp_path):
         pdb.save(tmp_path / "a.bin", tmp_path / "ap.bin")
