@@ -137,7 +137,7 @@ class Rotate:
 
 @dataclass(frozen=True)
 class Twist:
-    theta_target: float = TWIST_TARGET
+    """Turn the top layer by TWIST_TARGET."""
 
 
 AtomicAction = Rotate | Twist

@@ -37,9 +37,13 @@ slot's U/D face; the total twist of a legal state is 0 mod 3.
 
 A canonical state keeps cubelet 7 in slot 7 untwisted, which quotients
 away the 24 whole-cube rotations and leaves 7! * 3^6 = 3,674,160 states.
-Its rank is lehmer(perm of slots 0..6) * 729 + sum(ori[i] * 3^i, i<6);
-the solved state ranks 0.  The six generalized moves U U' R R' F F' fix
-the anchor and generate the whole canonical space.
+Its rank is perm code * 729 + twist code, and two enumerations define both
+coordinates: the perm code is the index of slots 0..6's permutation in
+lexicographic order (which is its Lehmer code), the twist code the index
+of slots 0..5's twists in base-3 order, least significant digit first
+(sum(ori[i] * 3^i, i<6)).  The solved state ranks 0.  The six generalized
+moves U U' R R' F F' fix the anchor and generate the whole canonical
+space; each acts on the two coordinates independently.
 
 Moves use standard quarter-turn notation (U D R L F B, primes for
 counterclockwise); each is applied through a precomputed slot-permutation
@@ -48,13 +52,17 @@ counterclockwise); each is applied through a precomputed slot-permutation
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-N_STATES = 3_674_160  # 7! * 3**6
+N_PERM = 5040  # 7!
+N_ORI = 729  # 3**6
+N_STATES = N_PERM * N_ORI  # 3,674,160
 
 FACES = ("U", "D", "R", "L", "F", "B")
 
@@ -356,10 +364,6 @@ class CanonicalState(CubeletState):
     def rank(self) -> int:
         return rank(self)
 
-    @classmethod
-    def from_rank(cls, index: int) -> "CanonicalState":
-        return unrank(index)
-
 
 SOLVED = CubeletState(tuple(range(8)), (0,) * 8)
 CANONICAL_SOLVED = CanonicalState(tuple(range(8)), (0,) * 8)
@@ -449,38 +453,48 @@ def reduce_move(move: Move) -> GeneralizedMove:
 # ranking
 # ---------------------------------------------------------------------------
 
-_FACTORIALS = (720, 120, 24, 6, 2, 1, 1)
-_POW3 = (1, 3, 9, 27, 81, 243)
+# the two enumerations that define the perm code and the twist code
+_PERMS = tuple(itertools.permutations(range(7)))
+_TWISTS = tuple(t[::-1] for t in itertools.product(range(3), repeat=6))
+_PERM_CODE = {p: i for i, p in enumerate(_PERMS)}
+_TWIST_CODE = {t: i for i, t in enumerate(_TWISTS)}
+# per twist code, the twists of all eight slots: slot 6 closes the sum
+_ORIS = tuple(t + ((-sum(t)) % 3, 0) for t in _TWISTS)
 
 
 def rank(state: CubeletState) -> int:
     """Index of a canonical state in [0, 3,674,160); solved ranks 0."""
     if state.perm[ANCHOR] != ANCHOR or state.ori[ANCHOR] != 0:
         raise CubeError("rank is defined on canonical states only")
-    perm = state.perm
-    lehmer = 0
-    for i in range(7):
-        smaller = sum(1 for j in range(i) if perm[j] < perm[i])
-        lehmer += (perm[i] - smaller) * _FACTORIALS[i]
-    twist = sum(state.ori[i] * _POW3[i] for i in range(6))
-    return lehmer * 729 + twist
+    return _PERM_CODE[state.perm[:7]] * N_ORI + _TWIST_CODE[state.ori[:6]]
 
 
 def unrank(index: int) -> CanonicalState:
     """Inverse of rank; rejects indices outside [0, 3,674,160)."""
     if not 0 <= index < N_STATES:
         raise CubeError(f"rank {index} out of range [0, {N_STATES})")
-    lehmer, twist = divmod(index, 729)
-    avail = list(range(7))
-    perm = []
-    for i in range(7):
-        digit, lehmer = divmod(lehmer, _FACTORIALS[i])
-        perm.append(avail.pop(digit))
-    perm.append(ANCHOR)
-    ori = [(twist // _POW3[i]) % 3 for i in range(6)]
-    ori.append((-sum(ori)) % 3)
-    ori.append(0)
-    return CanonicalState(tuple(perm), tuple(ori))
+    perm_code, twist_code = divmod(index, N_ORI)
+    return CanonicalState(_PERMS[perm_code] + (ANCHOR,), _ORIS[twist_code])
+
+
+def coordinate_moves() -> tuple[list[list[int]], list[list[int]]]:
+    """Successor codes of the six generalized moves, per coordinate.
+
+    Returns (perm, twist): perm[m][code] is the perm code after move
+    GENERALIZED_MOVES[m] from perm code `code`, whatever the twists, and
+    twist[m][code] likewise for twist codes, whatever the permutation.
+    """
+    perm, twist = [], []
+    for move in GENERALIZED_MOVES[::2]:
+        src, dori = _MOVE_TABLE[move]
+        moved = tuple(zip(src[:6], dori[:6]))
+        perm_col = list(map(_PERM_CODE.__getitem__, map(itemgetter(*src[:7]), _PERMS)))
+        twist_col = [_TWIST_CODE[tuple((o[s] + d) % 3 for s, d in moved)] for o in _ORIS]
+        # the prime move next in GENERALIZED_MOVES undoes this one, so its
+        # columns are the inverse permutations (the argsorts) of these
+        perm += [perm_col, sorted(range(N_PERM), key=perm_col.__getitem__)]
+        twist += [twist_col, sorted(range(N_ORI), key=twist_col.__getitem__)]
+    return perm, twist
 
 
 def random_state(rng) -> CubeletState:

@@ -103,7 +103,6 @@ class ActuationModel:
     failure_pos_radius: float = 0.05   # m, uniform ball around the palm point
     failure_angle_low: float = -math.pi / 2   # residual twist angle range
     failure_angle_high: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("p_rot", "p_op", "p_restore"):
@@ -207,12 +206,8 @@ def up_face(orientation: Quaternion) -> str:
     return "UDRLFB"[heights.index(max(heights))]
 
 
-def committed_move(orientation: Quaternion) -> Move:
-    """Generalized move a -90 degree top twist performs in this pose."""
-    return reduce_move(_PRIME_OF_FACE[up_face(orientation)])
-
-
 def _commit_twist(cube: PhysicalCube) -> None:
+    # a -90 degree top twist performs the prime move of the up face
     face = up_face(cube.pose.orientation)
     cube.logical = apply_generalized(cube.logical, reduce_move(_PRIME_OF_FACE[face]))
     cube.layer_misalignment = 0.0

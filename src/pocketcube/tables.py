@@ -6,12 +6,12 @@ the six generalized moves.  The two pattern databases are exact distances
 in the orientation-only (3^6 states) and permutation-only (7! states)
 quotients; their pointwise max is an admissible IDA* heuristic.
 
-A rank is perm code * 729 + twist code (lehmer code of the slot
-permutation, base-3 twist digits), and a generalized move acts on each
-coordinate on its own.  So two small coordinate move tables, 5040 x 6 and
-729 x 6, give the successor of any rank, and the abstractions are free:
-ori index = rank % 729, perm index = rank // 729.  Everything heavy is
-vectorized with numpy over those tables.
+A rank is perm code * 729 + twist code, the coordinates `cube` defines,
+and a generalized move acts on each coordinate on its own.  So two small
+coordinate move tables, 5040 x 6 and 729 x 6, from `cube.coordinate_moves`,
+give the successor of any rank, and the abstractions are free: ori index
+= rank % 729, perm index = rank // 729.  Everything heavy is vectorized
+with numpy over those tables.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -30,12 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .cube import (
-    GENERALIZED_MOVES,
+    N_ORI,
+    N_PERM,
     N_STATES,
     CanonicalState,
     CubeletState,
-    _MOVE_TABLE,
     canonicalize,
+    coordinate_moves,
+    rank,
+    unrank,
 )
 
 MAGIC = b"CUBE2DT\0"
@@ -46,18 +49,7 @@ KIND_FULL = 0
 KIND_ORI_PDB = 1
 KIND_PERM_PDB = 2
 
-N_ORI = 729
-N_PERM = 5040
-
 _ENTRIES = {KIND_FULL: N_STATES, KIND_ORI_PDB: N_ORI, KIND_PERM_PDB: N_PERM}
-
-_FACT = np.array([720, 120, 24, 6, 2, 1, 1], dtype=np.int64)
-_POW3 = np.array([1, 3, 9, 27, 81, 243], dtype=np.int64)
-
-# per generalized move: source slot and twist delta over slots 0..6
-# (the anchor slot never moves under these six)
-_GEN_SRC = np.array([_MOVE_TABLE[m][0][:7] for m in GENERALIZED_MOVES], dtype=np.int64)
-_GEN_DORI = np.array([_MOVE_TABLE[m][1][:7] for m in GENERALIZED_MOVES], dtype=np.int64)
 
 
 class TableFormatError(Exception):
@@ -89,70 +81,21 @@ class InconsistentTable(TableFormatError):
 
 
 # ---------------------------------------------------------------------------
-# coordinate kernel and move tables
+# move tables
 # ---------------------------------------------------------------------------
-
-def perm_unrank_all(codes: np.ndarray) -> np.ndarray:
-    """Lehmer codes (int64) -> permutations of 0..6, shape (n, 7)."""
-    n = codes.shape[0]
-    digits = np.empty((n, 7), dtype=np.int64)
-    rem = codes.copy()
-    for i in range(7):
-        digits[:, i], rem = np.divmod(rem, _FACT[i])
-    avail = np.tile(np.arange(7, dtype=np.int8), (n, 1))
-    perm = np.empty((n, 7), dtype=np.int8)
-    for i in range(7):
-        d = digits[:, i]
-        perm[:, i] = np.take_along_axis(avail, d[:, None], axis=1)[:, 0]
-        width = avail.shape[1] - 1
-        if width:
-            idx = np.arange(width)[None, :] + (np.arange(width)[None, :] >= d[:, None])
-            avail = np.take_along_axis(avail, idx, axis=1)
-    return perm
-
-
-def perm_rank_all(perm: np.ndarray) -> np.ndarray:
-    """Permutations of 0..6, shape (n, 7) -> Lehmer codes (int64)."""
-    p = perm.astype(np.int64)
-    out = p[:, 0] * _FACT[0]
-    for i in range(1, 7):
-        smaller = (p[:, :i] < p[:, i:i + 1]).sum(axis=1)
-        out += (p[:, i] - smaller) * _FACT[i]
-    return out
-
-
-def _twist_digits(codes: np.ndarray) -> np.ndarray:
-    """Twist codes -> base-3 twist digits of slots 0..5, shape (n, 6)."""
-    return (codes[:, None] // _POW3[None, :]) % 3
-
-
-def _perm_successors() -> np.ndarray:
-    perm = perm_unrank_all(np.arange(N_PERM, dtype=np.int64))
-    out = np.empty((N_PERM, 6), dtype=np.int64)
-    for mi in range(6):
-        out[:, mi] = perm_rank_all(perm[:, _GEN_SRC[mi]])
-    return out
-
-
-def _ori_successors() -> np.ndarray:
-    digits = _twist_digits(np.arange(N_ORI, dtype=np.int64))
-    ori7 = np.concatenate([digits, -digits.sum(axis=1, keepdims=True) % 3], axis=1)
-    # (code, move, slot): twist now in slot s = twist of its source + delta
-    moved = (ori7[:, _GEN_SRC[:, :6]] + _GEN_DORI[None, :, :6]) % 3
-    return moved @ _POW3
-
 
 @lru_cache(maxsize=1)
 def move_tables() -> tuple[np.ndarray, np.ndarray]:
     """Successor codes of the six generalized moves, per coordinate.
 
-    Returns (perm, ori): int64 arrays of shape (5040, 6) and (729, 6).  A
-    generalized move permutes slots regardless of twist and adds twists
-    regardless of which cubelet sits where, so the successor of a rank is
+    Returns (perm, ori): int64 arrays of shape (5040, 6) and (729, 6),
+    `cube.coordinate_moves()` laid out one row per code.  A generalized
+    move permutes slots regardless of twist and adds twists regardless of
+    which cubelet sits where, so the successor of a rank is
     ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Built once per process
-    in milliseconds; read-only.
+    in tens of milliseconds; read-only.
     """
-    perm, ori = _perm_successors(), _ori_successors()
+    perm, ori = (np.array(cols, dtype=np.int64).T.copy() for cols in coordinate_moves())
     perm.flags.writeable = ori.flags.writeable = False
     return perm, ori
 
@@ -349,17 +292,10 @@ def check_diameter(table: DistanceTable) -> tuple[bool, str]:
     return table.max_depth == 14, f"max depth {table.max_depth}"
 
 def check_rank_roundtrip() -> tuple[bool, str]:
-    # rank = perm code * 729 + twist code: both codes round-trip, and the
-    # grid of every (perm, twist) pair enumerates the ranks in order
-    codes = np.arange(N_PERM, dtype=np.int64)
-    perm = perm_unrank_all(codes)
-    perm_codes = perm_rank_all(perm)
-    ok = bool((np.sort(perm, axis=1) == np.arange(7)).all() and (perm_codes == codes).all())
-    twist_codes = _twist_digits(np.arange(N_ORI, dtype=np.int64)) @ _POW3
-    ok &= bool((twist_codes == np.arange(N_ORI)).all())
-    ranks = perm_codes[:, None] * N_ORI + twist_codes[None, :]
-    ok &= bool((ranks.ravel() == np.arange(N_STATES)).all())
-    return ok, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
+    # rank and unrank treat the perm code and the twist code independently,
+    # so every perm code and every twist code round-tripping covers every rank
+    bad = [r for r in (*range(0, N_STATES, N_ORI), *range(N_ORI)) if rank(unrank(r)) != r]
+    return not bad, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
 def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str]:
     h = np.frombuffer(pdb.dense_heuristic(), dtype=np.uint8)

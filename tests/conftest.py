@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from pocketcube.tables import build_distance_table, build_pattern_dbs
+
+# Every property test draws the same examples on every run, and none are
+# kept between runs.
+settings.register_profile("pocketcube", max_examples=300, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("pocketcube")
 
 
 @pytest.fixture(scope="session")

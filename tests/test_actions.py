@@ -139,10 +139,6 @@ class TestCompile:
             assert plan.atomic_count == sum(2 if m.is_prime else 4 for m in seq)
             assert [m for m, _ in plan.steps] == seq
 
-    def test_twist_target_is_quarter_turn_down(self):
-        (_, acts), = compile_moves([Move.F]).steps
-        assert acts[1].theta_target == pytest.approx(-math.pi / 2)
-
     def test_x_target_override(self):
         plan = compile_moves([Move.U], x_target=(0.01, 0.02, 0.03))
         (_, acts), = plan.steps

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pocketcube import cube
 from pocketcube.cube import (
@@ -41,6 +43,11 @@ from pocketcube.cube import (
 # traced by hand on the unfolded layout (independent of the move tables).
 U_ON_SOLVED = "WWWWYYYYBBRRGGOORRGGOOBB"
 R_ON_SOLVED = "WGWGYBYBRRRROOOOGYGYWBWB"
+
+# The three stickers of each corner, read off the unfolded layout in the
+# cube module's docstring: URF UFL ULB UBR DFR DLF DRB DLB.
+CORNER_STICKERS = ((3, 8, 17), (2, 13, 16), (0, 12, 21), (1, 9, 20),
+                   (5, 10, 19), (4, 15, 18), (7, 11, 22), (6, 14, 23))
 
 
 def random_states(seed, n):
@@ -284,3 +291,69 @@ class TestStateValidation:
     def test_cross_class_equality(self):
         assert CANONICAL_SOLVED == SOLVED
         assert hash(CANONICAL_SOLVED) == hash(SOLVED)
+
+
+def _raw_state(perm, twists):
+    return CubeletState(tuple(perm), twists + ((-sum(twists)) % 3,))
+
+
+# uniform over legal raw states: any permutation, any seven twists, the
+# eighth closing the sum
+raw_states = st.builds(_raw_state, st.permutations(range(8)),
+                       st.tuples(*[st.integers(0, 2)] * 7))
+ranks = st.integers(0, N_STATES - 1)
+
+
+class TestProperties:
+    @given(ranks)
+    def test_unrank_then_rank_is_identity(self, r):
+        assert rank(unrank(r)) == r
+
+    @given(raw_states)
+    def test_rank_then_unrank_is_identity(self, s):
+        c = canonicalize(s)
+        assert unrank(rank(c)) == c
+
+    @given(raw_states)
+    def test_facelet_roundtrip(self, s):
+        assert from_facelets(to_facelets(s)) == s
+
+    @given(raw_states, st.lists(st.sampled_from(list(Move)), max_size=20))
+    def test_sequence_then_inverse_is_identity(self, s, seq):
+        assert apply_seq(s, seq + inverse_seq(seq)) == s
+
+    @given(ranks)
+    def test_quotient_equivariance(self, r):
+        c = unrank(r)
+        for m in Move:
+            assert canonicalize(apply(c, m)) == apply_generalized(c, reduce_move(m))
+
+    @given(raw_states)
+    def test_canonicalize_constant_over_rotations(self, s):
+        assert {canonicalize(rotate_state(s, rot)) for rot in ROTATIONS} == {canonicalize(s)}
+
+    @given(raw_states, st.integers(0, 23), st.integers(1, 5))
+    def test_recoloured_sticker_is_illegal_coloring(self, s, i, shift):
+        f = list(to_facelets(s))
+        colors = list(Color)
+        f[i] = colors[(colors.index(f[i]) + shift) % 6]
+        with pytest.raises(IllegalColoring):
+            from_facelets(f)
+
+    @given(raw_states, st.sampled_from(CORNER_STICKERS), st.integers(0, 2))
+    def test_swapped_corner_stickers_are_illegal_cubelet(self, s, corner, keep):
+        # swapping two stickers mirrors the corner, which no cubelet matches
+        f = list(to_facelets(s))
+        i, j = (k for n, k in enumerate(corner) if n != keep)
+        f[i], f[j] = f[j], f[i]
+        with pytest.raises(IllegalCubelet):
+            from_facelets(f)
+
+    @given(raw_states, st.sampled_from(CORNER_STICKERS), st.booleans())
+    def test_cycled_corner_stickers_are_illegal_twist(self, s, corner, clockwise):
+        # cycling one corner's stickers twists that cubelet alone
+        f = list(to_facelets(s))
+        a, b, c = corner
+        f[a], f[b], f[c] = (f[c], f[a], f[b]) if clockwise else (f[b], f[c], f[a])
+        with pytest.raises(IllegalTwist):
+            from_facelets(f)

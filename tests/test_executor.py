@@ -24,7 +24,6 @@ from pocketcube.executor import (
     attempt_restore,
     attempt_rotate,
     attempt_twist,
-    committed_move,
     execute_episode,
     execute_move_rollback,
     format_trace_entry,
@@ -47,12 +46,6 @@ def step(move):
 class TestUpFace:
     def test_identity_orientation_points_u_up(self):
         assert up_face(Quaternion.identity()) == "U"
-
-    def test_goal_poses_put_a_twistable_layer_up(self):
-        # single twist in each goal pose commits exactly the prime move
-        assert committed_move(goal_orientation(Move.U_PRIME)) is Move.U_PRIME
-        assert committed_move(goal_orientation(Move.R)) is Move.R_PRIME
-        assert committed_move(goal_orientation(Move.F)) is Move.F_PRIME
 
     def test_matches_rotated_normal_reference(self):
         # reference: rotate each face normal by q and take the highest,
