@@ -157,11 +157,11 @@ class ExecutionPlan:
         return len(self.steps)
 
 
-def compile_moves(seq: Sequence[Move], x_target: Vector3 = PALM_CENTER) -> ExecutionPlan:
+def compile_moves(seq: Sequence[Move]) -> ExecutionPlan:
     """Generalized move sequence -> [Rotate, Twist] or [Rotate, Twist x3] each."""
     steps = []
     for move in seq:
-        rotate = Rotate(PoseGoal(x_target, goal_orientation(move)))
+        rotate = Rotate(PoseGoal(PALM_CENTER, goal_orientation(move)))
         twists = 1 if move.is_prime else 3
         steps.append((move, (rotate,) + (Twist(),) * twists))
     return ExecutionPlan(tuple(steps))

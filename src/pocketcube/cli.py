@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
     model = _actuation_model(args)
     config = _executor_config(args)
     rng = np.random.default_rng(args.seed)
-    report = execute_episode(state, mode, lambda s: solver.oracle_solve(s, table),
+    report = execute_episode(state.rank, mode, evaluate.oracle_planner(table),
                              model, config, rng)
     print(f"scramble distance: {table.distance(state)}")
     print(f"mode: {mode.value}")
@@ -289,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # scramble, simulate and eval
+        raise SystemExit("error: --seed must be >= 0")
     try:
         return args.fn(args)
     except (CubeError, TableFormatError, OSError) as err:

@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -360,7 +360,7 @@ class CanonicalState(CubeletState):
         if self.perm[ANCHOR] != ANCHOR or self.ori[ANCHOR] != 0:
             raise CubeError("not canonical: anchor cubelet out of place")
 
-    @cached_property
+    @property
     def rank(self) -> int:
         return rank(self)
 

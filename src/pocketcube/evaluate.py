@@ -88,12 +88,15 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng
     return [unrank(int(bucket[i])) for i in picks]
 
 
+def oracle_planner(table: DistanceTable) -> Planner:
+    """The executor's planner: greedy descent on the exact table, from a rank."""
+    return lambda r: oracle_solve(unrank(r), table)
+
+
 def run_experiment(config: ExperimentConfig, table: DistanceTable,
-                   planner: Planner | None = None, progress: bool = False
-                   ) -> ExperimentResult:
+                   progress: bool = False) -> ExperimentResult:
     """Monte Carlo SR/AN per (distance, mode), deterministic in master_seed."""
-    if planner is None:
-        planner = lambda s: oracle_solve(s, table)  # noqa: E731
+    planner = oracle_planner(table)
     rows: list[ResultRow] = []
     for distance in sorted(config.distances):
         # stream tag 99 keeps scramble draws apart from episode draws
@@ -106,7 +109,7 @@ def run_experiment(config: ExperimentConfig, table: DistanceTable,
             for trial, scramble in enumerate(scrambles):
                 rng = np.random.default_rng(
                     (config.master_seed, distance, mode_index + 1, trial))
-                report = execute_episode(scramble, mode, planner,
+                report = execute_episode(scramble.rank, mode, planner,
                                          config.model, config.executor, rng)
                 successes += report.success
                 counts[trial] = report.atomic_actions

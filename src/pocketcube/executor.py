@@ -9,12 +9,12 @@ goal tolerance; on failure it lands in an explicitly invented, fully
 configurable failure distribution -- the underlying physics is out of
 scope, so failure shapes are modeling choices, not measurements.
 
-Logical bookkeeping: the cube's logical state only ever changes when a
-top-layer twist commits.  A committed twist performs the prime move of
-whichever body face is up (nearest face axis to the hand up axis, ties
-broken in face order U D R L F B), folded through reduce_move when that
-layer contains the anchor piece; in that case the body frame rotates
-with the layer, so the tracked orientation advances by the twist.
+Logical bookkeeping: the cube's logical state is its canonical rank and
+only changes when a top-layer twist commits.  A committed twist performs
+the prime move of whichever body face is up (nearest face axis to the
+hand up axis, ties broken in face order U D R L F B), folded through
+reduce_move and applied to the rank by tables.successor; when that layer
+holds the anchor piece the body frame, and so the tracked pose, turns too.
 
 Each move runs its compiled actions (actions.compile_moves): one re-pose
 goal, then 1 or 3 twists.  The two modes differ only in whether the
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .actions import (
@@ -56,13 +57,8 @@ from .actions import (
     orientation_distance,
     pose_goal_reached,
 )
-from .cube import (
-    CanonicalState,
-    Move,
-    apply_generalized,
-    is_solved,
-    reduce_move,
-)
+from .cube import GENERALIZED_MOVES, Move, reduce_move
+from .tables import successor
 
 CHAMFER_TOLERANCE = math.radians(5.0)  # layer slack that still permits a twist
 
@@ -70,8 +66,6 @@ HAND_UP: Vector3 = (0.0, 0.0, 1.0)
 
 # faces whose layer contains the DLB anchor piece
 _ANCHOR_FACES = frozenset("DLB")
-
-_PRIME_OF_FACE = {f: Move(f + "'") for f in "UDRLFB"}
 
 _TWIST_ROTATION = Quaternion.from_axis_angle(HAND_UP, math.pi / 2)
 
@@ -119,7 +113,6 @@ class ExecutorConfig:
     r1_max: int = 10
     r2_max: int = 10
     action_budget: int = 200
-    x_target: Vector3 = PALM_CENTER
 
     def __post_init__(self):
         for name in ("delta_x", "delta_q", "chamfer"):
@@ -134,14 +127,14 @@ class ExecutorConfig:
 
 @dataclass
 class PhysicalCube:
-    """Logical state plus tracked pose and layer misalignment."""
+    """Logical state (a canonical rank) plus tracked pose and layer misalignment."""
 
-    logical: CanonicalState
+    logical: int
     pose: Pose
     layer_misalignment: float = 0.0  # rad; 0 when the halves are aligned
 
     @classmethod
-    def at_rest(cls, logical: CanonicalState) -> "PhysicalCube":
+    def at_rest(cls, logical: int) -> "PhysicalCube":
         return cls(logical, Pose(PALM_CENTER, Quaternion.identity()))
 
 
@@ -187,7 +180,7 @@ class _ActionLog:
     def record(self, kind: str, success: bool, cube: PhysicalCube,
                pos_err: float | None, ang_err: float | None) -> None:
         self.entries.append(TraceEntry(len(self.entries) + 1, kind, success,
-                                       pos_err, ang_err, cube.logical.rank))
+                                       pos_err, ang_err, cube.logical))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +199,15 @@ def up_face(orientation: Quaternion) -> str:
     return "UDRLFB"[heights.index(max(heights))]
 
 
-def _commit_twist(cube: PhysicalCube) -> None:
+@lru_cache(maxsize=None)
+def _committed_move_index(face: str) -> int:
     # a -90 degree top twist performs the prime move of the up face
+    return GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
+
+
+def _commit_twist(cube: PhysicalCube) -> None:
     face = up_face(cube.pose.orientation)
-    cube.logical = apply_generalized(cube.logical, reduce_move(_PRIME_OF_FACE[face]))
+    cube.logical = successor(cube.logical, _committed_move_index(face))
     cube.layer_misalignment = 0.0
     if face in _ANCHOR_FACES:
         # anchor piece rides the twisted layer: the body frame turns with it
@@ -332,7 +330,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
     goal = rotate.goal
     rotates = config.r1_max if checked else 1
 
-    expected = apply_generalized(cube.logical, move) if checked else None
+    expected = successor(cube.logical, GENERALIZED_MOVES.index(move)) if checked else None
     posed = False
     for attempt in range(rotates):
         if log.exhausted:
@@ -372,12 +370,12 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
             else MoveOutcome.NEEDS_REPLAN)
 
 
-Planner = Callable[[CanonicalState], Sequence[Move]]
+Planner = Callable[[int], Sequence[Move]]
 
 
-def execute_episode(scramble: CanonicalState, mode: ExecutionMode, planner: Planner,
+def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
                     model: ActuationModel, config: ExecutorConfig, rng) -> EpisodeReport:
-    """Run one solve episode and report SR bookkeeping.
+    """Run one solve episode from rank `scramble` and report SR bookkeeping.
 
     Rollback mode re-plans from the current logical state whenever a move
     fails its completion check; open-loop mode plans once and fires every
@@ -390,8 +388,8 @@ def execute_episode(scramble: CanonicalState, mode: ExecutionMode, planner: Plan
     moves_attempted = 0
     replans = 0
 
-    while not is_solved(cube.logical) and not log.exhausted:
-        steps = compile_moves(planner(cube.logical), config.x_target).steps
+    while cube.logical != 0 and not log.exhausted:
+        steps = compile_moves(planner(cube.logical)).steps
         for step in steps:
             if log.exhausted:
                 break
@@ -404,7 +402,7 @@ def execute_episode(scramble: CanonicalState, mode: ExecutionMode, planner: Plan
             break
 
     return EpisodeReport(
-        success=is_solved(cube.logical),
+        success=cube.logical == 0,
         atomic_actions=len(log.entries),
         moves_attempted=moves_attempted,
         replans=replans,

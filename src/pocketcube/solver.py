@@ -1,20 +1,19 @@
 """Optimal planners: IDA* with the pattern-database heuristic, plus the
 distance-table greedy oracle used to cross-check it.
 
-Both operate on canonical ranks through the coordinate move tables (a
-child's rank is the sum of a perm part and a twist part) and return move
-lists over the generalized set.  Child order is fixed (U, U', R, R', F,
-F'), so identical inputs always produce identical solutions and node
-counts.
+Both operate on canonical ranks through the scalar coordinate move
+tables, `tables.rank_moves()` (a child's rank is the sum of a perm part
+and a twist part), and return move lists over the generalized set.
+Child order is fixed (U, U', R, R', F, F'), so identical inputs always
+produce identical solutions and node counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cube import GENERALIZED_MOVES, CanonicalState, CubeletState, Move, canonicalize
-from .tables import N_ORI, DistanceTable, InconsistentTable, PatternDB, move_tables
+from .tables import N_ORI, DistanceTable, InconsistentTable, PatternDB, rank_moves
 
 MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
 
@@ -42,16 +41,6 @@ class SolveResult:
     bounds: tuple[int, ...] = ()  # one deepening bound per iteration
 
 
-@lru_cache(maxsize=1)
-def _child_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    # per perm code and per twist code, the six children's rank parts (the
-    # perm part already times 729): a child's rank is perm[p][mi] + ori[o][mi].
-    # Tuples of ints index ~3x faster than numpy scalars in the inner loop.
-    perm, ori = move_tables()
-    return (tuple(map(tuple, (perm * N_ORI).tolist())),
-            tuple(map(tuple, ori.tolist())))
-
-
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
     """One optimal solution for `state`, deterministic in path and node count.
 
@@ -63,7 +52,7 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     if root == 0:
         return SolveResult([], 0, 0)
 
-    perm_parts, ori_parts = _child_parts()
+    perm_parts, ori_parts = rank_moves()
     allowed = _ALLOWED
     h = pdb.dense_heuristic()
     path: list[int] = []
@@ -115,7 +104,7 @@ def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> 
     executor's default planner.  Raises InconsistentTable when some state
     on the way has no neighbour one move closer.
     """
-    perm_parts, ori_parts = _child_parts()
+    perm_parts, ori_parts = rank_moves()
     dist = memoryview(table.dist)
     r = canonicalize(state).rank
     moves: list[Move] = []

@@ -11,7 +11,7 @@ and a generalized move acts on each coordinate on its own.  So two small
 coordinate move tables, 5040 x 6 and 729 x 6, from `cube.coordinate_moves`,
 give the successor of any rank, and the abstractions are free: ori index
 = rank % 729, perm index = rank // 729.  Everything heavy is vectorized
-with numpy over those tables.
+with numpy over those tables; per-rank loops read them as `rank_moves()`.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -98,6 +98,23 @@ def move_tables() -> tuple[np.ndarray, np.ndarray]:
     perm, ori = (np.array(cols, dtype=np.int64).T.copy() for cols in coordinate_moves())
     perm.flags.writeable = ori.flags.writeable = False
     return perm, ori
+
+
+@lru_cache(maxsize=1)
+def rank_moves() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """`move_tables()` as tuples of ints, the perm part already times 729:
+    a child's rank is ``perm[r // 729][m] + ori[r % 729][m]``.  The
+    per-rank loops index these ~3x faster than numpy scalars."""
+    perm, ori = move_tables()
+    return (tuple(map(tuple, (perm * N_ORI).tolist())),
+            tuple(map(tuple, ori.tolist())))
+
+
+def successor(r: int, mi: int) -> int:
+    """Rank after generalized move GENERALIZED_MOVES[mi] from rank `r`."""
+    perm, ori = rank_moves()
+    p, o = divmod(r, N_ORI)
+    return perm[p][mi] + ori[o][mi]
 
 
 def _bfs_distances(n: int, expand) -> np.ndarray:

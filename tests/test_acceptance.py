@@ -13,7 +13,6 @@ from scipy import stats
 from pocketcube import tables
 from pocketcube.actions import PoseGoal, compile_moves, goal_orientation
 from pocketcube.cube import (
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
     Move,
@@ -26,7 +25,12 @@ from pocketcube.cube import (
     reduce_move,
     unrank,
 )
-from pocketcube.evaluate import ExperimentConfig, run_experiment, sample_at_distance
+from pocketcube.evaluate import (
+    ExperimentConfig,
+    oracle_planner,
+    run_experiment,
+    sample_at_distance,
+)
 from pocketcube.executor import (
     ActuationModel,
     ExecutionMode,
@@ -110,11 +114,11 @@ def test_c07_compiler_executor_composition(dist_table):
     perfect = ActuationModel(p_rot=1.0, p_op=1.0)
     config = ExecutorConfig()
     rng = np.random.default_rng(107)
-    planner = lambda s: oracle_solve(s, dist_table)  # noqa: E731
+    planner = oracle_planner(dist_table)
     for trial in range(1000):
         scramble = random_canonical(rng)
         solution = oracle_solve(scramble, dist_table)
-        report = execute_episode(scramble, ExecutionMode.ROLLBACK, planner,
+        report = execute_episode(scramble.rank, ExecutionMode.ROLLBACK, planner,
                                  perfect, config, np.random.default_rng((107, trial)))
         assert report.success
         expected_an = sum(2 if m.is_prime else 4 for m in solution)
@@ -135,7 +139,7 @@ def test_c08_actuator_calibration():
     assert model.p_rot == P_ROT and model.p_op == P_OP
     n = 10_000
     rng = np.random.default_rng(108)
-    cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+    cube = PhysicalCube.at_rest(0)
     goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U_PRIME))
     rot_hits = sum(attempt_rotate(cube, goal, model, rng) for _ in range(n))
     twist_hits = 0
@@ -155,7 +159,7 @@ def test_c09_open_loop_product_law(dist_table):
     n = 10_000
     model = ActuationModel()
     config = ExecutorConfig()
-    planner = lambda s: oracle_solve(s, dist_table)  # noqa: E731
+    planner = oracle_planner(dist_table)
     scrambles = sample_at_distance(5, n, dist_table, np.random.default_rng(109))
     products = np.empty(n)
     clean = 0
@@ -163,7 +167,7 @@ def test_c09_open_loop_product_law(dist_table):
         solution = oracle_solve(scramble, dist_table)
         products[i] = math.prod(
             model.p_rot * model.p_op ** (1 if m.is_prime else 3) for m in solution)
-        report = execute_episode(scramble, ExecutionMode.OPEN_LOOP, planner,
+        report = execute_episode(scramble.rank, ExecutionMode.OPEN_LOOP, planner,
                                  model, config, np.random.default_rng((109, i)))
         clean += report.all_actions_succeeded
     expected = float(products.mean())

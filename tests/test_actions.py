@@ -6,6 +6,7 @@ import pytest
 from pocketcube.actions import (
     DELTA_Q,
     DELTA_X,
+    PALM_CENTER,
     Pose,
     PoseGoal,
     Quaternion,
@@ -118,7 +119,7 @@ class TestCompile:
         assert move is Move.U_PRIME
         assert isinstance(acts[0], Rotate)
         assert isinstance(acts[1], Twist)
-        assert acts[0].goal.q_target == goal_orientation(Move.U_PRIME)
+        assert acts[0].goal == PoseGoal(PALM_CENTER, goal_orientation(Move.U_PRIME))
 
     def test_plain_move_is_rotate_plus_three_twists(self):
         plan = compile_moves([Move.R])
@@ -138,8 +139,3 @@ class TestCompile:
             plan = compile_moves(seq)
             assert plan.atomic_count == sum(2 if m.is_prime else 4 for m in seq)
             assert [m for m, _ in plan.steps] == seq
-
-    def test_x_target_override(self):
-        plan = compile_moves([Move.U], x_target=(0.01, 0.02, 0.03))
-        (_, acts), = plan.steps
-        assert acts[0].goal.x_target == (0.01, 0.02, 0.03)

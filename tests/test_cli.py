@@ -324,3 +324,14 @@ class TestBadInputErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert cli.PERM_PDB_FILE in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scramble", "R"),
+        ("scramble", "--distance", "3"),
+        ("eval", "--trials", "1", "--quiet", "--out", "r.csv"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, tdir, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, *argv, "--seed", "-1")
+        assert code == 1
+        assert err == "error: --seed must be >= 0\n"

@@ -2,12 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pocketcube.actions import PoseGoal, Quaternion, compile_moves, goal_orientation, pose_goal_reached
+from pocketcube.actions import (
+    PALM_CENTER,
+    Pose,
+    PoseGoal,
+    Quaternion,
+    compile_moves,
+    goal_orientation,
+    pose_goal_reached,
+)
 from pocketcube.cube import (
     CANONICAL_SOLVED,
     GENERALIZED_MOVES,
+    N_STATES,
     Move,
+    apply,
     apply_generalized,
     apply_seq,
     canonicalize,
@@ -15,6 +27,7 @@ from pocketcube.cube import (
     random_canonical,
     unrank,
 )
+from pocketcube.evaluate import oracle_planner
 from pocketcube.executor import (
     ActuationModel,
     ExecutionMode,
@@ -33,9 +46,14 @@ from pocketcube.solver import oracle_solve
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
-
-def oracle_planner(table):
-    return lambda s: oracle_solve(s, table)
+# one hand-frame orientation per body face up: identity, a half turn about
+# x, and quarter turns each way about y and about x
+FACE_UP = {up_face(q): q for q in (
+    Quaternion.identity(),
+    Quaternion.from_axis_angle((1.0, 0.0, 0.0), math.pi),
+    *(Quaternion.from_axis_angle(axis, angle)
+      for axis in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)) for angle in (math.pi / 2, -math.pi / 2)),
+)}
 
 
 def step(move):
@@ -70,7 +88,7 @@ class TestUpFace:
 
 class TestAttemptRotate:
     def test_always_succeeds_at_p_one(self):
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.R))
         rng = np.random.default_rng(50)
         for _ in range(200):
@@ -79,7 +97,7 @@ class TestAttemptRotate:
 
     def test_never_succeeds_at_p_zero(self):
         model = ActuationModel(p_rot=0.0)
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U))
         rng = np.random.default_rng(51)
         assert not any(attempt_rotate(cube, goal, model, rng) for _ in range(200))
@@ -88,15 +106,15 @@ class TestAttemptRotate:
         model = ActuationModel(p_rot=0.5)
         rng = np.random.default_rng(52)
         s = random_canonical(rng)
-        cube = PhysicalCube.at_rest(s)
+        cube = PhysicalCube.at_rest(s.rank)
         goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.F))
         for _ in range(100):
             attempt_rotate(cube, goal, model, rng)
-            assert cube.logical == s
+            assert cube.logical == s.rank
 
     def test_empirical_rate_matches_calibration(self):
         model = ActuationModel()
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U))
         rng = np.random.default_rng(53)
         n = 10_000
@@ -110,25 +128,37 @@ class TestAttemptTwist:
         rng = np.random.default_rng(54)
         for m in GENERALIZED_MOVES:
             prime = m if m.is_prime else m.inverse
-            cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+            cube = PhysicalCube.at_rest(0)
             cube.pose = cube.pose.__class__((0.0, 0.0, 0.0), goal_orientation(m))
             assert attempt_twist(cube, PERFECT, rng)
-            assert cube.logical == apply_generalized(CANONICAL_SOLVED, prime)
+            assert cube.logical == apply_generalized(CANONICAL_SOLVED, prime).rank
             assert cube.layer_misalignment == 0.0
 
+    @pytest.mark.parametrize("face", "UDRLFB")
+    @given(r=st.integers(0, N_STATES - 1))
+    def test_perfect_twist_commits_prime_of_up_face(self, face, r):
+        # the up face's prime move on the raw cube, re-canonicalized; the
+        # pose turns with the layer only when it holds the anchor (D, L, B)
+        assert set(FACE_UP) == set("UDRLFB")
+        cube = PhysicalCube.at_rest(r)
+        cube.pose = Pose(PALM_CENTER, FACE_UP[face])
+        assert attempt_twist(cube, PERFECT, np.random.default_rng(0))
+        assert cube.logical == canonicalize(apply(unrank(r), Move(face + "'"))).rank
+        assert (cube.pose.orientation != FACE_UP[face]) == (face in "DLB")
+
     def test_jammed_layer_fails_with_no_state_change(self):
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         cube.layer_misalignment = math.radians(10)
         rng = np.random.default_rng(55)
         assert not attempt_twist(cube, PERFECT, rng)
-        assert cube.logical == CANONICAL_SOLVED
+        assert cube.logical == 0
         assert cube.layer_misalignment == pytest.approx(math.radians(10))
 
     def test_within_chamfer_still_twists(self):
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         cube.layer_misalignment = math.radians(4)
         assert attempt_twist(cube, PERFECT, np.random.default_rng(56))
-        assert cube.logical != CANONICAL_SOLVED
+        assert cube.logical != 0
 
     def test_failure_leaves_residual_or_snaps(self):
         model = ActuationModel(p_op=0.0)
@@ -136,9 +166,9 @@ class TestAttemptTwist:
         chamfer = math.radians(5)
         committed = aligned = residual = 0
         for _ in range(2000):
-            cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+            cube = PhysicalCube.at_rest(0)
             assert not attempt_twist(cube, model, rng)
-            if cube.logical != CANONICAL_SOLVED:
+            if cube.logical != 0:
                 committed += 1
                 assert cube.layer_misalignment == 0.0
             elif cube.layer_misalignment == 0.0:
@@ -156,7 +186,7 @@ class TestAttemptTwist:
         rng = np.random.default_rng(58)
         n = 10_000
         hits = 0
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         for _ in range(n):
             cube.layer_misalignment = 0.0
             hits += attempt_twist(cube, model, rng)
@@ -167,20 +197,20 @@ class TestAttemptTwist:
 class TestRestore:
     def test_success_snaps_to_nearest_alignment(self):
         rng = np.random.default_rng(59)
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         cube.layer_misalignment = math.radians(-20)
         assert attempt_restore(cube, ActuationModel(p_restore=1.0), rng)
         assert cube.layer_misalignment == 0.0
-        assert cube.logical == CANONICAL_SOLVED  # nearest was 0: no commit
+        assert cube.logical == 0  # nearest was 0: no commit
 
         cube.layer_misalignment = math.radians(-70)
         assert attempt_restore(cube, ActuationModel(p_restore=1.0), rng)
         assert cube.layer_misalignment == 0.0
-        assert cube.logical != CANONICAL_SOLVED  # snapped through: commits
+        assert cube.logical != 0  # snapped through: commits
 
     def test_failure_changes_nothing(self):
         rng = np.random.default_rng(60)
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         cube.layer_misalignment = math.radians(-20)
         assert not attempt_restore(cube, ActuationModel(p_restore=0.0), rng)
         assert cube.layer_misalignment == pytest.approx(math.radians(-20))
@@ -190,26 +220,26 @@ class TestMoveRollback:
     def test_perfect_actuator_completes_with_minimal_actions(self, dist_table):
         cfg = ExecutorConfig()
         for m in GENERALIZED_MOVES:
-            cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+            cube = PhysicalCube.at_rest(0)
             rng = np.random.default_rng(61)
             outcome = execute_move_rollback(cube, step(m), PERFECT, cfg, rng)
             assert outcome is MoveOutcome.COMPLETED
-            assert cube.logical == apply_generalized(CANONICAL_SOLVED, m)
+            assert cube.logical == apply_generalized(CANONICAL_SOLVED, m).rank
 
     def test_rotate_dead_never_completes(self):
         model = ActuationModel(p_rot=0.0)
         cfg = ExecutorConfig(r1_max=5)
         for seed in range(20):
-            cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+            cube = PhysicalCube.at_rest(0)
             rng = np.random.default_rng((62, seed))
             outcome = execute_move_rollback(cube, step(Move.U_PRIME), model, cfg, rng)
             assert outcome in (MoveOutcome.NEEDS_REPLAN, MoveOutcome.BUDGET_EXHAUSTED)
-            assert cube.logical == CANONICAL_SOLVED
+            assert cube.logical == 0
 
     def test_budget_exhaustion_mid_move(self):
         model = ActuationModel(p_rot=0.0)
         cfg = ExecutorConfig(r1_max=10, action_budget=3)
-        cube = PhysicalCube.at_rest(CANONICAL_SOLVED)
+        cube = PhysicalCube.at_rest(0)
         outcome = execute_move_rollback(cube, step(Move.U), model, cfg,
                                         np.random.default_rng(63))
         assert outcome is MoveOutcome.BUDGET_EXHAUSTED
@@ -218,7 +248,7 @@ class TestMoveRollback:
 class TestEpisode:
     def test_solved_scramble_succeeds_without_actions(self, dist_table):
         for mode in ExecutionMode:
-            rep = execute_episode(CANONICAL_SOLVED, mode, oracle_planner(dist_table),
+            rep = execute_episode(0, mode, oracle_planner(dist_table),
                                   PERFECT, ExecutorConfig(), np.random.default_rng(64))
             assert rep.success
             assert rep.atomic_actions == 0
@@ -231,7 +261,7 @@ class TestEpisode:
             s = random_canonical(rng)
             solution = oracle_solve(s, dist_table)
             for mode in ExecutionMode:
-                rep = execute_episode(s, mode, planner, PERFECT, ExecutorConfig(),
+                rep = execute_episode(s.rank, mode, planner, PERFECT, ExecutorConfig(),
                                       np.random.default_rng(66))
                 assert rep.success
                 assert rep.atomic_actions == compile_moves(solution).atomic_count
@@ -245,10 +275,8 @@ class TestEpisode:
         for _ in range(200):
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=8)]
             s = random_canonical(rng)
-            rep_cube = PhysicalCube.at_rest(s)
-            report = execute_episode(s, ExecutionMode.OPEN_LOOP, lambda _: seq,
+            report = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, lambda _: seq,
                                      PERFECT, ExecutorConfig(), np.random.default_rng(68))
-            del rep_cube
             expected = canonicalize(apply_seq(s, seq))
             final_rank = report.trace[-1].rank if report.trace else s.rank
             assert final_rank == expected.rank
@@ -259,7 +287,7 @@ class TestEpisode:
         planner = oracle_planner(dist_table)
         for seed in range(30):
             s = random_canonical(rng)
-            rep = execute_episode(s, ExecutionMode.ROLLBACK, planner, model,
+            rep = execute_episode(s.rank, ExecutionMode.ROLLBACK, planner, model,
                                   ExecutorConfig(), np.random.default_rng((70, seed)))
             prev = s.rank
             for e in rep.trace:
@@ -276,7 +304,7 @@ class TestEpisode:
         for seed in range(60):
             s = random_canonical(rng)
             for mode in ExecutionMode:
-                rep = execute_episode(s, mode, planner, model, cfg,
+                rep = execute_episode(s.rank, mode, planner, model, cfg,
                                       np.random.default_rng((72, seed)))
                 final = unrank(rep.trace[-1].rank) if rep.trace else s
                 assert rep.success == is_solved(final)
@@ -286,7 +314,7 @@ class TestEpisode:
     def test_budget_bounds_actions(self, dist_table):
         model = ActuationModel(p_rot=0.1, p_op=0.1, p_restore=0.1)
         cfg = ExecutorConfig(action_budget=25)
-        rep = execute_episode(unrank(2_000_000), ExecutionMode.ROLLBACK,
+        rep = execute_episode(2_000_000, ExecutionMode.ROLLBACK,
                               oracle_planner(dist_table), model, cfg,
                               np.random.default_rng(73))
         assert rep.atomic_actions <= 25
@@ -295,10 +323,9 @@ class TestEpisode:
     def test_same_seed_same_trace(self, dist_table):
         model = ActuationModel()
         planner = oracle_planner(dist_table)
-        s = unrank(3_000_000)
         runs = []
         for _ in range(2):
-            rep = execute_episode(s, ExecutionMode.ROLLBACK, planner, model,
+            rep = execute_episode(3_000_000, ExecutionMode.ROLLBACK, planner, model,
                                   ExecutorConfig(), np.random.default_rng(74))
             runs.append([format_trace_entry(e) for e in rep.trace])
         assert runs[0] == runs[1]
@@ -311,9 +338,8 @@ class TestEpisode:
             bucket = dist_table.bucket(d)
             pick = np.random.default_rng((75, d)).integers(0, bucket.size, size=150)
             for t, bi in enumerate(pick):
-                s = unrank(int(bucket[bi]))
                 for mi, mode in enumerate(ExecutionMode):
-                    rep = execute_episode(s, mode, planner, model, ExecutorConfig(),
+                    rep = execute_episode(int(bucket[bi]), mode, planner, model, ExecutorConfig(),
                                           np.random.default_rng((76, d, mi, t)))
                     wins[mode] += rep.success
             assert wins[ExecutionMode.ROLLBACK] >= wins[ExecutionMode.OPEN_LOOP]
@@ -324,7 +350,7 @@ class TestEpisode:
         rng = np.random.default_rng(77)
         for seed in range(50):
             s = random_canonical(rng)
-            rep = execute_episode(s, ExecutionMode.OPEN_LOOP, planner, model,
+            rep = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, planner, model,
                                   ExecutorConfig(), np.random.default_rng((78, seed)))
             plan = compile_moves(oracle_solve(s, dist_table))
             assert rep.atomic_actions == plan.atomic_count
@@ -336,7 +362,7 @@ class TestEpisode:
         plan = [Move.U_PRIME, Move.R_PRIME]
         s = canonicalize(apply_seq(CANONICAL_SOLVED, [m.inverse for m in reversed(plan)]))
         for mode in ExecutionMode:
-            rep = execute_episode(s, mode, lambda _: plan, PERFECT,
+            rep = execute_episode(s.rank, mode, lambda _: plan, PERFECT,
                                   ExecutorConfig(action_budget=2), np.random.default_rng(80))
             assert rep.atomic_actions == 2
             assert rep.moves_attempted == 1

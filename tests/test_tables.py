@@ -46,12 +46,6 @@ REFERENCE_SHA256 = {
 }
 
 
-def succ(r: int, mi: int) -> int:
-    """Rank of the successor of rank r under generalized move mi."""
-    perm_moves, ori_moves = move_tables()
-    return int(perm_moves[r // 729, mi]) * 729 + int(ori_moves[r % 729, mi])
-
-
 class TestBuild:
     def test_every_state_reached(self, dist_table):
         assert int(np.count_nonzero(dist_table.dist != 0xFF)) == N_STATES
@@ -138,12 +132,12 @@ class TestRankKernel:
 
     @given(st.integers(0, N_STATES - 1), st.integers(0, 5))
     def test_successor_is_scalar_apply(self, r, mi):
-        assert succ(r, mi) == apply_generalized(unrank(r), GENERALIZED_MOVES[mi]).rank
+        assert tables.successor(r, mi) == apply_generalized(unrank(r), GENERALIZED_MOVES[mi]).rank
 
     @given(st.integers(0, N_STATES - 1), st.integers(0, 5))
     def test_inverse_move_undoes_successor(self, r, mi):
         inv = GENERALIZED_MOVES.index(GENERALIZED_MOVES[mi].inverse)
-        assert succ(succ(r, mi), inv) == r
+        assert tables.successor(tables.successor(r, mi), inv) == r
 
 
 class TestPatternDB:
