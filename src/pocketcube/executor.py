@@ -109,13 +109,12 @@ class ActuationModel:
 class ExecutorConfig:
     delta_x: float = DELTA_X
     delta_q: float = DELTA_Q
-    chamfer: float = CHAMFER_TOLERANCE
     r1_max: int = 10
     r2_max: int = 10
     action_budget: int = 200
 
     def __post_init__(self):
-        for name in ("delta_x", "delta_q", "chamfer"):
+        for name in ("delta_x", "delta_q"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
@@ -215,26 +214,27 @@ def _commit_twist(cube: PhysicalCube) -> None:
                          (_TWIST_ROTATION * cube.pose.orientation).normalized())
 
 
-def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
-    v = rng.standard_normal(3)
-    n = math.sqrt(float(v @ v))
-    while n < 1e-12:
+def _unit_vector(rng) -> Vector3:
+    """A uniformly random direction: a normal 3-vector, redrawn while its norm is ~0."""
+    while True:
         v = rng.standard_normal(3)
         n = math.sqrt(float(v @ v))
+        if n >= 1e-12:
+            return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
+    u = _unit_vector(rng)
     r = radius * float(rng.random()) ** (1.0 / 3.0)
-    return (center[0] + v[0] / n * r, center[1] + v[1] / n * r, center[2] + v[2] / n * r)
+    return (center[0] + u[0] * r, center[1] + u[1] * r, center[2] + u[2] * r)
 
 
 def _sample_pose_near(rng, goal: PoseGoal, delta_x: float, delta_q: float) -> Pose:
     # volume-uniform inside the tolerance region: cube-root radii
     position = _sample_in_ball(rng, goal.x_target, delta_x)
-    axis = rng.standard_normal(3)
-    n = math.sqrt(float(axis @ axis))
-    while n < 1e-12:
-        axis = rng.standard_normal(3)
-        n = math.sqrt(float(axis @ axis))
+    axis = _unit_vector(rng)
     angle = delta_q * float(rng.random()) ** (1.0 / 3.0)
-    wobble = Quaternion.from_axis_angle((axis[0] / n, axis[1] / n, axis[2] / n), angle)
+    wobble = Quaternion.from_axis_angle(axis, angle)
     return Pose(position, (wobble * goal.q_target).normalized())
 
 
@@ -260,8 +260,7 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
     return success
 
 
-def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng,
-                  chamfer: float = CHAMFER_TOLERANCE) -> bool:
+def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     """One -90 degree top-layer twist attempt.
 
     Misalignment beyond the chamfer tolerance jams the layer: automatic
@@ -271,15 +270,15 @@ def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng,
     failure distribution, snapping to the nearest alignment when within
     5 degrees of 0 or -90 (the latter still commits the move).
     """
-    if abs(cube.layer_misalignment) > chamfer:
+    if abs(cube.layer_misalignment) > CHAMFER_TOLERANCE:
         return False
     if float(rng.random()) < model.p_op:
         _commit_twist(cube)
         return True
     residual = float(rng.uniform(model.failure_angle_low, model.failure_angle_high))
-    if abs(residual - TWIST_TARGET) <= chamfer:
+    if abs(residual - TWIST_TARGET) <= CHAMFER_TOLERANCE:
         _commit_twist(cube)  # slipped through to the next detent
-    elif abs(residual) <= chamfer:
+    elif abs(residual) <= CHAMFER_TOLERANCE:
         cube.layer_misalignment = 0.0
     else:
         cube.layer_misalignment = residual
@@ -350,7 +349,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
         for _ in twists:
             if log.exhausted:
                 return MoveOutcome.BUDGET_EXHAUSTED
-            ok = attempt_twist(cube, model, rng, config.chamfer)
+            ok = attempt_twist(cube, model, rng)
             log.record("twist", ok, cube, None, abs(cube.layer_misalignment))
             if not checked:
                 continue

@@ -117,24 +117,47 @@ def successor(r: int, mi: int) -> int:
     return perm[p][mi] + ori[o][mi]
 
 
-def _bfs_distances(n: int, expand) -> np.ndarray:
-    """Exact distances from index 0 in a graph of `n` nodes.
+def _rank_successors(ranks: np.ndarray, mi: int) -> np.ndarray:
+    """Ranks after generalized move GENERALIZED_MOVES[mi] from `ranks`."""
+    perm, ori = move_tables()
+    p = ranks // N_ORI  # 1-D takes from one column: twice as fast as perm[p, mi]
+    return (perm[:, mi] * N_ORI).take(p) + ori[:, mi].take(ranks - p * N_ORI)
+
+
+def _bfs_fill(dist: np.ndarray, expand, limit: int) -> None:
+    """Exact distances from index 0 up to `limit`, written into `dist` in
+    place; an entry above `limit` reads as not reached.
 
     `expand(frontier, mi)` gives the successors of every frontier node
-    under move `mi`.  One move at a time keeps the temporaries at the size
-    of the frontier.
+    under move `mi`, a bijection: so the nodes newly reached at one depth
+    hold no duplicates and are the next frontier as they stand.  One move
+    at a time keeps the temporaries at the size of the frontier.
     """
-    dist = np.full(n, 0xFF, dtype=np.uint8)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
-    while frontier.size:
+    while frontier.size and depth < limit:
         depth += 1
+        reached = []
         for mi in range(6):
             nxt = expand(frontier, mi)
-            dist[nxt[dist[nxt] == 0xFF]] = depth
-        frontier = np.flatnonzero(dist == depth)
+            nxt = nxt[dist[nxt] > limit]
+            dist[nxt] = depth
+            reached.append(nxt)
+        frontier = np.concatenate(reached)
+
+
+def _bfs_distances(n: int, expand) -> np.ndarray:
+    """Exact distances from index 0 in a graph of `n` nodes; 0xFF = unreachable."""
+    dist = np.full(n, 0xFF, dtype=np.uint8)
+    _bfs_fill(dist, expand, 0xFE)
     return dist
+
+
+def fill_ball(dist: np.ndarray, radius: int) -> None:
+    """Exact distance of every rank within `radius` moves of solved, written
+    into `dist` (one uint8 per rank, all above `radius`) in place."""
+    _bfs_fill(dist, _rank_successors, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +206,7 @@ class DistanceTable:
 
 def build_distance_table() -> DistanceTable:
     """BFS over the whole canonical space; under a second on one core."""
-    perm, ori = move_tables()
-
-    def successors(ranks: np.ndarray, mi: int) -> np.ndarray:
-        p, o = np.divmod(ranks, N_ORI)
-        return perm[p, mi] * N_ORI + ori[o, mi]
-
-    return DistanceTable(_bfs_distances(N_STATES, successors))
+    return DistanceTable(_bfs_distances(N_STATES, _rank_successors))
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +219,20 @@ class PatternDB:
 
     ori_db: np.ndarray
     perm_db: np.ndarray
+    # IDA*'s heuristic, one byte per rank, cached by solver.search_heuristic
+    ida_heuristic: bytearray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ori_db = np.ascontiguousarray(self.ori_db, dtype=np.uint8)
         self.perm_db = np.ascontiguousarray(self.perm_db, dtype=np.uint8)
         if self.ori_db.shape != (N_ORI,) or self.perm_db.shape != (N_PERM,):
             raise ValueError("pattern database has wrong shape")
-        self._dense: bytes | None = None
 
-    def heuristic(self, rank: int) -> int:
-        """Admissible lower bound on the distance of the state at `rank`."""
-        return max(int(self.ori_db[rank % N_ORI]), int(self.perm_db[rank // N_ORI]))
-
-    def dense_heuristic(self) -> bytes:
-        """max(ori, perm) memoized over all ranks, as one byte per state."""
-        if self._dense is None:
-            self._dense = np.maximum.outer(self.perm_db, self.ori_db).tobytes()
-        return self._dense
+    def dense_heuristic(self, out: np.ndarray | None = None) -> np.ndarray:
+        """max(ori, perm) over all ranks, one byte per state, written into
+        `out` (N_STATES uint8) if given."""
+        grid = None if out is None else out.reshape(N_PERM, N_ORI)
+        return np.maximum(self.perm_db[:, None], self.ori_db, out=grid).reshape(N_STATES)
 
     def save(self, ori_path, perm_path) -> None:
         _write_table(ori_path, KIND_ORI_PDB, self.ori_db.tobytes())
@@ -315,8 +329,7 @@ def check_rank_roundtrip() -> tuple[bool, str]:
     return not bad, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
 def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str]:
-    h = np.frombuffer(pdb.dense_heuristic(), dtype=np.uint8)
-    bad = int(np.count_nonzero(h > table.dist))
+    bad = int(np.count_nonzero(pdb.dense_heuristic() > table.dist))
     return bad == 0, f"{bad} states with heuristic above the exact distance"
 
 def _successor_distances(table: DistanceTable, mi: int) -> np.ndarray:

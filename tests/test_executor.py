@@ -374,7 +374,7 @@ class TestEpisode:
     @pytest.mark.parametrize("field, value", [
         ("r1_max", 0), ("r2_max", -1), ("action_budget", 0),
         ("delta_x", math.nan), ("delta_x", 0.0), ("delta_q", -0.1),
-        ("delta_q", math.inf), ("chamfer", math.nan),
+        ("delta_q", math.inf),
     ])
     def test_config_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):

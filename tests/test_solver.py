@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from pocketcube.cube import (
@@ -6,11 +8,18 @@ from pocketcube.cube import (
     N_STATES,
     apply_generalized,
     apply_seq,
+    format_moves,
     is_solved,
     random_canonical,
     unrank,
 )
-from pocketcube.solver import ida_star, oracle_solve
+from pocketcube.solver import PERIMETER, ida_star, oracle_solve, search_heuristic
+
+# sha256 of IDA*'s solutions to the first 100 random_canonical draws of
+# default_rng(0), one format_moves line each, as first computed: at its
+# final bound IDA* returns the first optimal path in its fixed child order,
+# so a change of heuristic must leave these solutions byte for byte alone
+REFERENCE_SOLUTIONS_SHA256 = "264bd7683a39c50c285dec2c2eed0ec96a5957ba2078472836ec700a3e04c703"
 
 
 class TestIdaStar:
@@ -43,14 +52,14 @@ class TestIdaStar:
         assert a.iterations == b.iterations
 
     def test_monotone_deepening(self, dist_table, pdb):
-        # first bound is h(root); bounds strictly increase up to the
+        # first bound is the solver's h(root); bounds strictly increase up to the
         # exact distance (they may step by more than one: the quarter-turn
         # graph is bipartite, so no path can realize every f value)
         rng = np.random.default_rng(32)
         for _ in range(50):
             s = random_canonical(rng)
             res = ida_star(s, pdb)
-            assert res.bounds[0] == pdb.heuristic(s.rank)
+            assert res.bounds[0] == search_heuristic(pdb)[s.rank]
             assert list(res.bounds) == sorted(set(res.bounds))
             assert res.bounds[-1] == dist_table.distance(s)
             assert res.iterations == len(res.bounds)
@@ -59,6 +68,37 @@ class TestIdaStar:
         r = int(dist_table.bucket(14)[0])
         res = ida_star(unrank(r), pdb)
         assert len(res.solution) == 14
+
+    def test_solutions_are_byte_identical_to_reference(self, pdb):
+        rng = np.random.default_rng(0)
+        lines = "".join(format_moves(ida_star(random_canonical(rng), pdb).solution) + "\n"
+                        for _ in range(100))
+        assert hashlib.sha256(lines.encode()).hexdigest() == REFERENCE_SOLUTIONS_SHA256
+
+
+class TestSearchHeuristic:
+    def test_exact_in_perimeter_pdb_bound_beyond(self, dist_table, pdb):
+        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        dist = dist_table.dist
+        inside = dist <= PERIMETER
+        assert np.all(h <= dist)
+        assert np.array_equal(h[inside], dist[inside])
+        assert np.array_equal(h[~inside],
+                              np.maximum(pdb.dense_heuristic()[~inside], PERIMETER + 1))
+
+    def test_cached_per_pattern_db(self, pdb):
+        assert search_heuristic(pdb) is search_heuristic(pdb)
+
+    def test_one_iteration_inside_perimeter(self, dist_table, pdb):
+        # exact h: the root's bound is its distance, and only the nodes on
+        # the first optimal path are expanded
+        rng = np.random.default_rng(35)
+        for d in range(1, PERIMETER + 1):
+            bucket = dist_table.bucket(d)
+            for i in rng.choice(bucket.size, size=min(50, bucket.size), replace=False):
+                res = ida_star(unrank(int(bucket[i])), pdb)
+                assert res.bounds == (d,)
+                assert res.nodes_expanded == d
 
 
 class TestOracle:
