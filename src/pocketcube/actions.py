@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cube import GENERALIZED_MOVES, CubeError, Move
 
@@ -38,9 +38,8 @@ Vector3 = tuple[float, float, float]
 PALM_CENTER: Vector3 = (0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Unit rotation quaternion, w first; q and -q are the same rotation."""
+class Quaternion(NamedTuple):
+    """Unit rotation quaternion, w first; q and -q are the same rotation; * is the product."""
 
     w: float
     x: float
@@ -112,8 +111,7 @@ def orientation_distance(q: Quaternion, q_target: Quaternion) -> float:
     return 2.0 * math.acos(min(1.0, real))
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     position: Vector3
     orientation: Quaternion
 
@@ -149,19 +147,19 @@ class ExecutionPlan:
 
     steps: tuple[tuple[Move, tuple[AtomicAction, ...]], ...]
 
-    @property
-    def atomic_count(self) -> int:
-        return sum(len(actions) for _, actions in self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 
 
+def _step(move: Move) -> tuple[Move, tuple[AtomicAction, ...]]:
+    twists = 1 if move.is_prime else 3
+    return move, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(move))),) + (Twist(),) * twists
+
+
+# built once; any other move goes to _step, whose goal_orientation raises CubeError
+_STEPS = {move: _step(move) for move in GENERALIZED_MOVES}
+
+
 def compile_moves(seq: Sequence[Move]) -> ExecutionPlan:
     """Generalized move sequence -> [Rotate, Twist] or [Rotate, Twist x3] each."""
-    steps = []
-    for move in seq:
-        rotate = Rotate(PoseGoal(PALM_CENTER, goal_orientation(move)))
-        twists = 1 if move.is_prime else 3
-        steps.append((move, (rotate,) + (Twist(),) * twists))
-    return ExecutionPlan(tuple(steps))
+    return ExecutionPlan(tuple(_STEPS.get(move) or _step(move) for move in seq))

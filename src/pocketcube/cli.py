@@ -116,9 +116,10 @@ def cmd_build_tables(args) -> int:
     pdb = tables.build_pattern_dbs()
     table.save(out / DIST_FILE)
     pdb.save(out / ORI_PDB_FILE, out / PERM_PDB_FILE)
-    print(f"states: {sum(table.histogram)}")
+    histogram = table.histogram  # one bincount over every state
+    print(f"states: {sum(histogram)}")
     print(f"max depth: {table.max_depth}")
-    print("histogram:", " ".join(f"{d}:{n}" for d, n in enumerate(table.histogram)))
+    print("histogram:", " ".join(f"{d}:{n}" for d, n in enumerate(histogram)))
     print(f"wrote {out / DIST_FILE}, {out / ORI_PDB_FILE}, {out / PERM_PDB_FILE} "
           f"in {time.time() - t0:.1f}s")
     return 0
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
     config = _executor_config(args)
     rng = np.random.default_rng(args.seed)
     report = execute_episode(state.rank, mode, evaluate.oracle_planner(table),
-                             model, config, rng)
+                             model, config, rng, trace=args.trace)
     print(f"scramble distance: {table.distance(state)}")
     print(f"mode: {mode.value}")
     print(f"success: {report.success}")
@@ -215,11 +216,12 @@ def cmd_verify(args) -> int:
     if table is not None and pdb is not None:
         run("state count", tables.check_state_count, table)
         run("diameter 14", tables.check_diameter, table)
-        run("exact distances", tables.check_exact_distances, table)
+        summary = tables.successor_summary(table)  # six gathers, read by two checks
+        run("exact distances", tables.check_exact_distances, table, summary)
         run("rank round-trip", tables.check_rank_roundtrip)
         run("pdb admissibility", tables.check_admissibility, table, pdb)
         run("move reduction", _check_move_reduction)
-        run("neighbor consistency", tables.check_neighbor_consistency, table)
+        run("neighbor consistency", tables.check_neighbor_consistency, table, summary)
 
     failed = 0
     for name, ok, detail in checks:

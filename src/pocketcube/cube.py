@@ -236,7 +236,6 @@ _AXES: tuple[tuple[_Vec, _Vec, _Vec], ...] = tuple(_corner_axes(i) for i in rang
 
 # facelet index -> (slot, face normal) and the inverse map
 _FACELET_SLOT: list[int] = []
-_FACELET_AXIS: list[_Vec] = []
 _FACELET_INDEX: dict[tuple[int, _Vec], int] = {}
 for _face in FACES:
     _n, _r, _d = _FACE_NORMAL[_face], _FACE_RIGHT[_face], _FACE_DOWN[_face]
@@ -246,11 +245,6 @@ for _face in FACES:
             _slot = _SLOT_OF_POS[_pos]
             _FACELET_INDEX[(_slot, _n)] = len(_FACELET_SLOT)
             _FACELET_SLOT.append(_slot)
-            _FACELET_AXIS.append(_n)
-
-SOLVED_FACELETS: tuple[Color, ...] = tuple(
-    FACE_COLORS[FACES.index(_FACE_OF_NORMAL[a])] for a in _FACELET_AXIS
-)
 
 # home sticker colors of cubelet k along its axis cycle (axes of slot k)
 _HOME_COLORS: tuple[tuple[Color, Color, Color], ...] = tuple(

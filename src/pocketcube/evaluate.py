@@ -25,7 +25,7 @@ from .executor import (
     Planner,
     execute_episode,
 )
-from .solver import oracle_solve
+from .solver import oracle_descent
 from .tables import DistanceTable
 
 MIN_DISTANCE = 1
@@ -90,7 +90,7 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng
 
 def oracle_planner(table: DistanceTable) -> Planner:
     """The executor's planner: greedy descent on the exact table, from a rank."""
-    return lambda r: oracle_solve(unrank(r), table)
+    return lambda r: oracle_descent(r, table)
 
 
 def run_experiment(config: ExperimentConfig, table: DistanceTable,
@@ -143,8 +143,3 @@ def export_csv(result: ExperimentResult, path) -> None:
                                  f"{r.sr:.4f}", f"{r.an_mean:.4f}", f"{r.an_std:.4f}"])
     except OSError as err:
         raise OSError(f"writing experiment CSV to {path!r} failed: {err}") from err
-
-
-def read_csv(path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -32,7 +32,9 @@ randomize, no restore and no completion check, and plans once.
 
 Every attempt of rotate, twist, randomize and restore counts one atomic
 action toward the episode budget and the reported action number.  A move
-counts as attempted once at least one of its actions ran.
+counts as attempted once at least one of its actions ran.  Only an
+episode run with `trace=True` (`simulate --trace`) builds a TraceEntry,
+with its pose errors, per action; the draws are the same either way.
 """
 
 from __future__ import annotations
@@ -160,26 +162,29 @@ class EpisodeReport:
     atomic_actions: int
     moves_attempted: int
     replans: int
-    trace: list[TraceEntry]
-
-    @property
-    def all_actions_succeeded(self) -> bool:
-        return all(e.success for e in self.trace)
+    final_rank: int
+    trace: list[TraceEntry]  # empty unless the episode was asked for a trace
 
 
 @dataclass
 class _ActionLog:
     budget: int
+    trace: bool = False
+    count: int = 0
     entries: list[TraceEntry] = field(default_factory=list)
 
     @property
     def exhausted(self) -> bool:
-        return len(self.entries) >= self.budget
+        return self.count >= self.budget
 
     def record(self, kind: str, success: bool, cube: PhysicalCube,
-               pos_err: float | None, ang_err: float | None) -> None:
-        self.entries.append(TraceEntry(len(self.entries) + 1, kind, success,
-                                       pos_err, ang_err, cube.logical))
+               goal: PoseGoal | None = None) -> None:
+        self.count += 1
+        if self.trace:
+            pos_err, ang_err = (_pose_errors(cube, goal) if goal
+                                else (None, abs(cube.layer_misalignment)))
+            self.entries.append(TraceEntry(self.count, kind, success,
+                                           pos_err, ang_err, cube.logical))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +340,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
         if log.exhausted:
             return MoveOutcome.BUDGET_EXHAUSTED
         ok = attempt_rotate(cube, goal, model, rng, config.delta_x, config.delta_q)
-        log.record("rotate", ok, cube, *_pose_errors(cube, goal))
+        log.record("rotate", ok, cube, goal)
         posed = not checked or pose_goal_reached(cube.pose, goal, config.delta_x, config.delta_q)
         if posed:
             break
@@ -343,14 +348,14 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
             if log.exhausted:
                 return MoveOutcome.BUDGET_EXHAUSTED
             randomize_pose(cube, model, rng)
-            log.record("randomize", True, cube, *_pose_errors(cube, goal))
+            log.record("randomize", True, cube, goal)
 
     if posed:
         for _ in twists:
             if log.exhausted:
                 return MoveOutcome.BUDGET_EXHAUSTED
             ok = attempt_twist(cube, model, rng)
-            log.record("twist", ok, cube, None, abs(cube.layer_misalignment))
+            log.record("twist", ok, cube)
             if not checked:
                 continue
             restores = 0
@@ -358,7 +363,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
                 if log.exhausted:
                     return MoveOutcome.BUDGET_EXHAUSTED
                 rok = attempt_restore(cube, model, rng)
-                log.record("restore", rok, cube, None, abs(cube.layer_misalignment))
+                log.record("restore", rok, cube)
                 restores += 1
             if cube.layer_misalignment != 0.0:
                 break  # layer stuck beyond the restore budget; give up on this move
@@ -373,17 +378,19 @@ Planner = Callable[[int], Sequence[Move]]
 
 
 def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
-                    model: ActuationModel, config: ExecutorConfig, rng) -> EpisodeReport:
+                    model: ActuationModel, config: ExecutorConfig, rng,
+                    trace: bool = False) -> EpisodeReport:
     """Run one solve episode from rank `scramble` and report SR bookkeeping.
 
     Rollback mode re-plans from the current logical state whenever a move
     fails its completion check; open-loop mode plans once and fires every
     compiled action with no checks at all.  Success is judged only on the
-    final logical state.
+    final logical state.  With `trace`, the report holds one TraceEntry
+    per atomic action; without, it only counts them.
     """
     checked = mode is ExecutionMode.ROLLBACK
     cube = PhysicalCube.at_rest(scramble)
-    log = _ActionLog(config.action_budget)
+    log = _ActionLog(config.action_budget, trace)
     moves_attempted = 0
     replans = 0
 
@@ -402,8 +409,9 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
 
     return EpisodeReport(
         success=cube.logical == 0,
-        atomic_actions=len(log.entries),
+        atomic_actions=log.count,
         moves_attempted=moves_attempted,
         replans=replans,
+        final_rank=cube.logical,
         trace=log.entries,
     )

@@ -69,6 +69,11 @@ def search_heuristic(pdb: PatternDB) -> bytearray:
     return pdb.ida_heuristic
 
 
+def _root(state: CubeletState | CanonicalState) -> int:
+    """The canonical rank of `state`; a CanonicalState is ranked as it is."""
+    return (state if isinstance(state, CanonicalState) else canonicalize(state)).rank
+
+
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
     """One optimal solution for `state`, deterministic in path and node count.
 
@@ -76,7 +81,7 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     whose bound exceeds the current iteration limit are pruned, as are
     immediate undo moves and triple repeats of one move.
     """
-    root = canonicalize(state).rank
+    root = _root(state)
     if root == 0:
         return SolveResult([], 0, 0)
 
@@ -128,13 +133,17 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
 def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> list[Move]:
     """Greedy descent on the exact table: always optimal, trivially correct.
 
-    Independent of ida_star's search; serves as its oracle and as the
-    executor's default planner.  Raises InconsistentTable when some state
-    on the way has no neighbour one move closer.
+    Independent of ida_star's search; serves as its oracle.  The
+    executor's planner calls the rank-level `oracle_descent` directly.
     """
+    return oracle_descent(_root(state), table)
+
+
+def oracle_descent(r: int, table: DistanceTable) -> list[Move]:
+    """`oracle_solve` from canonical rank `r`.  Raises InconsistentTable
+    when some state on the way has no neighbour one move closer."""
     perm_parts, ori_parts = rank_moves()
     dist = memoryview(table.dist)
-    r = canonicalize(state).rank
     moves: list[Move] = []
     while r != 0:
         d = dist[r] - 1

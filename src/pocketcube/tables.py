@@ -332,29 +332,31 @@ def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str
     bad = int(np.count_nonzero(pdb.dense_heuristic() > table.dist))
     return bad == 0, f"{bad} states with heuristic above the exact distance"
 
-def _successor_distances(table: DistanceTable, mi: int) -> np.ndarray:
-    """Distance of every state's successor under move `mi`, by rank."""
+def successor_summary(table: DistanceTable) -> tuple[np.ndarray, list[int]]:
+    """One gather per move, for the two checks below: nearest successor, largest gap."""
     perm, ori = move_tables()
     grid = table.dist.reshape(N_PERM, N_ORI)
-    return grid[np.ix_(perm[:, mi], ori[:, mi])].ravel()
-
-def check_neighbor_consistency(table: DistanceTable) -> tuple[bool, str]:
     dist = table.dist.astype(np.int16)
+    nearest, gaps = None, []
     for mi in range(6):
-        gap = np.abs(_successor_distances(table, mi) - dist)
-        if int(gap.max()) > 1:
-            return False, f"move {mi}: distance gap {int(gap.max())}"
+        succ = grid[np.ix_(perm[:, mi], ori[:, mi])].ravel()
+        gaps.append(int(np.abs(succ - dist).max()))
+        nearest = succ if nearest is None else np.minimum(nearest, succ, out=nearest)
+    return nearest, gaps
+
+def check_neighbor_consistency(table: DistanceTable, summary=None) -> tuple[bool, str]:
+    for mi, gap in enumerate((summary or successor_summary(table))[1]):
+        if gap > 1:
+            return False, f"move {mi}: distance gap {gap}"
     return True, "all states, all 6 moves within +-1"
 
-def check_exact_distances(table: DistanceTable) -> tuple[bool, str]:
+def check_exact_distances(table: DistanceTable, summary=None) -> tuple[bool, str]:
     """Bellman certificate: dist[0] == 0 and, for every other rank,
     dist == 1 + the least distance among its six successors.  Any table
     that passes holds the exact distance of every state."""
     if table.dist[0] != 0:
         return False, f"solved state at distance {int(table.dist[0])}"
-    nearest = _successor_distances(table, 0)
-    for mi in range(1, 6):
-        np.minimum(nearest, _successor_distances(table, mi), out=nearest)
+    nearest = (summary or successor_summary(table))[0]
     bad = np.flatnonzero(table.dist[1:] != nearest[1:].astype(np.int16) + 1) + 1
     if bad.size:
         return False, (f"{bad.size} states not 1 + their nearest successor, "

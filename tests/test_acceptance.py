@@ -119,7 +119,8 @@ def test_c07_compiler_executor_composition(dist_table):
         scramble = random_canonical(rng)
         solution = oracle_solve(scramble, dist_table)
         report = execute_episode(scramble.rank, ExecutionMode.ROLLBACK, planner,
-                                 perfect, config, np.random.default_rng((107, trial)))
+                                 perfect, config, np.random.default_rng((107, trial)),
+                                 trace=True)
         assert report.success
         expected_an = sum(2 if m.is_prime else 4 for m in solution)
         assert report.atomic_actions == expected_an
@@ -168,8 +169,8 @@ def test_c09_open_loop_product_law(dist_table):
         products[i] = math.prod(
             model.p_rot * model.p_op ** (1 if m.is_prime else 3) for m in solution)
         report = execute_episode(scramble.rank, ExecutionMode.OPEN_LOOP, planner,
-                                 model, config, np.random.default_rng((109, i)))
-        clean += report.all_actions_succeeded
+                                 model, config, np.random.default_rng((109, i)), trace=True)
+        clean += all(e.success for e in report.trace)
     expected = float(products.mean())
     sigma = math.sqrt(float((products * (1 - products)).sum())) / n
     err = abs(clean / n - expected)

@@ -20,6 +20,10 @@ from pocketcube.actions import (
 from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
 
 
+def atomic_count(plan):
+    return sum(len(actions) for _, actions in plan.steps)
+
+
 class TestGoalOrientation:
     def test_u_class_is_identity(self):
         for m in (Move.U, Move.U_PRIME):
@@ -46,6 +50,22 @@ class TestGoalOrientation:
     def test_rejects_excluded_moves(self):
         with pytest.raises(CubeError):
             goal_orientation(Move.D)
+
+
+class TestQuaternion:
+    def test_product_is_a_quaternion_not_a_repeated_tuple(self):
+        a = Quaternion.from_axis_angle((0, 0, 1), 0.4)
+        b = Quaternion.from_axis_angle((1, 0, 0), 1.1)
+        ab = a * b
+        assert type(ab) is Quaternion
+        assert len(ab) == 4
+        assert ab == Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
+            a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
+        )
+        assert Quaternion.identity() * a == a
 
 
 class TestOrientationDistance:
@@ -114,7 +134,7 @@ class TestGoalPredicates:
 class TestCompile:
     def test_prime_move_is_rotate_plus_one_twist(self):
         plan = compile_moves([Move.U_PRIME])
-        assert plan.atomic_count == 2
+        assert atomic_count(plan) == 2
         (move, acts), = plan.steps
         assert move is Move.U_PRIME
         assert isinstance(acts[0], Rotate)
@@ -123,13 +143,25 @@ class TestCompile:
 
     def test_plain_move_is_rotate_plus_three_twists(self):
         plan = compile_moves([Move.R])
-        assert plan.atomic_count == 4
+        assert atomic_count(plan) == 4
         (_, acts), = plan.steps
         assert isinstance(acts[0], Rotate)
         assert all(isinstance(a, Twist) for a in acts[1:])
 
+    def test_repeated_move_steps_equal_a_fresh_build(self):
+        # the table of compiled steps is shared between plans and repeats
+        for m in GENERALIZED_MOVES:
+            fresh = (m, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(m))),)
+                     + (Twist(),) * (1 if m.is_prime else 3))
+            steps = compile_moves([m, m]).steps + compile_moves([m]).steps
+            assert steps == (fresh,) * 3
+
+    def test_move_outside_the_generalized_set_is_rejected(self):
+        with pytest.raises(CubeError):
+            compile_moves([Move.U, Move.D])
+
     def test_empty_plan(self):
-        assert compile_moves([]).atomic_count == 0
+        assert atomic_count(compile_moves([])) == 0
         assert len(compile_moves([])) == 0
 
     def test_action_count_formula(self):
@@ -137,5 +169,5 @@ class TestCompile:
         for _ in range(100):
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=10)]
             plan = compile_moves(seq)
-            assert plan.atomic_count == sum(2 if m.is_prime else 4 for m in seq)
+            assert atomic_count(plan) == sum(2 if m.is_prime else 4 for m in seq)
             assert [m for m, _ in plan.steps] == seq

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,7 +15,6 @@ from pocketcube.evaluate import (
     CSV_HEADER,
     ExperimentConfig,
     export_csv,
-    read_csv,
     run_experiment,
     sample_at_distance,
 )
@@ -21,6 +22,11 @@ from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
 from pocketcube.solver import oracle_solve
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
+
+
+def read_csv(path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestSampling:
@@ -67,7 +73,8 @@ class TestRunExperiment:
         result = run_experiment(config, dist_table)
         scrambles = sample_at_distance(4, 25, dist_table,
                                        np.random.default_rng((8, 4, 99)))
-        plan_lengths = [compile_moves(oracle_solve(s, dist_table)).atomic_count
+        plan_lengths = [sum(len(acts) for _, acts in
+                            compile_moves(oracle_solve(s, dist_table)).steps)
                         for s in scrambles]
         for mode in ExecutionMode:
             row = result.row(4, mode)

@@ -264,7 +264,8 @@ class TestEpisode:
                 rep = execute_episode(s.rank, mode, planner, PERFECT, ExecutorConfig(),
                                       np.random.default_rng(66))
                 assert rep.success
-                assert rep.atomic_actions == compile_moves(solution).atomic_count
+                assert rep.atomic_actions == sum(
+                    len(acts) for _, acts in compile_moves(solution).steps)
                 assert rep.moves_attempted == len(solution)
                 assert rep.replans == 0
 
@@ -276,7 +277,8 @@ class TestEpisode:
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=8)]
             s = random_canonical(rng)
             report = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, lambda _: seq,
-                                     PERFECT, ExecutorConfig(), np.random.default_rng(68))
+                                     PERFECT, ExecutorConfig(), np.random.default_rng(68),
+                                     trace=True)
             expected = canonicalize(apply_seq(s, seq))
             final_rank = report.trace[-1].rank if report.trace else s.rank
             assert final_rank == expected.rank
@@ -288,7 +290,8 @@ class TestEpisode:
         for seed in range(30):
             s = random_canonical(rng)
             rep = execute_episode(s.rank, ExecutionMode.ROLLBACK, planner, model,
-                                  ExecutorConfig(), np.random.default_rng((70, seed)))
+                                  ExecutorConfig(), np.random.default_rng((70, seed)),
+                                  trace=True)
             prev = s.rank
             for e in rep.trace:
                 if e.kind in ("rotate", "randomize"):
@@ -305,7 +308,7 @@ class TestEpisode:
             s = random_canonical(rng)
             for mode in ExecutionMode:
                 rep = execute_episode(s.rank, mode, planner, model, cfg,
-                                      np.random.default_rng((72, seed)))
+                                      np.random.default_rng((72, seed)), trace=True)
                 final = unrank(rep.trace[-1].rank) if rep.trace else s
                 assert rep.success == is_solved(final)
                 seen_failure |= not rep.success
@@ -326,7 +329,7 @@ class TestEpisode:
         runs = []
         for _ in range(2):
             rep = execute_episode(3_000_000, ExecutionMode.ROLLBACK, planner, model,
-                                  ExecutorConfig(), np.random.default_rng(74))
+                                  ExecutorConfig(), np.random.default_rng(74), trace=True)
             runs.append([format_trace_entry(e) for e in rep.trace])
         assert runs[0] == runs[1]
 
@@ -351,11 +354,31 @@ class TestEpisode:
         for seed in range(50):
             s = random_canonical(rng)
             rep = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, planner, model,
-                                  ExecutorConfig(), np.random.default_rng((78, seed)))
+                                  ExecutorConfig(), np.random.default_rng((78, seed)),
+                                  trace=True)
             plan = compile_moves(oracle_solve(s, dist_table))
-            assert rep.atomic_actions == plan.atomic_count
+            assert rep.atomic_actions == sum(len(acts) for _, acts in plan.steps)
             assert rep.replans == 0
             assert {e.kind for e in rep.trace} <= {"rotate", "twist"}
+
+    @given(r=st.integers(0, N_STATES - 1), mode=st.sampled_from(ExecutionMode),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trace_changes_no_outcome(self, dist_table, r, mode, seed):
+        # the stress settings exercise randomize, restore, replans and the budget
+        model = ActuationModel(p_rot=0.7, p_op=0.6, p_restore=0.7)
+        cfg = ExecutorConfig(action_budget=60)
+        planner = oracle_planner(dist_table)
+        plain, traced = (execute_episode(r, mode, planner, model, cfg,
+                                         np.random.default_rng(seed), trace=trace)
+                         for trace in (False, True))
+        assert plain.trace == []
+        assert ((plain.success, plain.atomic_actions, plain.moves_attempted,
+                 plain.replans, plain.final_rank)
+                == (traced.success, traced.atomic_actions, traced.moves_attempted,
+                    traced.replans, traced.final_rank))
+        assert len(traced.trace) == traced.atomic_actions
+        assert traced.final_rank == (traced.trace[-1].rank if traced.trace else r)
+        assert plain.success == (plain.final_rank == 0)
 
     def test_move_counts_once_an_action_ran(self):
         # the first prime move uses the whole budget of 2; the second never starts

@@ -3,17 +3,21 @@ import hashlib
 import numpy as np
 
 from pocketcube.cube import (
+    ANCHOR,
     CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
+    SOLVED,
+    Move,
     apply_generalized,
     apply_seq,
+    canonicalize,
     format_moves,
     is_solved,
     random_canonical,
     unrank,
 )
-from pocketcube.solver import PERIMETER, ida_star, oracle_solve, search_heuristic
+from pocketcube.solver import PERIMETER, ida_star, oracle_descent, oracle_solve, search_heuristic
 
 # sha256 of IDA*'s solutions to the first 100 random_canonical draws of
 # default_rng(0), one format_moves line each, as first computed: at its
@@ -126,3 +130,19 @@ class TestOracle:
         for _ in range(100):
             s = unrank(int(rng.integers(0, N_STATES)))
             assert len(oracle_solve(s, dist_table)) == len(ida_star(s, pdb).solution)
+
+
+class TestStateInput:
+    def test_raw_state_solves_as_its_canonical_form(self, dist_table, pdb):
+        # a raw state is canonicalized first; a canonical one is ranked as it is
+        rng = np.random.default_rng(35)
+        moves = list(Move)
+        raw_seen = 0
+        for _ in range(50):
+            raw = apply_seq(SOLVED, [moves[i] for i in rng.integers(0, len(moves), size=10)])
+            raw_seen += raw.perm[ANCHOR] != ANCHOR or raw.ori[ANCHOR] != 0
+            canon = canonicalize(raw)
+            assert ida_star(raw, pdb) == ida_star(canon, pdb)
+            assert (oracle_solve(raw, dist_table) == oracle_solve(canon, dist_table)
+                    == oracle_descent(canon.rank, dist_table))
+        assert raw_seen > 25

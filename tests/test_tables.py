@@ -87,6 +87,18 @@ class TestDistance:
         ok, detail = tables.check_neighbor_consistency(dist_table)
         assert ok, detail
 
+    def test_one_gather_pass_feeds_both_checks(self, dist_table):
+        # an antipode lowered from 14 to 10 is 3 away from every neighbour
+        dist = dist_table.dist.copy()
+        dist[int(dist_table.bucket(14)[0])] = 10
+        table = tables.DistanceTable(dist)
+        summary = tables.successor_summary(table)
+        assert summary[1] == [3] * 6
+        for check in (tables.check_neighbor_consistency, tables.check_exact_distances):
+            assert check(table, summary) == check(table)
+        assert tables.check_neighbor_consistency(table) == (False, "move 0: distance gap 3")
+        assert not tables.check_exact_distances(table)[0]
+
     def test_buckets_partition_the_space(self, dist_table):
         total = sum(dist_table.bucket(d).size for d in range(1, 15))
         assert total + 1 == N_STATES
