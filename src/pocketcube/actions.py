@@ -62,7 +62,8 @@ class Quaternion(NamedTuple):
             q = rng.standard_normal(4)
             n = math.sqrt(float(q @ q))
             if n > 1e-9:
-                return cls(*(float(v / n) for v in q))
+                w, x, y, z = q.tolist()
+                return cls(w / n, x / n, y / n, z / n)
 
     @property
     def norm(self) -> float:
@@ -141,16 +142,6 @@ class Twist:
 AtomicAction = Rotate | Twist
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """Per-move atomic action lists, in move order."""
-
-    steps: tuple[tuple[Move, tuple[AtomicAction, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 def _step(move: Move) -> tuple[Move, tuple[AtomicAction, ...]]:
     twists = 1 if move.is_prime else 3
     return move, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(move))),) + (Twist(),) * twists
@@ -160,6 +151,6 @@ def _step(move: Move) -> tuple[Move, tuple[AtomicAction, ...]]:
 _STEPS = {move: _step(move) for move in GENERALIZED_MOVES}
 
 
-def compile_moves(seq: Sequence[Move]) -> ExecutionPlan:
-    """Generalized move sequence -> [Rotate, Twist] or [Rotate, Twist x3] each."""
-    return ExecutionPlan(tuple(_STEPS.get(move) or _step(move) for move in seq))
+def compile_moves(seq: Sequence[Move]) -> tuple[tuple[Move, tuple[AtomicAction, ...]], ...]:
+    """Generalized move sequence -> (move, [Rotate, Twist] or [Rotate, Twist x3]) each."""
+    return tuple(_STEPS.get(move) or _step(move) for move in seq)

@@ -225,7 +225,8 @@ def _unit_vector(rng) -> Vector3:
         v = rng.standard_normal(3)
         n = math.sqrt(float(v @ v))
         if n >= 1e-12:
-            return (v[0] / n, v[1] / n, v[2] / n)
+            x, y, z = v.tolist()
+            return (x / n, y / n, z / n)
 
 
 def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
@@ -395,7 +396,7 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     replans = 0
 
     while cube.logical != 0 and not log.exhausted:
-        steps = compile_moves(planner(cube.logical)).steps
+        steps = compile_moves(planner(cube.logical))
         for step in steps:
             if log.exhausted:
                 break

@@ -21,7 +21,7 @@ from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
 
 
 def atomic_count(plan):
-    return sum(len(actions) for _, actions in plan.steps)
+    return sum(len(actions) for _, actions in plan)
 
 
 class TestGoalOrientation:
@@ -135,7 +135,7 @@ class TestCompile:
     def test_prime_move_is_rotate_plus_one_twist(self):
         plan = compile_moves([Move.U_PRIME])
         assert atomic_count(plan) == 2
-        (move, acts), = plan.steps
+        (move, acts), = plan
         assert move is Move.U_PRIME
         assert isinstance(acts[0], Rotate)
         assert isinstance(acts[1], Twist)
@@ -144,7 +144,7 @@ class TestCompile:
     def test_plain_move_is_rotate_plus_three_twists(self):
         plan = compile_moves([Move.R])
         assert atomic_count(plan) == 4
-        (_, acts), = plan.steps
+        (_, acts), = plan
         assert isinstance(acts[0], Rotate)
         assert all(isinstance(a, Twist) for a in acts[1:])
 
@@ -153,7 +153,7 @@ class TestCompile:
         for m in GENERALIZED_MOVES:
             fresh = (m, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(m))),)
                      + (Twist(),) * (1 if m.is_prime else 3))
-            steps = compile_moves([m, m]).steps + compile_moves([m]).steps
+            steps = compile_moves([m, m]) + compile_moves([m])
             assert steps == (fresh,) * 3
 
     def test_move_outside_the_generalized_set_is_rejected(self):
@@ -170,4 +170,4 @@ class TestCompile:
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=10)]
             plan = compile_moves(seq)
             assert atomic_count(plan) == sum(2 if m.is_prime else 4 for m in seq)
-            assert [m for m, _ in plan.steps] == seq
+            assert [m for m, _ in plan] == seq

@@ -74,7 +74,7 @@ class TestRunExperiment:
         scrambles = sample_at_distance(4, 25, dist_table,
                                        np.random.default_rng((8, 4, 99)))
         plan_lengths = [sum(len(acts) for _, acts in
-                            compile_moves(oracle_solve(s, dist_table)).steps)
+                            compile_moves(oracle_solve(s, dist_table)))
                         for s in scrambles]
         for mode in ExecutionMode:
             row = result.row(4, mode)

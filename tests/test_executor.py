@@ -58,7 +58,7 @@ FACE_UP = {up_face(q): q for q in (
 
 def step(move):
     """The compiled step of one move: (move, [Rotate, Twist x1 or x3])."""
-    return compile_moves([move]).steps[0]
+    return compile_moves([move])[0]
 
 
 class TestUpFace:
@@ -265,7 +265,7 @@ class TestEpisode:
                                       np.random.default_rng(66))
                 assert rep.success
                 assert rep.atomic_actions == sum(
-                    len(acts) for _, acts in compile_moves(solution).steps)
+                    len(acts) for _, acts in compile_moves(solution))
                 assert rep.moves_attempted == len(solution)
                 assert rep.replans == 0
 
@@ -357,7 +357,7 @@ class TestEpisode:
                                   ExecutorConfig(), np.random.default_rng((78, seed)),
                                   trace=True)
             plan = compile_moves(oracle_solve(s, dist_table))
-            assert rep.atomic_actions == sum(len(acts) for _, acts in plan.steps)
+            assert rep.atomic_actions == sum(len(acts) for _, acts in plan)
             assert rep.replans == 0
             assert {e.kind for e in rep.trace} <= {"rotate", "twist"}
 

@@ -63,6 +63,29 @@ class TestBuild:
     def test_histogram_regression(self, dist_table):
         assert dist_table.histogram == EXPECTED_HISTOGRAM
 
+    def test_histogram_counts_unreached_entries_like_bincount(self, dist_table):
+        dist = dist_table.dist.copy()
+        dist[[5, 70_000, N_STATES - 1]] = 0xFF
+        dist[123] = 20
+        assert DistanceTable(dist).histogram == tuple(int(n) for n in np.bincount(dist))
+
+    @pytest.mark.parametrize("k", [0, 1, 9, 11, 12, 13, 14])
+    def test_fill_ball_is_the_table_clamped_to_the_radius(self, dist_table, k):
+        # a fill of k + 1, not 0xFF, stands for "not reached": radii 12 and up
+        # pull, and the pull must read any value above the radius that way
+        ball = np.full(N_STATES, k + 1, dtype=np.uint8)
+        tables.fill_ball(ball, k)
+        assert np.array_equal(ball, np.where(dist_table.dist <= k, dist_table.dist, k + 1))
+
+    def test_bfs_stops_and_leaves_an_unreachable_node_unreached(self):
+        # node 0 swaps with each of 1..6, node 7 is fixed by every move:
+        # depth 2 pulls (frontier 6 > 1 left), finds nothing and stops
+        moves = np.tile(np.arange(8, dtype=np.int32), (6, 1))
+        for i in range(1, 7):
+            moves[i - 1, [0, i]] = i, 0
+        dist = tables._bfs_distances(8, lambda nodes: moves.take(nodes, axis=1))
+        assert dist.tolist() == [0, 1, 1, 1, 1, 1, 1, 0xFF]
+
 
 class TestDistance:
     def test_solved_is_zero(self, dist_table):
