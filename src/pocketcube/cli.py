@@ -24,16 +24,13 @@ import numpy as np
 
 from . import cube, evaluate, solver, tables
 from .cube import (
-    GENERALIZED_MOVES,
     CubeError,
-    Move,
     apply_seq,
     canonicalize,
     facelets_to_string,
     format_moves,
     from_facelets,
     parse_moves,
-    reduce_move,
     string_to_facelets,
     to_facelets,
 )
@@ -143,8 +140,8 @@ def cmd_scramble(args) -> int:
         raise SystemExit("error: --count must be >= 1")
     table = _load_distance_table(args)
     rng = np.random.default_rng(args.seed)
-    for state in evaluate.sample_at_distance(args.distance, args.count, table, rng):
-        print(facelets_to_string(to_facelets(state)))
+    for r in evaluate.sample_at_distance(args.distance, args.count, table, rng):
+        print(facelets_to_string(to_facelets(cube.unrank(r))))
     return 0
 
 
@@ -220,7 +217,7 @@ def cmd_verify(args) -> int:
         run("exact distances", tables.check_exact_distances, table, summary)
         run("rank round-trip", tables.check_rank_roundtrip)
         run("pdb admissibility", tables.check_admissibility, table, pdb)
-        run("move reduction", _check_move_reduction)
+        run("move reduction", cube.check_move_reduction)
         run("neighbor consistency", tables.check_neighbor_consistency, table, summary)
 
     failed = 0
@@ -228,19 +225,6 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failed += not ok
     return 1 if failed else 0
-
-
-def _check_move_reduction(samples: int = 100, seed: int = 0) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    states = [cube.random_canonical(rng) for _ in range(samples)]
-    for move in Move:
-        reduced = reduce_move(move)
-        if reduced not in GENERALIZED_MOVES:
-            return False, f"{move.value} reduced outside the generalized set"
-        for s in states:
-            if canonicalize(cube.apply(s, move)) != cube.apply_generalized(s, reduced):
-                return False, f"{move.value} -> {reduced.value} fails the equivalence"
-    return True, f"all 12 moves on {samples} canonical states"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,6 +48,10 @@ space; each acts on the two coordinates independently.
 Moves use standard quarter-turn notation (U D R L F B, primes for
 counterclockwise); each is applied through a precomputed slot-permutation
 / twist-delta table derived once, at import, from the face geometry.
+reduce_move pairs each of the six anchored-layer moves (D L B and primes)
+with the generalized move that acts identically on canonical states; the
+pairing is derived at import from the solved state alone, and
+check_move_reduction proves it for every canonical state.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -390,12 +393,6 @@ def apply_generalized(state: CanonicalState, move: GeneralizedMove) -> Canonical
     return CanonicalState(perm, ori)
 
 
-def rotate_state(state: CubeletState, rotation: Transform) -> CubeletState:
-    """Whole-cube rotation (one of the 24 in ROTATIONS) applied to `state`."""
-    perm, ori = _apply_transform(state, rotation)
-    return CubeletState(perm, ori)
-
-
 def canonicalize(state: CubeletState) -> CanonicalState:
     """Rotate the whole cube so the anchor sits home; idempotent."""
     slot = state.perm.index(ANCHOR)
@@ -407,40 +404,47 @@ def is_solved(state: CubeletState) -> bool:
     return canonicalize(state) == CANONICAL_SOLVED
 
 
-def inverse_seq(seq: MoveSeq) -> list[Move]:
-    return [m.inverse for m in reversed(seq)]
-
-
 # ---------------------------------------------------------------------------
 # move reduction (quotient equivalents of the anchored-layer moves)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _reduction_table() -> dict[Move, Move]:
-    # Derived, not hard-coded: for each excluded move find the unique reduced
-    # move acting identically on the quotient, witnessed on spread-out states.
-    samples = [CANONICAL_SOLVED] + [
-        unrank((k * 2654435761) % N_STATES) for k in range(1, 26)
-    ]
-    table: dict[Move, Move] = {}
-    for move in Move:
-        if move in GENERALIZED_MOVES:
-            table[move] = move
-            continue
-        matches = [
-            g for g in GENERALIZED_MOVES
-            if all(canonicalize(apply(s, move)) == apply_generalized(s, g)
-                   for s in samples)
-        ]
-        if len(matches) != 1:
-            raise RuntimeError(f"move reduction for {move.value} is not unique: {matches}")
-        table[move] = matches[0]
-    return table
+def _acts_as(move: Move, g: Move) -> bool:
+    # For a canonical state s the anchor sits in slot 7 untwisted, so `move`
+    # always carries it to the same slot with the same twist, and
+    # canonicalize(apply(s, move)) is one fixed transform for every s:
+    # move's, then _ANCHOR_FIX[(slot, twist)].  A transform (src, dori)
+    # applied to SOLVED gives (src, dori) itself, so two transforms that
+    # agree on SOLVED agree on every state: this one comparison decides
+    # canonicalize(apply(s, move)) == apply(s, g) for all canonical s.
+    return canonicalize(apply(SOLVED, move)) == apply(SOLVED, g)
+
+
+def _reduced(move: Move) -> Move:
+    matches = [g for g in GENERALIZED_MOVES if _acts_as(move, g)]
+    if len(matches) != 1:
+        raise RuntimeError(f"move {move.value} matches {len(matches)} generalized "
+                           f"moves, expected exactly 1: {matches}")
+    return matches[0]
+
+
+_REDUCTION: dict[Move, Move] = {move: _reduced(move) for move in Move}
 
 
 def reduce_move(move: Move) -> GeneralizedMove:
     """The generalized move equivalent to `move` on canonical states."""
-    return _reduction_table()[move]
+    return _REDUCTION[move]
+
+
+def check_move_reduction() -> tuple[bool, str]:
+    """Proof that reduce_move is exact: the transform identity, move by move."""
+    for move in Move:
+        reduced = reduce_move(move)
+        if reduced not in GENERALIZED_MOVES:
+            return False, f"{move.value} reduced outside the generalized set"
+        if not _acts_as(move, reduced):
+            return False, f"{move.value} -> {reduced.value} fails the transform identity"
+    return True, (f"12 transform identities on the solved state cover all "
+                  f"{N_STATES} canonical states")
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +493,6 @@ def coordinate_moves() -> tuple[list[list[int]], list[list[int]]]:
         perm += [perm_col, sorted(range(N_PERM), key=perm_col.__getitem__)]
         twist += [twist_col, sorted(range(N_ORI), key=twist_col.__getitem__)]
     return perm, twist
-
-
-def random_state(rng) -> CubeletState:
-    """Uniform random legal raw state; `rng` is a numpy Generator."""
-    perm = tuple(int(x) for x in rng.permutation(8))
-    ori = [int(x) for x in rng.integers(0, 3, size=7)]
-    ori.append((-sum(ori)) % 3)
-    return CubeletState(perm, tuple(ori))
 
 
 def random_canonical(rng) -> CanonicalState:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import CanonicalState, unrank
 from .executor import (
     ActuationModel,
     ExecutionMode,
@@ -76,16 +75,15 @@ class ExperimentResult:
         return float(np.mean(srs))
 
 
-def sample_at_distance(distance: int, n: int, table: DistanceTable, rng
-                       ) -> list[CanonicalState]:
-    """n states drawn uniformly with replacement from the exact-depth bucket."""
+def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list[int]:
+    """Ranks of n states drawn uniformly with replacement from the exact-depth bucket."""
     if not MIN_DISTANCE <= distance <= MAX_DISTANCE:
         raise ValueError(f"distance {distance} outside 1..14")
     bucket = table.bucket(distance)
     if bucket.size == 0:
         raise ValueError(f"no states at distance {distance}")
     picks = rng.integers(0, bucket.size, size=n)
-    return [unrank(int(bucket[i])) for i in picks]
+    return bucket[picks].tolist()
 
 
 def oracle_planner(table: DistanceTable) -> Planner:
@@ -109,7 +107,7 @@ def run_experiment(config: ExperimentConfig, table: DistanceTable,
             for trial, scramble in enumerate(scrambles):
                 rng = np.random.default_rng(
                     (config.master_seed, distance, mode_index + 1, trial))
-                report = execute_episode(scramble.rank, mode, planner,
+                report = execute_episode(scramble, mode, planner,
                                          config.model, config.executor, rng)
                 successes += report.success
                 counts[trial] = report.atomic_actions

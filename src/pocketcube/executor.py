@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .actions import (
@@ -59,7 +58,7 @@ from .actions import (
     orientation_distance,
     pose_goal_reached,
 )
-from .cube import GENERALIZED_MOVES, Move, reduce_move
+from .cube import FACES, GENERALIZED_MOVES, Move, reduce_move
 from .tables import successor
 
 CHAMFER_TOLERANCE = math.radians(5.0)  # layer slack that still permits a twist
@@ -203,15 +202,14 @@ def up_face(orientation: Quaternion) -> str:
     return "UDRLFB"[heights.index(max(heights))]
 
 
-@lru_cache(maxsize=None)
-def _committed_move_index(face: str) -> int:
-    # a -90 degree top twist performs the prime move of the up face
-    return GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
+# a -90 degree top twist performs the prime move of the up face
+_COMMITTED_MOVE_INDEX = {face: GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
+                         for face in FACES}
 
 
 def _commit_twist(cube: PhysicalCube) -> None:
     face = up_face(cube.pose.orientation)
-    cube.logical = successor(cube.logical, _committed_move_index(face))
+    cube.logical = successor(cube.logical, _COMMITTED_MOVE_INDEX[face])
     cube.layer_misalignment = 0.0
     if face in _ANCHOR_FACES:
         # anchor piece rides the twisted layer: the body frame turns with it

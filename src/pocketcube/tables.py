@@ -210,9 +210,9 @@ class DistanceTable:
         return int(self.dist[canonicalize(state).rank])
 
     def bucket(self, depth: int) -> np.ndarray:
-        """Sorted ranks of every state at exactly `depth` moves."""
+        """Sorted ranks, as int32, of every state at exactly `depth` moves."""
         if depth not in self._buckets:
-            self._buckets[depth] = np.flatnonzero(self.dist == depth)
+            self._buckets[depth] = np.flatnonzero(self.dist == depth).astype(np.int32)
         return self._buckets[depth]
 
     def save(self, path) -> None:

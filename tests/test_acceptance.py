@@ -164,11 +164,11 @@ def test_c09_open_loop_product_law(dist_table):
     scrambles = sample_at_distance(5, n, dist_table, np.random.default_rng(109))
     products = np.empty(n)
     clean = 0
-    for i, scramble in enumerate(scrambles):
-        solution = oracle_solve(scramble, dist_table)
+    for i, r in enumerate(scrambles):
+        solution = oracle_solve(unrank(r), dist_table)
         products[i] = math.prod(
             model.p_rot * model.p_op ** (1 if m.is_prime else 3) for m in solution)
-        report = execute_episode(scramble.rank, ExecutionMode.OPEN_LOOP, planner,
+        report = execute_episode(r, ExecutionMode.OPEN_LOOP, planner,
                                  model, config, np.random.default_rng((109, i)), trace=True)
         clean += all(e.success for e in report.trace)
     expected = float(products.mean())

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from pocketcube import cli, tables
+from pocketcube import cli, cube, tables
 from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
 
 
@@ -206,13 +206,21 @@ class TestEval:
 
 
 class TestVerify:
-    def test_passes_on_good_tables(self, tdir, capsys):
+    def test_passes_on_good_tables(self, tdir, capsys, monkeypatch):
+        # the move reduction is proved from the solved state: no sampled states
+        def forbidden(*_):
+            raise AssertionError("verify must not sample or unrank states here")
+        for name in ("random_canonical", "unrank", "apply_generalized"):
+            monkeypatch.setattr(cube, name, forbidden)
         code, out, _ = run_cli(capsys, "--tables", tdir, "verify")
         assert code == 0
         assert "FAIL" not in out
-        for name in ("state count", "diameter", "exact distances", "rank round-trip",
-                     "pdb admissibility", "move reduction", "neighbor consistency"):
-            assert f"PASS  {name}" in out
+        names = ("state count", "diameter 14", "exact distances", "rank round-trip",
+                 "pdb admissibility", "move reduction", "neighbor consistency")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == [f"PASS  {n}" for n in names]
+        assert "PASS  move reduction: 12 transform identities" in out
+        assert "all 3674160 canonical states" in out
 
     def test_understated_distance_fails_exact_check(self, understated_dir, capsys):
         # the +-1 neighbour check and the diameter still pass on this table

@@ -26,14 +26,11 @@ from pocketcube.cube import (
     facelets_to_string,
     format_moves,
     from_facelets,
-    inverse_seq,
     is_solved,
     parse_moves,
     rank,
     random_canonical,
-    random_state,
     reduce_move,
-    rotate_state,
     string_to_facelets,
     to_facelets,
     unrank,
@@ -50,9 +47,28 @@ CORNER_STICKERS = ((3, 8, 17), (2, 13, 16), (0, 12, 21), (1, 9, 20),
                    (5, 10, 19), (4, 15, 18), (7, 11, 22), (6, 14, 23))
 
 
+def random_state(rng) -> CubeletState:
+    """Uniform random legal raw state; `rng` is a numpy Generator."""
+    perm = tuple(int(x) for x in rng.permutation(8))
+    ori = [int(x) for x in rng.integers(0, 3, size=7)]
+    ori.append((-sum(ori)) % 3)
+    return CubeletState(perm, tuple(ori))
+
+
 def random_states(seed, n):
     rng = np.random.default_rng(seed)
     return [random_state(rng) for _ in range(n)]
+
+
+def rotate_state(state, rotation) -> CubeletState:
+    """Whole-cube rotation (one of the 24 in ROTATIONS) applied to `state`."""
+    src, dori = rotation
+    return CubeletState(tuple(state.perm[j] for j in src),
+                        tuple((state.ori[j] + d) % 3 for j, d in zip(src, dori)))
+
+
+def inverse_seq(seq):
+    return [m.inverse for m in reversed(seq)]
 
 
 class TestApply:
@@ -166,6 +182,17 @@ class TestReduceMove:
     def test_reduction_is_a_bijection_per_class(self):
         reduced = [reduce_move(m) for m in Move if m not in GENERALIZED_MOVES]
         assert sorted(m.value for m in reduced) == sorted(m.value for m in GENERALIZED_MOVES)
+
+    def test_check_passes_on_the_derived_table(self):
+        ok, detail = cube.check_move_reduction()
+        assert ok, detail
+        assert str(N_STATES) in detail
+
+    def test_check_fails_on_a_wrong_partner(self, monkeypatch):
+        monkeypatch.setitem(cube._REDUCTION, Move.D, Move.U_PRIME)
+        ok, detail = cube.check_move_reduction()
+        assert not ok
+        assert detail.startswith("D -> U'")
 
 
 class TestRank:

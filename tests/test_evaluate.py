@@ -10,6 +10,7 @@ from pocketcube.cube import (
     GENERALIZED_MOVES,
     N_STATES,
     apply_generalized,
+    unrank,
 )
 from pocketcube.evaluate import (
     CSV_HEADER,
@@ -33,8 +34,8 @@ class TestSampling:
     def test_samples_sit_at_exact_distance(self, dist_table):
         rng = np.random.default_rng(80)
         for d in (1, 4, 9, 14):
-            for s in sample_at_distance(d, 30, dist_table, rng):
-                assert dist_table.distance(s) == d
+            for r in sample_at_distance(d, 30, dist_table, rng):
+                assert dist_table.distance(unrank(r)) == d
 
     def test_distance_one_bucket_is_the_six_neighbors(self, dist_table):
         neighbors = {apply_generalized(CANONICAL_SOLVED, m).rank
@@ -74,8 +75,8 @@ class TestRunExperiment:
         scrambles = sample_at_distance(4, 25, dist_table,
                                        np.random.default_rng((8, 4, 99)))
         plan_lengths = [sum(len(acts) for _, acts in
-                            compile_moves(oracle_solve(s, dist_table)))
-                        for s in scrambles]
+                            compile_moves(oracle_solve(unrank(r), dist_table)))
+                        for r in scrambles]
         for mode in ExecutionMode:
             row = result.row(4, mode)
             assert row.an_mean == pytest.approx(np.mean(plan_lengths))
