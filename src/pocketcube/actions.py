@@ -60,29 +60,24 @@ class Quaternion(NamedTuple):
     def random_uniform(cls, rng) -> "Quaternion":
         while True:
             q = rng.standard_normal(4)
-            n = math.sqrt(float(q @ q))
+            n = math.sqrt(q.dot(q))
             if n > 1e-9:
                 w, x, y, z = q.tolist()
                 return cls(w / n, x / n, y / n, z / n)
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
     def normalized(self) -> "Quaternion":
-        n = self.norm
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self
+        n = math.sqrt(w ** 2 + x ** 2 + y ** 2 + z ** 2)
+        return Quaternion(w / n, x / n, y / n, z / n)
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
-        a, b = self, o
+        aw, ax, ay, az = self
+        bw, bx, by, bz = o
         return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
-            a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
         )
 
 
@@ -106,9 +101,13 @@ def orientation_distance(q: Quaternion, q_target: Quaternion) -> float:
     """Rotation angle between two unit quaternions, double-cover safe.
 
     2*arccos(Real(q_target * conj(q))), with the real part taken in
-    absolute value so that q and -q compare as identical.
+    absolute value so that q and -q compare as identical.  The real part is
+    written out; it equals the product's bit for bit, since IEEE negation
+    is exact: a*(-b) == -(a*b) and t - (-p) == t + p.
     """
-    real = abs((q_target * q.conjugate()).w)
+    tw, tx, ty, tz = q_target
+    w, x, y, z = q
+    real = abs(tw * w + tx * x + ty * y + tz * z)
     return 2.0 * math.acos(min(1.0, real))
 
 

@@ -472,7 +472,9 @@ def unrank(index: int) -> CanonicalState:
     if not 0 <= index < N_STATES:
         raise CubeError(f"rank {index} out of range [0, {N_STATES})")
     perm_code, twist_code = divmod(index, N_ORI)
-    return CanonicalState(_PERMS[perm_code] + (ANCHOR,), _ORIS[twist_code])
+    state = object.__new__(CanonicalState)  # valid by construction: no __post_init__
+    state.__dict__.update(perm=_PERMS[perm_code] + (ANCHOR,), ori=_ORIS[twist_code])
+    return state
 
 
 def coordinate_moves() -> tuple[list[list[int]], list[list[int]]]:

@@ -12,11 +12,13 @@ one build; cross-build PRNG stability is not promised).
 from __future__ import annotations
 
 import csv
+import functools
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cube import Move
 from .executor import (
     ActuationModel,
     ExecutionMode,
@@ -87,8 +89,15 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list
 
 
 def oracle_planner(table: DistanceTable) -> Planner:
-    """The executor's planner: greedy descent on the exact table, from a rank."""
-    return lambda r: oracle_descent(r, table)
+    """The executor's planner: greedy descent on the exact table, from a rank.
+
+    Plans are memoized per rank, as tuples, for the planner's lifetime:
+    both modes of `run_experiment` plan the same scrambles.
+    """
+    @functools.cache
+    def plan(r: int) -> tuple[Move, ...]:
+        return tuple(oracle_descent(r, table))
+    return plan
 
 
 def run_experiment(config: ExperimentConfig, table: DistanceTable,

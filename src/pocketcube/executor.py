@@ -32,9 +32,10 @@ randomize, no restore and no completion check, and plans once.
 
 Every attempt of rotate, twist, randomize and restore counts one atomic
 action toward the episode budget and the reported action number.  A move
-counts as attempted once at least one of its actions ran.  Only an
-episode run with `trace=True` (`simulate --trace`) builds a TraceEntry,
-with its pose errors, per action; the draws are the same either way.
+counts as attempted once at least one of its actions ran.  Counting is
+inline and needs no trace; only `trace=True` (`simulate --trace`) builds
+a TraceEntry, with its pose errors, per action.  The draws are the same
+either way.
 """
 
 from __future__ import annotations
@@ -172,18 +173,13 @@ class _ActionLog:
     count: int = 0
     entries: list[TraceEntry] = field(default_factory=list)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.count >= self.budget
-
     def record(self, kind: str, success: bool, cube: PhysicalCube,
                goal: PoseGoal | None = None) -> None:
-        self.count += 1
-        if self.trace:
-            pos_err, ang_err = (_pose_errors(cube, goal) if goal
-                                else (None, abs(cube.layer_misalignment)))
-            self.entries.append(TraceEntry(self.count, kind, success,
-                                           pos_err, ang_err, cube.logical))
+        """Trace the action just counted; the loop calls it only when tracing."""
+        pos_err, ang_err = (_pose_errors(cube, goal) if goal
+                            else (None, abs(cube.layer_misalignment)))
+        self.entries.append(TraceEntry(self.count, kind, success,
+                                       pos_err, ang_err, cube.logical))
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +192,15 @@ def up_face(orientation: Quaternion) -> str:
     The hand-frame z of the body axes is the third row of the rotation
     matrix; faces are taken in order U D R L F B, the first maximum wins.
     """
-    w, x, y, z = orientation.w, orientation.x, orientation.y, orientation.z
+    w, x, y, z = orientation
     up_x, up_y, up_z = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
     heights = (up_z, -up_z, up_x, -up_x, -up_y, up_y)
     return "UDRLFB"[heights.index(max(heights))]
 
 
+_MOVE_INDEX = {move: i for i, move in enumerate(GENERALIZED_MOVES)}
 # a -90 degree top twist performs the prime move of the up face
-_COMMITTED_MOVE_INDEX = {face: GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
-                         for face in FACES}
+_COMMITTED_MOVE_INDEX = {face: _MOVE_INDEX[reduce_move(Move(face + "'"))] for face in FACES}
 
 
 def _commit_twist(cube: PhysicalCube) -> None:
@@ -221,7 +217,7 @@ def _unit_vector(rng) -> Vector3:
     """A uniformly random direction: a normal 3-vector, redrawn while its norm is ~0."""
     while True:
         v = rng.standard_normal(3)
-        n = math.sqrt(float(v @ v))
+        n = math.sqrt(v.dot(v))
         if n >= 1e-12:
             x, y, z = v.tolist()
             return (x / n, y / n, z / n)
@@ -229,7 +225,7 @@ def _unit_vector(rng) -> Vector3:
 
 def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
     u = _unit_vector(rng)
-    r = radius * float(rng.random()) ** (1.0 / 3.0)
+    r = radius * rng.random() ** (1.0 / 3.0)
     return (center[0] + u[0] * r, center[1] + u[1] * r, center[2] + u[2] * r)
 
 
@@ -237,7 +233,7 @@ def _sample_pose_near(rng, goal: PoseGoal, delta_x: float, delta_q: float) -> Po
     # volume-uniform inside the tolerance region: cube-root radii
     position = _sample_in_ball(rng, goal.x_target, delta_x)
     axis = _unit_vector(rng)
-    angle = delta_q * float(rng.random()) ** (1.0 / 3.0)
+    angle = delta_q * rng.random() ** (1.0 / 3.0)
     wobble = Quaternion.from_axis_angle(axis, angle)
     return Pose(position, (wobble * goal.q_target).normalized())
 
@@ -258,7 +254,7 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
     Returns the actuator's Bernoulli outcome; the pose lands inside the
     goal tolerance on success and in the failure distribution otherwise.
     """
-    success = float(rng.random()) < model.p_rot
+    success = rng.random() < model.p_rot
     cube.pose = (_sample_pose_near(rng, goal, delta_x, delta_q) if success
                  else _sample_failure_pose(rng, model))
     return success
@@ -276,10 +272,10 @@ def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     """
     if abs(cube.layer_misalignment) > CHAMFER_TOLERANCE:
         return False
-    if float(rng.random()) < model.p_op:
+    if rng.random() < model.p_op:
         _commit_twist(cube)
         return True
-    residual = float(rng.uniform(model.failure_angle_low, model.failure_angle_high))
+    residual = rng.uniform(model.failure_angle_low, model.failure_angle_high)
     if abs(residual - TWIST_TARGET) <= CHAMFER_TOLERANCE:
         _commit_twist(cube)  # slipped through to the next detent
     elif abs(residual) <= CHAMFER_TOLERANCE:
@@ -295,7 +291,7 @@ def attempt_restore(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     On success the layer snaps to the nearest alignment; snapping to -90
     degrees commits the pending move.  On failure nothing moves.
     """
-    if float(rng.random()) < model.p_restore:
+    if rng.random() < model.p_restore:
         if cube.layer_misalignment < TWIST_TARGET / 2.0:
             _commit_twist(cube)
         else:
@@ -331,38 +327,47 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
         log = _ActionLog(config.action_budget)
     move, (rotate, *twists) = step
     goal = rotate.goal
+    budget, trace = log.budget, log.trace
     rotates = config.r1_max if checked else 1
 
-    expected = successor(cube.logical, GENERALIZED_MOVES.index(move)) if checked else None
+    expected = successor(cube.logical, _MOVE_INDEX[move]) if checked else None
     posed = False
     for attempt in range(rotates):
-        if log.exhausted:
+        if log.count >= budget:
             return MoveOutcome.BUDGET_EXHAUSTED
         ok = attempt_rotate(cube, goal, model, rng, config.delta_x, config.delta_q)
-        log.record("rotate", ok, cube, goal)
+        log.count += 1
+        if trace:
+            log.record("rotate", ok, cube, goal)
         posed = not checked or pose_goal_reached(cube.pose, goal, config.delta_x, config.delta_q)
         if posed:
             break
         if attempt + 1 < rotates:
-            if log.exhausted:
+            if log.count >= budget:
                 return MoveOutcome.BUDGET_EXHAUSTED
             randomize_pose(cube, model, rng)
-            log.record("randomize", True, cube, goal)
+            log.count += 1
+            if trace:
+                log.record("randomize", True, cube, goal)
 
     if posed:
         for _ in twists:
-            if log.exhausted:
+            if log.count >= budget:
                 return MoveOutcome.BUDGET_EXHAUSTED
             ok = attempt_twist(cube, model, rng)
-            log.record("twist", ok, cube)
+            log.count += 1
+            if trace:
+                log.record("twist", ok, cube)
             if not checked:
                 continue
             restores = 0
             while cube.layer_misalignment != 0.0 and restores < config.r2_max:
-                if log.exhausted:
+                if log.count >= budget:
                     return MoveOutcome.BUDGET_EXHAUSTED
                 rok = attempt_restore(cube, model, rng)
-                log.record("restore", rok, cube)
+                log.count += 1
+                if trace:
+                    log.record("restore", rok, cube)
                 restores += 1
             if cube.layer_misalignment != 0.0:
                 break  # layer stuck beyond the restore budget; give up on this move
@@ -393,10 +398,10 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     moves_attempted = 0
     replans = 0
 
-    while cube.logical != 0 and not log.exhausted:
+    while cube.logical != 0 and log.count < log.budget:
         steps = compile_moves(planner(cube.logical))
         for step in steps:
-            if log.exhausted:
+            if log.count >= log.budget:
                 break
             moves_attempted += 1
             outcome = execute_move_rollback(cube, step, model, config, rng, log, checked)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pocketcube.actions import (
     DELTA_Q,
@@ -22,6 +24,10 @@ from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
 
 def atomic_count(plan):
     return sum(len(actions) for _, actions in plan)
+
+
+def norm(q):
+    return math.sqrt(q.w ** 2 + q.x ** 2 + q.y ** 2 + q.z ** 2)
 
 
 class TestGoalOrientation:
@@ -45,7 +51,7 @@ class TestGoalOrientation:
 
     def test_rows_are_unit(self):
         for m in GENERALIZED_MOVES:
-            assert goal_orientation(m).norm == pytest.approx(1.0, abs=1e-12)
+            assert norm(goal_orientation(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_excluded_moves(self):
         with pytest.raises(CubeError):
@@ -66,6 +72,43 @@ class TestQuaternion:
             a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
         )
         assert Quaternion.identity() * a == a
+
+
+components = st.floats(-2.0, 2.0, allow_nan=False)
+quaternions = st.builds(Quaternion, components, components, components, components)
+
+
+class TestPrimitivesBitForBit:
+    """The hot-path forms equal the textbook formulas exactly, not approximately."""
+
+    @given(quaternions, quaternions)
+    def test_product(self, a, b):
+        assert a * b == (
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
+            a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
+        )
+
+    @given(quaternions)
+    def test_normalized(self, q):
+        n = norm(q)
+        if n > 0.0:
+            assert q.normalized() == (q.w / n, q.x / n, q.y / n, q.z / n)
+
+    @given(quaternions, quaternions)
+    def test_orientation_distance(self, q, target):
+        conj = Quaternion(q.w, -q.x, -q.y, -q.z)
+        real = abs((target * conj).w)
+        assert orientation_distance(q, target) == 2.0 * math.acos(min(1.0, real))
+
+    def test_dot_equals_matmul(self):
+        # the executor's unit vectors take v.dot(v); the pinned CSV and
+        # trace were made with v @ v, so the two must agree bit for bit
+        rng = np.random.default_rng(45)
+        for _ in range(10_000):
+            v = rng.standard_normal(3)
+            assert v.dot(v) == v @ v, "v.dot(v) and v @ v differ on this numpy build"
 
 
 class TestOrientationDistance:

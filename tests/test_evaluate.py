@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,15 +13,17 @@ from pocketcube.cube import (
     apply_generalized,
     unrank,
 )
+from pocketcube import evaluate
 from pocketcube.evaluate import (
     CSV_HEADER,
     ExperimentConfig,
     export_csv,
+    oracle_planner,
     run_experiment,
     sample_at_distance,
 )
 from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
-from pocketcube.solver import oracle_solve
+from pocketcube.solver import oracle_descent, oracle_solve
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -106,6 +109,31 @@ class TestRunExperiment:
         rho, pvalue = stats.spearmanr(range(1, 15), srs)
         assert rho < 0
         assert pvalue / 2 < 0.05  # one-sided
+
+
+class TestOraclePlanner:
+    def test_plans_are_the_oracle_descent_as_tuples(self, dist_table):
+        planner = oracle_planner(dist_table)
+        for r in sample_at_distance(9, 20, dist_table, np.random.default_rng(12)):
+            plan = planner(r)
+            assert plan == tuple(oracle_descent(r, dist_table))
+            assert planner(r) is plan
+
+    def test_run_experiment_plans_each_rank_once(self, dist_table, monkeypatch):
+        calls = Counter()
+
+        def counting(r, table):
+            calls[r] += 1
+            return oracle_descent(r, table)
+
+        monkeypatch.setattr(evaluate, "oracle_descent", counting)
+        config = ExperimentConfig(distances=(2, 7, 12), trials_per_distance=30, master_seed=13)
+        run_experiment(config, dist_table)
+        scrambles = {r for d in config.distances for r in sample_at_distance(
+            d, 30, dist_table, np.random.default_rng((13, d, 99)))}
+        assert scrambles <= set(calls)
+        assert len(calls) > len(scrambles)  # re-plans from mid-episode ranks
+        assert set(calls.values()) == {1}
 
 
 class TestCsv:

@@ -71,7 +71,8 @@ class TestUpFace:
         normals = ((0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0))
 
         def reference(q):
-            heights = [(q * Quaternion(0.0, *n) * q.conjugate()).z for n in normals]
+            conj = Quaternion(q.w, -q.x, -q.y, -q.z)
+            heights = [(q * Quaternion(0.0, *n) * conj).z for n in normals]
             return "UDRLFB"[heights.index(max(heights))]
 
         rng = np.random.default_rng(79)
