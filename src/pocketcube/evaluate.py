@@ -27,7 +27,7 @@ from .executor import (
     execute_episode,
 )
 from .solver import oracle_descent
-from .tables import DistanceTable
+from .tables import DistanceTable, InconsistentTable
 
 MIN_DISTANCE = 1
 MAX_DISTANCE = 14
@@ -78,12 +78,16 @@ class ExperimentResult:
 
 
 def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list[int]:
-    """Ranks of n states drawn uniformly with replacement from the exact-depth bucket."""
+    """Ranks of n states drawn uniformly with replacement from the exact-depth bucket.
+
+    A distance outside 1..14 raises ValueError; an empty bucket, which only
+    a table with wrong content can have, raises InconsistentTable.
+    """
     if not MIN_DISTANCE <= distance <= MAX_DISTANCE:
         raise ValueError(f"distance {distance} outside 1..14")
     bucket = table.bucket(distance)
     if bucket.size == 0:
-        raise ValueError(f"no states at distance {distance}")
+        raise InconsistentTable(f"distance table has no states at distance {distance}")
     picks = rng.integers(0, bucket.size, size=n)
     return bucket[picks].tolist()
 

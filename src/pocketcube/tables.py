@@ -12,9 +12,11 @@ coordinate move tables, 5040 x 6 and 729 x 6, from `cube.coordinate_moves`,
 give the successor of any rank, and the abstractions are free: ori index
 = rank % 729, perm index = rank // 729.  Everything heavy is vectorized
 with numpy over those tables; per-rank loops read them as `rank_moves()`.
-A BFS depth pushes from the frontier or, once that outnumbers the nodes
-not reached, pulls: a node left takes the depth if a successor is one
-less, exact because the moves are closed under inverse.
+A BFS depth runs the cheapest of three levels: a push from the frontier,
+a pull over the nodes left (a node takes the depth if a successor is one
+less, exact because the moves are closed under inverse) or, when both are
+a large share of the space, a pull over the whole 5040 x 729 grid in
+memory order, one row and one column gather per move.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -27,7 +29,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -128,26 +130,80 @@ def _rank_successors(ranks: np.ndarray):
     return ((perm[:, mi] * N_ORI).take(p) + ori[:, mi].take(o) for mi in range(6))
 
 
-def _bfs_fill(dist: np.ndarray, expand, limit: int) -> None:
+# The cost of a push or pull per node it expands, over that of a whole-grid
+# level per rank it reads.  Measured in the first BFS of a fresh interpreter
+# (2-core Xeon VM): a grid level costs ~10 ns per rank, a push 100-150 ns per
+# frontier node, a pull 60-75 ns per node left.  Any ratio from 11 to 32
+# picks the same levels for the rank graph: push at depths 1-9, whole grid
+# at 10-12, pull at 13-15.
+_GRID_COST_RATIO = 12
+
+
+def _grid_gather(grid: np.ndarray, mi: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out[p, o] = grid[perm[p, mi], ori[o, mi]]`: a (5040, 729) grid of
+    per-rank values read at each rank's successor under move `mi`.
+
+    Rows into `rows`, then columns into `out` (both of grid's shape and
+    dtype): about 4x faster than one np.ix_ gather.  The indices are in
+    range; mode="clip" writes `out` in place, where "raise" buffers a copy.
+    """
+    perm, ori = move_tables()
+    np.take(grid, perm[:, mi], axis=0, out=rows, mode="clip")
+    return np.take(rows, ori[:, mi], axis=1, out=out, mode="clip")
+
+
+def _grid_level(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -> int:
+    """One BFS level over the whole rank grid: every rank of `dist` above
+    `limit` with a successor at depth - 1 takes `depth`.  Returns how many did.
+
+    `scratch` is four bool (5040, 729) grids, kept for the whole BFS: fresh
+    ones would fault their pages in again on every level.
+    """
+    grid = dist.reshape(N_PERM, N_ORI)
+    prev, rows, succ, hit = scratch
+    np.equal(grid, depth - 1, out=prev)
+    hit.fill(False)
+    for mi in range(6):
+        hit |= _grid_gather(prev, mi, rows, succ)
+    hit &= np.greater(grid, limit, out=prev)
+    # dist -= hit * (dist - depth), the gap in the spent row buffer; a
+    # boolean-mask store costs ~15x more
+    gap = np.subtract(grid, depth, out=rows.view(np.uint8))
+    gap *= hit
+    grid -= gap
+    return int(np.count_nonzero(hit))
+
+
+def _bfs_fill(dist: np.ndarray, expand, limit: int, grid_level=None) -> None:
     """Exact distances from index 0 up to `limit`, written into `dist` in
     place; an entry above `limit` reads as not reached.
 
     `expand(nodes)` gives the successors of every node, one array per
-    move, each move a bijection.  A depth pushes from the frontier: the
-    successors not yet reached get the depth, move by move, so they hold
-    no duplicates and are the next frontier as they stand.  Once the
-    frontier outnumbers the nodes not reached, a depth pulls instead:
-    every node not reached takes the depth if one of its successors is at
-    depth - 1.  That is sound because the moves are closed under inverse,
-    so a node's predecessors are its successors, and it checks 6 x the
-    nodes left rather than 6 x the frontier (Beamer et al., SC 2012).
+    move, each move a bijection.  A depth runs one of three levels:
+
+    - push: the successors of the frontier not yet reached get the depth,
+      move by move, so they hold no duplicates and are the next frontier;
+    - pull: every node not reached takes the depth if one of its
+      successors is at depth - 1, sound because the moves are closed
+      under inverse, so a node's predecessors are its successors (Beamer
+      et al., SC 2012);
+    - whole grid: `grid_level(dist, depth, limit)`, if given, the pull
+      over every node in memory order; it returns the count it reached.
+
+    Whole grid runs once the smaller of the frontier and the nodes left,
+    times _GRID_COST_RATIO, exceeds the node count; otherwise a depth
+    pulls when the frontier outnumbers the nodes left and pushes if not.
     """
     dist[0] = 0
-    frontier = np.zeros(1, dtype=np.int32)
+    frontier, size = np.zeros(1, dtype=np.int32), 1
     reached, depth, unreached = 1, 0, None
-    while frontier.size and depth < limit:
+    while size and depth < limit:
         depth += 1
-        if frontier.size > dist.size - reached:
+        left = dist.size - reached
+        if grid_level is not None and min(size, left) * _GRID_COST_RATIO > dist.size:
+            size = grid_level(dist, depth, limit)
+            frontier = unreached = None
+        elif size > left:
             if unreached is None:
                 unreached = np.flatnonzero(dist > limit).astype(np.int32)
             hit = np.zeros(unreached.size, dtype=bool)
@@ -155,27 +211,37 @@ def _bfs_fill(dist: np.ndarray, expand, limit: int) -> None:
                 hit |= dist.take(succ) == depth - 1
             frontier, unreached = unreached[hit], unreached[~hit]
             dist[frontier] = depth
+            size = frontier.size
         else:
+            if frontier is None:
+                frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
             found = []
             for succ in expand(frontier):
                 succ = succ[dist.take(succ) > limit]
                 dist[succ] = depth
                 found.append(succ)
-            frontier = np.concatenate(found)
-        reached += frontier.size
+            frontier, unreached = np.concatenate(found), None
+            size = frontier.size
+        reached += size
 
 
-def _bfs_distances(n: int, expand) -> np.ndarray:
+def _rank_grid_level():
+    """`_grid_level` with its scratch grids, for one BFS over the ranks.
+    np.empty maps them but touches no page until a grid level runs."""
+    return partial(_grid_level, scratch=np.empty((4, N_PERM, N_ORI), dtype=bool))
+
+
+def _bfs_distances(n: int, expand, grid_level=None) -> np.ndarray:
     """Exact distances from index 0 in a graph of `n` nodes; 0xFF = unreachable."""
     dist = np.full(n, 0xFF, dtype=np.uint8)
-    _bfs_fill(dist, expand, 0xFE)
+    _bfs_fill(dist, expand, 0xFE, grid_level)
     return dist
 
 
 def fill_ball(dist: np.ndarray, radius: int) -> None:
     """Exact distance of every rank within `radius` moves of solved, written
     into `dist` (one uint8 per rank, all above `radius`) in place."""
-    _bfs_fill(dist, _rank_successors, radius)
+    _bfs_fill(dist, _rank_successors, radius, _rank_grid_level())
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +282,17 @@ class DistanceTable:
         return self._buckets[depth]
 
     def save(self, path) -> None:
-        _write_table(path, KIND_FULL, self.dist.tobytes())
+        _write_table(path, KIND_FULL, self.dist)
 
     @classmethod
     def load(cls, path) -> "DistanceTable":
-        payload = _read_table(path, expect_kind=KIND_FULL)
-        return cls(np.frombuffer(payload, dtype=np.uint8).copy())
+        # read-only, over the file's bytes: no copy of the payload
+        return cls(np.frombuffer(_read_table(path, expect_kind=KIND_FULL), dtype=np.uint8))
 
 
 def build_distance_table() -> DistanceTable:
-    """BFS over the whole canonical space; under a second on one core."""
-    return DistanceTable(_bfs_distances(N_STATES, _rank_successors))
+    """BFS over the whole canonical space; about 0.15 s on one core."""
+    return DistanceTable(_bfs_distances(N_STATES, _rank_successors, _rank_grid_level()))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +321,8 @@ class PatternDB:
         return np.maximum(self.perm_db[:, None], self.ori_db, out=grid).reshape(N_STATES)
 
     def save(self, ori_path, perm_path) -> None:
-        _write_table(ori_path, KIND_ORI_PDB, self.ori_db.tobytes())
-        _write_table(perm_path, KIND_PERM_PDB, self.perm_db.tobytes())
+        _write_table(ori_path, KIND_ORI_PDB, self.ori_db)
+        _write_table(perm_path, KIND_PERM_PDB, self.perm_db)
 
     @classmethod
     def load(cls, ori_path, perm_path) -> "PatternDB":
@@ -288,14 +354,19 @@ def build_pattern_dbs() -> PatternDB:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _write_table(path, kind: int, payload: bytes) -> None:
+def _write_table(path, kind: int, payload) -> None:
+    """Header, `payload` (any bytes-like of one byte per entry) and its CRC,
+    each written to the file as it stands: no joined copy of the payload."""
     header = MAGIC + struct.pack("<I", VERSION) + bytes([METRIC_QTM, kind])
     header += struct.pack("<I", len(payload))
-    crc = struct.pack("<I", zlib.crc32(payload))
-    Path(path).write_bytes(header + payload + crc)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
-def _read_table(path, expect_kind: int | None = None) -> bytes:
+def _read_table(path, expect_kind: int | None = None) -> memoryview:
+    """The checked payload of a table file, a read-only view into the bytes read."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC):
         raise TruncatedFile(f"{path}: shorter than the magic string")
@@ -322,7 +393,7 @@ def _read_table(path, expect_kind: int | None = None) -> bytes:
         raise TruncatedFile(f"{path}: payload cut short")
     if len(blob) > start + count + 4:
         raise TableFormatError(f"{path}: trailing bytes after checksum")
-    payload = blob[start:start + count]
+    payload = memoryview(blob)[start:start + count]
     stored_crc, = struct.unpack_from("<I", blob, start + count)
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumMismatch(f"{path}: payload CRC mismatch")
@@ -354,14 +425,17 @@ def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str
 
 def successor_summary(table: DistanceTable) -> tuple[np.ndarray, list[int]]:
     """One gather per move, for the two checks below: nearest successor, largest gap."""
-    perm, ori = move_tables()
     grid = table.dist.reshape(N_PERM, N_ORI)
-    nearest, gaps = None, []
+    rows, succ = np.empty_like(grid), np.empty_like(grid)
+    nearest, gaps = np.full(N_STATES, 0xFF, dtype=np.uint8), []
     for mi in range(6):
-        # rows, then columns: about 4x faster than one np.ix_ gather
-        succ = grid.take(perm[:, mi], axis=0).take(ori[:, mi], axis=1).ravel()
-        gaps.append(int((np.maximum(succ, table.dist) - np.minimum(succ, table.dist)).max()))
-        nearest = succ if nearest is None else np.minimum(nearest, succ, out=nearest)
+        # the BFS's whole-grid gather, here over distances; then the gap in
+        # the spent buffers, as fresh 3.67 MB temporaries fault in each time
+        flat = _grid_gather(grid, mi, rows, succ).ravel()
+        np.minimum(nearest, flat, out=nearest)
+        gap = np.maximum(flat, table.dist, out=rows.ravel())
+        gap -= np.minimum(flat, table.dist, out=flat)
+        gaps.append(int(gap.max()))
     return nearest, gaps
 
 def check_neighbor_consistency(table: DistanceTable, summary=None) -> tuple[bool, str]:

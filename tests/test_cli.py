@@ -63,6 +63,16 @@ def understated_dir(table_dir, dist_table, tmp_path):
     return d
 
 
+@pytest.fixture()
+def no_fourteen_dir(table_dir, dist_table, tmp_path):
+    """Tables whose distance file says 13 for every depth-14 state, with a valid CRC."""
+    d = copy_tables(table_dir, tmp_path / "no_fourteen")
+    dist = dist_table.dist.copy()
+    dist[dist == 14] = 13
+    tables.DistanceTable(dist).save(d / cli.DIST_FILE)
+    return d
+
+
 class TestSolve:
     def test_single_turn(self, tdir, capsys):
         code, out, _ = run_cli(capsys, "--tables", tdir, "solve", "--scramble", "U")
@@ -332,6 +342,18 @@ class TestBadInputErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert cli.PERM_PDB_FILE in err
+
+    def test_scramble_from_an_empty_depth(self, no_fourteen_dir, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", str(no_fourteen_dir), "scramble",
+                                    "--distance", "14")
+        assert code == 1
+        assert err == "error: distance table has no states at distance 14\n"
+
+    def test_eval_on_an_empty_depth(self, no_fourteen_dir, tmp_path, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", str(no_fourteen_dir), "eval",
+                                    "--trials", "1", "--quiet", "--out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert err == "error: distance table has no states at distance 14\n"
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scramble", "R"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pocketcube import tables
+from pocketcube import solver, tables
 from pocketcube.cube import (
     CANONICAL_SOLVED,
     GENERALIZED_MOVES,
@@ -69,13 +69,35 @@ class TestBuild:
         dist[123] = 20
         assert DistanceTable(dist).histogram == tuple(int(n) for n in np.bincount(dist))
 
-    @pytest.mark.parametrize("k", [0, 1, 9, 11, 12, 13, 14])
+    @pytest.mark.parametrize("k", [0, 1, 9, 10, 11, 12, 13, 14])
     def test_fill_ball_is_the_table_clamped_to_the_radius(self, dist_table, k):
-        # a fill of k + 1, not 0xFF, stands for "not reached": radii 12 and up
-        # pull, and the pull must read any value above the radius that way
+        # a fill of k + 1, not 0xFF, stands for "not reached": radii 10 and up
+        # run whole-grid levels and 13 and up pull, and both must read any
+        # value above the radius that way
         ball = np.full(N_STATES, k + 1, dtype=np.uint8)
         tables.fill_ball(ball, k)
         assert np.array_equal(ball, np.where(dist_table.dist <= k, dist_table.dist, k + 1))
+
+    def test_full_build_runs_whole_grid_levels_at_depths_10_to_12(self, monkeypatch):
+        depths = []
+        grid_level = tables._grid_level
+
+        def counting(dist, depth, limit, scratch):
+            depths.append(depth)
+            return grid_level(dist, depth, limit, scratch)
+
+        monkeypatch.setattr(tables, "_grid_level", counting)
+        assert tables.build_distance_table().histogram == EXPECTED_HISTOGRAM
+        assert depths == [10, 11, 12]
+
+    def test_perimeter_ball_runs_no_whole_grid_level(self, monkeypatch):
+        # solve's set-up fills the perimeter with push levels only
+        calls = []
+        monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
+        ball = np.full(N_STATES, solver.PERIMETER + 1, dtype=np.uint8)
+        tables.fill_ball(ball, solver.PERIMETER)
+        assert calls == []
+        assert int(ball.max()) == solver.PERIMETER + 1
 
     def test_bfs_stops_and_leaves_an_unreachable_node_unreached(self):
         # node 0 swaps with each of 1..6, node 7 is fixed by every move:
