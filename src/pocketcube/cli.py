@@ -113,7 +113,7 @@ def cmd_build_tables(args) -> int:
     pdb = tables.build_pattern_dbs()
     table.save(out / DIST_FILE)
     pdb.save(out / ORI_PDB_FILE, out / PERM_PDB_FILE)
-    histogram = table.histogram  # one pass per depth over every state
+    histogram = table.histogram  # the BFS's level counts: no pass over the table
     print(f"states: {sum(histogram)}")
     print(f"max depth: {table.max_depth}")
     print("histogram:", " ".join(f"{d}:{n}" for d, n in enumerate(histogram)))

@@ -15,8 +15,12 @@ with numpy over those tables; per-rank loops read them as `rank_moves()`.
 A BFS depth runs the cheapest of three levels: a push from the frontier,
 a pull over the nodes left (a node takes the depth if a successor is one
 less, exact because the moves are closed under inverse) or, when both are
-a large share of the space, a pull over the whole 5040 x 729 grid in
-memory order, one row and one column gather per move.
+a large share of the space, a pull over the whole grid in memory order,
+one row and one column gather per move.  Every move flips the parity of
+a perm code's depth in the perm quotient (derived from the move table and
+checked), so a rank's depth parity is its perm code's: the 5040 perm rows
+split into two (2520, 729) half-grids, and a depth's grid level reads
+only the half of the previous depth's parity and writes only its own.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -29,7 +33,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -131,52 +135,105 @@ def _rank_successors(ranks: np.ndarray):
 
 
 # The cost of a push or pull per node it expands, over that of a whole-grid
-# level per rank it reads.  Measured in the first BFS of a fresh interpreter
-# (2-core Xeon VM): a grid level costs ~10 ns per rank, a push 100-150 ns per
-# frontier node, a pull 60-75 ns per node left.  Any ratio from 11 to 32
-# picks the same levels for the rank graph: push at depths 1-9, whole grid
-# at 10-12, pull at 13-15.
-_GRID_COST_RATIO = 12
+# level per rank of the whole grid.  Measured in the first BFS of a fresh
+# interpreter (2-core Xeon VM): a grid level, which reads one parity's half
+# of the grid and writes the other's, costs ~2.4 ns per rank of the whole
+# grid, a push 50-150 ns per frontier node, a pull ~60 ns per node left.
+# Any ratio from 11 to 32 picks the same levels for the rank graph: push
+# at depths 1-9, whole grid at 10-12, pull at 13-14 (no depth 15 runs once
+# every rank is reached).  A ratio of 40 also runs depth 9 whole grid,
+# which measured 1-2 ms slower.
+_GRID_COST_RATIO = 24
 
 
-def _grid_gather(grid: np.ndarray, mi: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`out[p, o] = grid[perm[p, mi], ori[o, mi]]`: a (5040, 729) grid of
-    per-rank values read at each rank's successor under move `mi`.
+def _colour_split(perm: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The perm codes split by the parity of their depth in the perm
+    quotient, and where each move takes them.
 
-    Rows into `rows`, then columns into `out` (both of grid's shape and
-    dtype): about 4x faster than one np.ix_ gather.  The indices are in
-    range; mode="clip" writes `out` in place, where "raise" buffers a copy.
+    Returns (rows, src): rows[c], the sorted codes of colour c, and
+    src[c][mi], the position inside rows[1 - c] of each code's successor
+    under move mi (intp).  Raises RuntimeError unless every move flips the
+    colour of every code: only then does a rank's depth parity equal its
+    perm code's colour, and a BFS level reads one colour and writes the other.
     """
-    perm, ori = move_tables()
-    np.take(grid, perm[:, mi], axis=0, out=rows, mode="clip")
-    return np.take(rows, ori[:, mi], axis=1, out=out, mode="clip")
+    colour = _bfs_distances(perm.shape[0], lambda codes: perm.T.take(codes, axis=1)) & 1
+    if (colour[perm] == colour[:, None]).any():
+        raise RuntimeError("a perm move keeps the parity of a code's depth")
+    rows = tuple(np.flatnonzero(colour == c) for c in (0, 1))
+    position = np.empty(perm.shape[0], dtype=np.intp)
+    for codes in rows:
+        position[codes] = np.arange(codes.size)
+    src = tuple(position.take(perm[codes].T) for codes in rows)
+    return rows, src
+
+
+@lru_cache(maxsize=1)
+def _rank_colours():
+    """`_colour_split` of the perm move table, built once per process."""
+    return _colour_split(move_tables()[0])
+
+
+def _grid_gather(grid: np.ndarray, perm_col: np.ndarray, ori_col: np.ndarray,
+                 rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out[i, o] = grid[perm_col[i], ori_col[o]]`: rows, then columns.
+
+    Rows into `rows`, then columns into `out` (both of out's shape and
+    grid's dtype): about 4x faster than one np.ix_ gather.  The indices are
+    in range; mode="clip" writes `out` in place, where "raise" buffers a copy.
+    """
+    np.take(grid, perm_col, axis=0, out=rows, mode="clip")
+    return np.take(rows, ori_col, axis=1, out=out, mode="clip")
+
+
+def _colour_rows(dist: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rank rows of perm codes `codes` in `dist`, as uint8 in bool `out`."""
+    return dist.reshape(N_PERM, N_ORI).take(codes, axis=0, out=out.view(np.uint8), mode="clip")
 
 
 def _grid_level(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -> int:
-    """One BFS level over the whole rank grid: every rank of `dist` above
-    `limit` with a successor at depth - 1 takes `depth`.  Returns how many did.
+    """One BFS level over the half of the rank grid that can take `depth`:
+    every rank of `dist` above `limit` with a successor at depth - 1 takes
+    `depth`.  Returns how many did.
 
-    `scratch` is four bool (5040, 729) grids, kept for the whole BFS: fresh
-    ones would fault their pages in again on every level.
+    A rank's depth parity is its perm code's colour (`_rank_colours`), so
+    the level reads only the rows of colour (depth - 1) % 2 and writes only
+    those of colour depth % 2.  `scratch` is four bool (2520, 729) grids,
+    kept for the whole BFS: fresh ones would fault their pages in again on
+    every level.
     """
-    grid = dist.reshape(N_PERM, N_ORI)
-    prev, rows, succ, hit = scratch
-    np.equal(grid, depth - 1, out=prev)
+    rows, src = _rank_colours()
+    ori = move_tables()[1]
+    prev, gathered, succ, hit = scratch
+    np.equal(_colour_rows(dist, rows[1 - depth % 2], prev), depth - 1, out=prev)
     hit.fill(False)
-    for mi in range(6):
-        hit |= _grid_gather(prev, mi, rows, succ)
-    hit &= np.greater(grid, limit, out=prev)
-    # dist -= hit * (dist - depth), the gap in the spent row buffer; a
+    for mi, perm_col in enumerate(src[depth % 2]):
+        hit |= _grid_gather(prev, perm_col, ori[:, mi], gathered, succ)
+    now = _colour_rows(dist, rows[depth % 2], gathered)
+    hit &= np.greater(now, limit, out=prev)
+    # now -= hit * (now - depth), the gap in the spent column buffer; a
     # boolean-mask store costs ~15x more
-    gap = np.subtract(grid, depth, out=rows.view(np.uint8))
+    gap = np.subtract(now, depth, out=succ.view(np.uint8))
     gap *= hit
-    grid -= gap
+    now -= gap
+    dist.reshape(N_PERM, N_ORI)[rows[depth % 2]] = now
     return int(np.count_nonzero(hit))
 
 
-def _bfs_fill(dist: np.ndarray, expand, limit: int, grid_level=None) -> None:
+def _grid_unreached(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -> np.ndarray:
+    """The ranks of `dist` above `limit` whose parity is that of `depth`,
+    sorted, as int32: the rows of one colour, scanned in `scratch`."""
+    codes = _rank_colours()[0][depth % 2]
+    found = np.flatnonzero(np.greater(_colour_rows(dist, codes, scratch[0]), limit,
+                                      out=scratch[1]))
+    # half-grid position i * 729 + o is rank codes[i] * 729 + o
+    shift = (codes - np.arange(codes.size)) * N_ORI
+    return (found + shift.take(found // N_ORI)).astype(np.int32)
+
+
+def _bfs_fill(dist: np.ndarray, expand, limit: int, grid: np.ndarray | None = None) -> list[int]:
     """Exact distances from index 0 up to `limit`, written into `dist` in
-    place; an entry above `limit` reads as not reached.
+    place; an entry above `limit` reads as not reached.  Returns the count
+    of nodes at each depth reached, from 0.
 
     `expand(nodes)` gives the successors of every node, one array per
     move, each move a bijection.  A depth runs one of three levels:
@@ -187,31 +244,38 @@ def _bfs_fill(dist: np.ndarray, expand, limit: int, grid_level=None) -> None:
       successors is at depth - 1, sound because the moves are closed
       under inverse, so a node's predecessors are its successors (Beamer
       et al., SC 2012);
-    - whole grid: `grid_level(dist, depth, limit)`, if given, the pull
-      over every node in memory order; it returns the count it reached.
+    - whole grid: `_grid_level`, the pull over every rank of the depth's
+      parity in memory order.
 
-    Whole grid runs once the smaller of the frontier and the nodes left,
-    times _GRID_COST_RATIO, exceeds the node count; otherwise a depth
-    pulls when the frontier outnumbers the nodes left and pushes if not.
+    `grid` is given only for the rank graph: the four half-grid scratch
+    buffers of `_grid_level`.  Then a depth runs whole grid once the
+    smaller of the frontier and the nodes left, times _GRID_COST_RATIO,
+    exceeds the node count, and a pull scans only the ranks of its depth's
+    parity (`_grid_unreached`), as every move flips a rank's parity.
+    Otherwise a depth pulls when the frontier outnumbers the nodes left and
+    pushes if not.
     """
     dist[0] = 0
-    frontier, size = np.zeros(1, dtype=np.int32), 1
+    frontier, counts = np.zeros(1, dtype=np.int32), [1]
     reached, depth, unreached = 1, 0, None
-    while size and depth < limit:
+    while counts[-1] and depth < limit and reached < dist.size:
         depth += 1
-        left = dist.size - reached
-        if grid_level is not None and min(size, left) * _GRID_COST_RATIO > dist.size:
-            size = grid_level(dist, depth, limit)
+        size, left = counts[-1], dist.size - reached
+        if grid is not None and min(size, left) * _GRID_COST_RATIO > dist.size:
+            size = _grid_level(dist, depth, limit, grid)
             frontier = unreached = None
         elif size > left:
             if unreached is None:
-                unreached = np.flatnonzero(dist > limit).astype(np.int32)
+                unreached = (np.flatnonzero(dist > limit).astype(np.int32) if grid is None
+                             else _grid_unreached(dist, depth, limit, grid))
             hit = np.zeros(unreached.size, dtype=bool)
             for succ in expand(unreached):
                 hit |= dist.take(succ) == depth - 1
-            frontier, unreached = unreached[hit], unreached[~hit]
+            frontier = unreached[hit]
             dist[frontier] = depth
             size = frontier.size
+            # on the rank grid the rest have this depth's parity, not the next's
+            unreached = unreached[~hit] if grid is None else None
         else:
             if frontier is None:
                 frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
@@ -223,25 +287,27 @@ def _bfs_fill(dist: np.ndarray, expand, limit: int, grid_level=None) -> None:
             frontier, unreached = np.concatenate(found), None
             size = frontier.size
         reached += size
+        counts.append(size)
+    return counts if counts[-1] else counts[:-1]
 
 
-def _rank_grid_level():
-    """`_grid_level` with its scratch grids, for one BFS over the ranks.
-    np.empty maps them but touches no page until a grid level runs."""
-    return partial(_grid_level, scratch=np.empty((4, N_PERM, N_ORI), dtype=bool))
+def _half_grids() -> np.ndarray:
+    """The scratch of `_grid_level` for one BFS over the ranks.  np.empty
+    maps it but touches no page until a grid level runs."""
+    return np.empty((4, N_PERM // 2, N_ORI), dtype=bool)
 
 
-def _bfs_distances(n: int, expand, grid_level=None) -> np.ndarray:
+def _bfs_distances(n: int, expand) -> np.ndarray:
     """Exact distances from index 0 in a graph of `n` nodes; 0xFF = unreachable."""
     dist = np.full(n, 0xFF, dtype=np.uint8)
-    _bfs_fill(dist, expand, 0xFE, grid_level)
+    _bfs_fill(dist, expand, 0xFE)
     return dist
 
 
 def fill_ball(dist: np.ndarray, radius: int) -> None:
     """Exact distance of every rank within `radius` moves of solved, written
     into `dist` (one uint8 per rank, all above `radius`) in place."""
-    _bfs_fill(dist, _rank_successors, radius, _rank_grid_level())
+    _bfs_fill(dist, _rank_successors, radius, _half_grids())
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +321,7 @@ class DistanceTable:
     dist: np.ndarray
     metric: str = "QTM"
     _buckets: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _histogram: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.dist = np.ascontiguousarray(self.dist, dtype=np.uint8)
@@ -263,9 +330,12 @@ class DistanceTable:
 
     @property
     def histogram(self) -> tuple[int, ...]:
-        """Count of each depth 0..max(14, max depth), without np.bincount's intp copy."""
-        return tuple(int(np.count_nonzero(self.dist == d))
-                     for d in range(max(14, self.max_depth) + 1))
+        """Count of each depth 0..max(14, max depth), counted on first use
+        without np.bincount's intp copy."""
+        if self._histogram is None:
+            self._histogram = tuple(int(np.count_nonzero(self.dist == d))
+                                    for d in range(max(14, self.max_depth) + 1))
+        return self._histogram
 
     @property
     def max_depth(self) -> int:
@@ -291,8 +361,13 @@ class DistanceTable:
 
 
 def build_distance_table() -> DistanceTable:
-    """BFS over the whole canonical space; about 0.15 s on one core."""
-    return DistanceTable(_bfs_distances(N_STATES, _rank_successors, _rank_grid_level()))
+    """BFS over the whole canonical space; about 0.05 s on one core.  The
+    table's histogram is the BFS's level counts once every rank is reached."""
+    dist = np.full(N_STATES, 0xFF, dtype=np.uint8)
+    counts = _bfs_fill(dist, _rank_successors, 0xFE, _half_grids())
+    if sum(counts) != N_STATES:
+        return DistanceTable(dist)
+    return DistanceTable(dist, _histogram=tuple(counts) + (0,) * (15 - len(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +480,9 @@ def _read_table(path, expect_kind: int | None = None) -> memoryview:
 # ---------------------------------------------------------------------------
 
 def check_state_count(table: DistanceTable) -> tuple[bool, str]:
-    hist = table.histogram
     reached = int(np.count_nonzero(table.dist != 0xFF))
-    ok = reached == N_STATES and sum(hist) == N_STATES and hist[0] == 1
-    return ok, f"{reached} states reached, depth-0 count {hist[0]}"
+    solved = int(np.count_nonzero(table.dist == 0))
+    return reached == N_STATES and solved == 1, f"{reached} states reached, depth-0 count {solved}"
 
 def check_diameter(table: DistanceTable) -> tuple[bool, str]:
     return table.max_depth == 14, f"max depth {table.max_depth}"
@@ -426,12 +500,13 @@ def check_admissibility(table: DistanceTable, pdb: PatternDB) -> tuple[bool, str
 def successor_summary(table: DistanceTable) -> tuple[np.ndarray, list[int]]:
     """One gather per move, for the two checks below: nearest successor, largest gap."""
     grid = table.dist.reshape(N_PERM, N_ORI)
+    perm, ori = move_tables()
     rows, succ = np.empty_like(grid), np.empty_like(grid)
     nearest, gaps = np.full(N_STATES, 0xFF, dtype=np.uint8), []
     for mi in range(6):
         # the BFS's whole-grid gather, here over distances; then the gap in
         # the spent buffers, as fresh 3.67 MB temporaries fault in each time
-        flat = _grid_gather(grid, mi, rows, succ).ravel()
+        flat = _grid_gather(grid, perm[:, mi], ori[:, mi], rows, succ).ravel()
         np.minimum(nearest, flat, out=nearest)
         gap = np.maximum(flat, table.dist, out=rows.ravel())
         gap -= np.minimum(flat, table.dist, out=flat)

@@ -91,13 +91,38 @@ class TestBuild:
         assert depths == [10, 11, 12]
 
     def test_perimeter_ball_runs_no_whole_grid_level(self, monkeypatch):
-        # solve's set-up fills the perimeter with push levels only
+        # solve's set-up fills the perimeter with push levels only, and so
+        # never derives the half-grid split either
         calls = []
         monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
+        tables._rank_colours.cache_clear()
         ball = np.full(N_STATES, solver.PERIMETER + 1, dtype=np.uint8)
         tables.fill_ball(ball, solver.PERIMETER)
         assert calls == []
+        assert tables._rank_colours.cache_info().currsize == 0
         assert int(ball.max()) == solver.PERIMETER + 1
+
+    def test_half_grid_split_is_the_corner_permutation_parity(self):
+        # every generalized move is a quarter turn, an odd permutation of
+        # the corners, so a perm code's colour is its permutation's parity
+        def parity(perm):
+            return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+
+        for m in GENERALIZED_MOVES:
+            assert parity(apply_generalized(CANONICAL_SOLVED, m).perm) == 1
+        rows, src = tables._rank_colours()
+        perm = move_tables()[0]
+        for c in (0, 1):
+            assert rows[c].size == tables.N_PERM // 2
+            assert {parity(unrank(int(code) * 729).perm) for code in rows[c]} == {c}
+            assert np.array_equal(rows[1 - c][src[c]], perm[rows[c]].T)
+
+    def test_perm_move_table_that_is_not_bipartite_raises(self):
+        # three codes on a cycle: code 0 is 1 move from both others, which
+        # are 1 move from each other
+        cycle = np.array([[1, 2] * 3, [2, 0] * 3, [0, 1] * 3], dtype=np.int32)
+        with pytest.raises(RuntimeError, match="parity"):
+            tables._colour_split(cycle)
 
     def test_bfs_stops_and_leaves_an_unreachable_node_unreached(self):
         # node 0 swaps with each of 1..6, node 7 is fixed by every move:
@@ -131,6 +156,18 @@ class TestDistance:
     def test_neighbor_consistency_exhaustive(self, dist_table):
         ok, detail = tables.check_neighbor_consistency(dist_table)
         assert ok, detail
+
+    @pytest.mark.parametrize("rank, value, detail", [
+        (70_000, 0xFF, "3674159 states reached, depth-0 count 1"),
+        (70_000, 0, "3674160 states reached, depth-0 count 2"),
+    ])
+    def test_state_count_fails_on_unreached_or_second_solved(self, dist_table, rank, value,
+                                                             detail):
+        dist = dist_table.dist.copy()
+        dist[rank] = value
+        assert tables.check_state_count(DistanceTable(dist)) == (False, detail)
+        assert tables.check_state_count(dist_table) == (
+            True, "3674160 states reached, depth-0 count 1")
 
     def test_one_gather_pass_feeds_both_checks(self, dist_table):
         # an antipode lowered from 14 to 10 is 3 away from every neighbour
