@@ -194,9 +194,9 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
-    def run(name, fn, *fn_args, **kw):
+    def run(name, fn, *fn_args):
         try:
-            ok, detail = fn(*fn_args, **kw)
+            ok, detail = fn(*fn_args)
         except Exception as err:  # a corrupt file must report, not crash
             ok, detail = False, f"{type(err).__name__}: {err}"
         checks.append((name, ok, detail))

@@ -47,7 +47,13 @@ space; each acts on the two coordinates independently.
 
 Moves use standard quarter-turn notation (U D R L F B, primes for
 counterclockwise); each is applied through a precomputed slot-permutation
-/ twist-delta table derived once, at import, from the face geometry.
+/ twist-delta table derived once, at import, from the face geometry in
+exact integer algebra.  A quarter turn about the outward face normal n is
+the matrix n n^T + s [n]x (Rodrigues' formula at 90 degrees; s = -1 for a
+plain move, +1 for a prime), the 24 whole-cube rotations are the signed
+permutation matrices of determinant +1, and each corner's twist axes are
+its three face normals in clockwise order, read off the signs of its
+position.
 reduce_move pairs each of the six anchored-layer moves (D L B and primes)
 with the generalized move that acts identically on canonical states; the
 pairing is derived at import from the solved state alone, and
@@ -57,7 +63,6 @@ check_move_reduction proves it for every canonical state.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -150,16 +155,13 @@ class Move(Enum):
 GENERALIZED_MOVES = (Move.U, Move.U_PRIME, Move.R, Move.R_PRIME,
                      Move.F, Move.F_PRIME)
 
-GeneralizedMove = Move  # alias; members restricted to GENERALIZED_MOVES
-
-MoveSeq = Sequence[Move]
-
 
 # ---------------------------------------------------------------------------
 # geometry: derive sticker enumeration and move tables from face vectors
 # ---------------------------------------------------------------------------
 
 _Vec = tuple[int, int, int]
+_Mat = tuple[_Vec, _Vec, _Vec]  # rows
 
 _FACE_NORMAL: dict[str, _Vec] = {
     "U": (0, 1, 0), "D": (0, -1, 0), "R": (1, 0, 0),
@@ -186,23 +188,7 @@ def _vscale(a: _Vec, s: int) -> _Vec:
     return (a[0] * s, a[1] * s, a[2] * s)
 
 
-def _rotation_matrix(axis: _Vec, degrees: float) -> tuple[_Vec, _Vec, _Vec]:
-    """Integer rotation matrix (rows) about `axis` by `degrees`, right-handed."""
-    n = math.sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
-    kx, ky, kz = (axis[0] / n, axis[1] / n, axis[2] / n)
-    t = math.radians(degrees)
-    c, s = math.cos(t), math.sin(t)
-    m = [
-        [c + kx * kx * (1 - c), kx * ky * (1 - c) - kz * s, kx * kz * (1 - c) + ky * s],
-        [ky * kx * (1 - c) + kz * s, c + ky * ky * (1 - c), ky * kz * (1 - c) - kx * s],
-        [kz * kx * (1 - c) - ky * s, kz * ky * (1 - c) + kx * s, c + kz * kz * (1 - c)],
-    ]
-    rows = tuple(tuple(round(x) for x in row) for row in m)
-    assert all(x in (-1, 0, 1) for row in rows for x in row)
-    return rows  # type: ignore[return-value]
-
-
-def _mat_vec(m: tuple[_Vec, _Vec, _Vec], v: _Vec) -> _Vec:
+def _mat_vec(m: _Mat, v: _Vec) -> _Vec:
     return (
         m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
         m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
@@ -210,10 +196,18 @@ def _mat_vec(m: tuple[_Vec, _Vec, _Vec], v: _Vec) -> _Vec:
     )
 
 
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)
+def _quarter_turn(n: _Vec, s: int) -> _Mat:
+    """Rotation by s * 90 degrees (s = +-1, right-handed) about the unit
+    vector n: Rodrigues' formula at cos 0, sin s, that is n n^T + s [n]x."""
+    x, y, z = n
+    return ((x * x, x * y - s * z, x * z + s * y),
+            (y * x + s * z, y * y, y * z - s * x),
+            (z * x - s * y, z * y + s * x, z * z))
+
+
+def _det(m: _Mat) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _corner_position(name: str) -> _Vec:
@@ -225,14 +219,14 @@ _SLOT_OF_POS = {p: i for i, p in enumerate(_CORNER_POS)}
 
 
 def _corner_axes(slot: int) -> tuple[_Vec, _Vec, _Vec]:
-    # a0 is the slot's U/D face normal; cw cycles the corner's three face
-    # normals one clockwise twist (viewed from outside the corner).
-    pos = _CORNER_POS[slot]
-    cw = _rotation_matrix(pos, -120.0)
-    a0: _Vec = (0, pos[1], 0)
-    a1 = _mat_vec(cw, a0)
-    a2 = _mat_vec(cw, a1)
-    return (a0, a1, a2)
+    # The corner's three face normals in clockwise order (viewed from outside
+    # the corner), starting from its U/D normal y.  x -> y -> z runs
+    # counterclockwise seen from (1, 1, 1), and each sign flip mirrors the
+    # order, so the clockwise order is y -> x -> z when the signs multiply to
+    # +1 and y -> z -> x otherwise.
+    px, py, pz = _CORNER_POS[slot]
+    x, y, z = (px, 0, 0), (0, py, 0), (0, 0, pz)
+    return (y, x, z) if px * py * pz > 0 else (y, z, x)
 
 
 _AXES: tuple[tuple[_Vec, _Vec, _Vec], ...] = tuple(_corner_axes(i) for i in range(8))
@@ -266,7 +260,7 @@ for _k in range(8):
 Transform = tuple[tuple[int, ...], tuple[int, ...]]  # (src slot, twist delta)
 
 
-def _transform_from_matrix(m, slots: Iterable[int]) -> Transform:
+def _transform_from_matrix(m: _Mat, slots: Iterable[int]) -> Transform:
     src = list(range(8))
     dori = [0] * 8
     for j in slots:
@@ -280,7 +274,7 @@ def _move_transform(move: Move) -> Transform:
     n = _FACE_NORMAL[move.face]
     # a quarter turn clockwise (viewed from outside the face) is -90 degrees
     # about the outward normal; a prime move is +90
-    m = _rotation_matrix(n, 90.0 if move.is_prime else -90.0)
+    m = _quarter_turn(n, 1 if move.is_prime else -1)
     layer = [i for i, p in enumerate(_CORNER_POS)
              if p[0] * n[0] + p[1] * n[1] + p[2] * n[2] == 1]
     return _transform_from_matrix(m, layer)
@@ -290,24 +284,12 @@ _MOVE_TABLE: dict[Move, Transform] = {mv: _move_transform(mv) for mv in Move}
 
 
 def _whole_cube_rotations() -> tuple[Transform, ...]:
-    gens = [_rotation_matrix(ax, deg)
-            for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for deg in (90.0, -90.0)]
-    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                q = _mat_mul(g, m)
-                if q not in seen:
-                    seen.add(q)
-                    order.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert len(order) == 24
-    return tuple(_transform_from_matrix(m, range(8)) for m in order)
+    # the cube's 24 rotations: the signed permutation matrices of det +1
+    mats = (tuple(tuple(sign if j == col else 0 for j in range(3))
+                  for sign, col in zip(signs, cols))
+            for cols in itertools.permutations(range(3))
+            for signs in itertools.product((1, -1), repeat=3))
+    return tuple(_transform_from_matrix(m, range(8)) for m in mats if _det(m) == 1)
 
 
 ROTATIONS: tuple[Transform, ...] = _whole_cube_rotations()
@@ -363,7 +345,6 @@ class CanonicalState(CubeletState):
 
 
 SOLVED = CubeletState(tuple(range(8)), (0,) * 8)
-CANONICAL_SOLVED = CanonicalState(tuple(range(8)), (0,) * 8)
 
 
 def _apply_transform(state: CubeletState, tr: Transform) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -379,18 +360,10 @@ def apply(state: CubeletState, move: Move) -> CubeletState:
     return CubeletState(perm, ori)
 
 
-def apply_seq(state: CubeletState, seq: MoveSeq) -> CubeletState:
+def apply_seq(state: CubeletState, seq: Sequence[Move]) -> CubeletState:
     for move in seq:
         state = apply(state, move)
     return state
-
-
-def apply_generalized(state: CanonicalState, move: GeneralizedMove) -> CanonicalState:
-    """Quotient action: a reduced-set move on a canonical state stays canonical."""
-    if move not in GENERALIZED_MOVES:
-        raise CubeError(f"{move.value} is not in the generalized move set")
-    perm, ori = _apply_transform(state, _MOVE_TABLE[move])
-    return CanonicalState(perm, ori)
 
 
 def canonicalize(state: CubeletState) -> CanonicalState:
@@ -401,7 +374,7 @@ def canonicalize(state: CubeletState) -> CanonicalState:
 
 
 def is_solved(state: CubeletState) -> bool:
-    return canonicalize(state) == CANONICAL_SOLVED
+    return canonicalize(state) == SOLVED
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +403,7 @@ def _reduced(move: Move) -> Move:
 _REDUCTION: dict[Move, Move] = {move: _reduced(move) for move in Move}
 
 
-def reduce_move(move: Move) -> GeneralizedMove:
+def reduce_move(move: Move) -> Move:
     """The generalized move equivalent to `move` on canonical states."""
     return _REDUCTION[move]
 
@@ -580,5 +553,5 @@ def parse_moves(text: str) -> list[Move]:
     return moves
 
 
-def format_moves(seq: MoveSeq) -> str:
+def format_moves(seq: Sequence[Move]) -> str:
     return " ".join(m.value for m in seq)

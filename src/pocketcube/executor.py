@@ -5,9 +5,9 @@ open-loop baseline.
 The two actuators are Bernoulli gates with configured success rates (the
 defaults are the measured rates of the trained hand policies, entering
 here purely as parameters).  On success the actuator lands inside its
-goal tolerance; on failure it lands in an explicitly invented, fully
-configurable failure distribution -- the underlying physics is out of
-scope, so failure shapes are modeling choices, not measurements.
+goal tolerance; on failure it lands in an explicitly invented failure
+distribution, fixed by the FAILURE_* constants -- the underlying physics
+is out of scope, so failure shapes are modeling choices, not measurements.
 
 Logical bookkeeping: the cube's logical state is its canonical rank and
 only changes when a top-layer twist commits.  A committed twist performs
@@ -71,6 +71,11 @@ _ANCHOR_FACES = frozenset("DLB")
 
 _TWIST_ROTATION = Quaternion.from_axis_angle(HAND_UP, math.pi / 2)
 
+# the invented failure shapes (modeling choices, not measurements)
+FAILURE_POS_RADIUS = 0.05  # m, uniform ball around the palm point
+FAILURE_ANGLE_LOW = -math.pi / 2  # residual twist angle range, rad
+FAILURE_ANGLE_HIGH = 0.0
+
 
 class ExecutionMode(Enum):
     ROLLBACK = "rollback"
@@ -86,19 +91,16 @@ class MoveOutcome(Enum):
 
 @dataclass
 class ActuationModel:
-    """Actuator success rates and failure-shape parameters.
+    """Actuator success rates.
 
     p_rot and p_op default to the measured success rates of the two
-    trained hand skills (95.2% re-pose, 92.3% twist).  Everything about
-    what a *failed* attempt looks like is invented and configurable.
+    trained hand skills (95.2% re-pose, 92.3% twist).  What a *failed*
+    attempt looks like is invented and fixed by the FAILURE_* constants.
     """
 
     p_rot: float = 0.952
     p_op: float = 0.923
     p_restore: float = 0.95
-    failure_pos_radius: float = 0.05   # m, uniform ball around the palm point
-    failure_angle_low: float = -math.pi / 2   # residual twist angle range
-    failure_angle_high: float = 0.0
 
     def __post_init__(self):
         for name in ("p_rot", "p_op", "p_restore"):
@@ -238,8 +240,8 @@ def _sample_pose_near(rng, goal: PoseGoal, delta_x: float, delta_q: float) -> Po
     return Pose(position, (wobble * goal.q_target).normalized())
 
 
-def _sample_failure_pose(rng, model: ActuationModel) -> Pose:
-    return Pose(_sample_in_ball(rng, PALM_CENTER, model.failure_pos_radius),
+def _sample_failure_pose(rng) -> Pose:
+    return Pose(_sample_in_ball(rng, PALM_CENTER, FAILURE_POS_RADIUS),
                 Quaternion.random_uniform(rng))
 
 
@@ -256,7 +258,7 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
     """
     success = rng.random() < model.p_rot
     cube.pose = (_sample_pose_near(rng, goal, delta_x, delta_q) if success
-                 else _sample_failure_pose(rng, model))
+                 else _sample_failure_pose(rng))
     return success
 
 
@@ -275,7 +277,7 @@ def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     if rng.random() < model.p_op:
         _commit_twist(cube)
         return True
-    residual = rng.uniform(model.failure_angle_low, model.failure_angle_high)
+    residual = rng.uniform(FAILURE_ANGLE_LOW, FAILURE_ANGLE_HIGH)
     if abs(residual - TWIST_TARGET) <= CHAMFER_TOLERANCE:
         _commit_twist(cube)  # slipped through to the next detent
     elif abs(residual) <= CHAMFER_TOLERANCE:
@@ -300,9 +302,9 @@ def attempt_restore(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     return False
 
 
-def randomize_pose(cube: PhysicalCube, model: ActuationModel, rng) -> None:
+def randomize_pose(cube: PhysicalCube, rng) -> None:
     """Shake the cube to a random pose to escape a bad re-pose basin."""
-    cube.pose = _sample_failure_pose(rng, model)
+    cube.pose = _sample_failure_pose(rng)
 
 
 def _pose_errors(cube: PhysicalCube, goal: PoseGoal) -> tuple[float, float]:
@@ -345,7 +347,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
         if attempt + 1 < rotates:
             if log.count >= budget:
                 return MoveOutcome.BUDGET_EXHAUSTED
-            randomize_pose(cube, model, rng)
+            randomize_pose(cube, rng)
             log.count += 1
             if trace:
                 log.record("randomize", True, cube, goal)

@@ -3,10 +3,9 @@ distance-table greedy oracle used to cross-check it.
 
 IDA*'s heuristic has two parts (perimeter search, Dillenburg & Nelson
 1994; BIDA*, Manzini 1995): the exact distance within PERIMETER moves of
-solved, from a breadth-first search of that ball, and max(pattern-database
-bound, PERIMETER + 1) beyond it, admissible because every state nearer
-than that lies in the ball.  Inside the ball the search follows an
-optimal path without branching.
+solved, from a breadth-first search of that ball, and PERIMETER + 1 beyond
+it, admissible because every state nearer than that lies in the ball.
+Inside the ball the search follows an optimal path without branching.
 
 Both planners operate on canonical ranks through the scalar coordinate
 move tables, `tables.rank_moves()` (a child's rank is the sum of a perm
@@ -56,15 +55,14 @@ class SolveResult:
 
 def search_heuristic(pdb: PatternDB) -> bytearray:
     """IDA*'s heuristic, one byte per rank, built on first use and cached
-    on `pdb`.  One buffer is filled in place, with no second full-size
-    array: first the pattern-database bound clamped to PERIMETER + 1, then
-    the exact distances of the ball, which read those values as not reached.
+    on `pdb`.  One buffer is filled in place: PERIMETER + 1 everywhere,
+    then the exact distances of the ball, which read that value as not
+    reached.  No pattern-database bound exceeds PERIMETER + 1 (the largest
+    is 8), so taking their max would change no byte.
     """
     if pdb.ida_heuristic is None:
-        h = bytearray(N_STATES)
-        dense = pdb.dense_heuristic(out=np.frombuffer(h, dtype=np.uint8))
-        np.maximum(dense, PERIMETER + 1, out=dense)
-        fill_ball(dense, PERIMETER)
+        h = bytearray([PERIMETER + 1]) * N_STATES
+        fill_ball(np.frombuffer(h, dtype=np.uint8), PERIMETER)
         pdb.ida_heuristic = h
     return pdb.ida_heuristic
 

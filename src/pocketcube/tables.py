@@ -389,11 +389,9 @@ class PatternDB:
         if self.ori_db.shape != (N_ORI,) or self.perm_db.shape != (N_PERM,):
             raise ValueError("pattern database has wrong shape")
 
-    def dense_heuristic(self, out: np.ndarray | None = None) -> np.ndarray:
-        """max(ori, perm) over all ranks, one byte per state, written into
-        `out` (N_STATES uint8) if given."""
-        grid = None if out is None else out.reshape(N_PERM, N_ORI)
-        return np.maximum(self.perm_db[:, None], self.ori_db, out=grid).reshape(N_STATES)
+    def dense_heuristic(self) -> np.ndarray:
+        """max(ori, perm) over all ranks, one byte per state."""
+        return np.maximum(self.perm_db[:, None], self.ori_db).reshape(N_STATES)
 
     def save(self, ori_path, perm_path) -> None:
         _write_table(ori_path, KIND_ORI_PDB, self.ori_db)

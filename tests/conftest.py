@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from pocketcube.cube import CanonicalState, apply
 from pocketcube.tables import build_distance_table, build_pattern_dbs
 
 # Every property test draws the same examples on every run, and none are
@@ -8,6 +9,13 @@ from pocketcube.tables import build_distance_table, build_pattern_dbs
 settings.register_profile("pocketcube", max_examples=300, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("pocketcube")
+
+
+def apply_generalized(state, move) -> CanonicalState:
+    """`move` applied to a canonical state; raises CubeError unless the
+    result is canonical too, as it is for the six generalized moves."""
+    moved = apply(state, move)
+    return CanonicalState(moved.perm, moved.ori)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from pocketcube.cube import (
     N_STATES,
     Move,
     apply,
-    apply_generalized,
     apply_seq,
     canonicalize,
     is_solved,
@@ -41,6 +40,8 @@ from pocketcube.executor import (
     execute_episode,
 )
 from pocketcube.solver import ida_star, oracle_solve
+
+from conftest import apply_generalized
 
 P_ROT = 0.952   # measured re-pose success rate, used as a parameter
 P_OP = 0.923    # measured twist success rate, used as a parameter

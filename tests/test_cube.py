@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pocketcube import cube
 from pocketcube.cube import (
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
     ROTATIONS,
@@ -20,7 +19,6 @@ from pocketcube.cube import (
     Move,
     ParseError,
     apply,
-    apply_generalized,
     apply_seq,
     canonicalize,
     facelets_to_string,
@@ -35,6 +33,8 @@ from pocketcube.cube import (
     to_facelets,
     unrank,
 )
+
+from conftest import apply_generalized
 
 # Sticker pictures of one U and one R turn applied to the solved cube,
 # traced by hand on the unfolded layout (independent of the move tables).
@@ -69,6 +69,42 @@ def rotate_state(state, rotation) -> CubeletState:
 
 def inverse_seq(seq):
     return [m.inverse for m in reversed(seq)]
+
+
+class TestGeometry:
+    """The exact integer constructions behind the move and rotation tables."""
+
+    def test_quarter_turns_are_proper_rotations_about_their_face(self):
+        for n in cube._FACE_NORMAL.values():
+            for s in (1, -1):
+                m = np.array(cube._quarter_turn(n, s))
+                assert np.cross(m[0], m[1]) @ m[2] == 1  # determinant +1
+                assert tuple(m @ n) == n
+                assert np.array_equal(np.linalg.matrix_power(m, 4), np.eye(3))
+
+    def test_rotations_form_a_group(self):
+        identity = (tuple(range(8)), (0,) * 8)
+        rotations = set(ROTATIONS)
+        assert len(rotations) == 24 and identity in rotations
+        for a in ROTATIONS:
+            for b in ROTATIONS:
+                ab = rotate_state(rotate_state(SOLVED, a), b)
+                assert (ab.perm, ab.ori) in rotations
+
+    def test_opposite_layers_turned_together_are_rotations(self):
+        for seq in ([Move.U, Move.D_PRIME], [Move.R, Move.L_PRIME], [Move.F, Move.B_PRIME]):
+            s = apply_seq(SOLVED, seq)
+            assert (s.perm, s.ori) in set(ROTATIONS)
+
+    def test_corner_axes_are_its_face_normals_clockwise(self):
+        for slot, name in enumerate(cube.CORNER_NAMES):
+            axes = cube._AXES[slot]
+            pos = cube._CORNER_POS[slot]
+            assert set(axes) == {cube._FACE_NORMAL[f] for f in name}
+            assert axes[0] == cube._FACE_NORMAL[name[0]]  # the U/D normal
+            # clockwise seen from outside the corner
+            for i in range(3):
+                assert np.cross(axes[i], axes[(i + 1) % 3]) @ pos == -1
 
 
 class TestApply:
@@ -114,10 +150,6 @@ class TestApply:
                 t = apply_generalized(s, m)
                 assert t.perm[7] == 7 and t.ori[7] == 0
 
-    def test_apply_generalized_rejects_excluded_moves(self):
-        with pytest.raises(CubeError):
-            apply_generalized(CANONICAL_SOLVED, Move.D)
-
 
 class TestApplySeq:
     def test_empty_is_identity(self):
@@ -138,7 +170,7 @@ class TestApplySeq:
 
 class TestCanonicalize:
     def test_solved_is_rank_zero(self):
-        assert canonicalize(SOLVED) == CANONICAL_SOLVED
+        assert canonicalize(SOLVED) == SOLVED
         assert canonicalize(SOLVED).rank == 0
 
     def test_idempotent(self):
@@ -197,8 +229,8 @@ class TestReduceMove:
 
 class TestRank:
     def test_solved_ranks_zero(self):
-        assert rank(CANONICAL_SOLVED) == 0
-        assert unrank(0) == CANONICAL_SOLVED
+        assert rank(SOLVED) == 0
+        assert unrank(0) == SOLVED
 
     def test_boundary_roundtrip(self):
         assert unrank(N_STATES - 1).rank == N_STATES - 1
@@ -316,8 +348,9 @@ class TestStateValidation:
             CanonicalState((7, 1, 2, 3, 4, 5, 6, 0), (0,) * 8)
 
     def test_cross_class_equality(self):
-        assert CANONICAL_SOLVED == SOLVED
-        assert hash(CANONICAL_SOLVED) == hash(SOLVED)
+        canonical = CanonicalState(SOLVED.perm, SOLVED.ori)
+        assert canonical == SOLVED
+        assert hash(canonical) == hash(SOLVED)
 
 
 def _raw_state(perm, twists):

@@ -7,10 +7,9 @@ from scipy import stats
 
 from pocketcube.actions import compile_moves
 from pocketcube.cube import (
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
-    apply_generalized,
+    SOLVED,
     unrank,
 )
 from pocketcube import evaluate
@@ -24,6 +23,8 @@ from pocketcube.evaluate import (
 )
 from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
 from pocketcube.solver import oracle_descent, oracle_solve
+
+from conftest import apply_generalized
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -41,7 +42,7 @@ class TestSampling:
                 assert dist_table.distance(unrank(r)) == d
 
     def test_distance_one_bucket_is_the_six_neighbors(self, dist_table):
-        neighbors = {apply_generalized(CANONICAL_SOLVED, m).rank
+        neighbors = {apply_generalized(SOLVED, m).rank
                      for m in GENERALIZED_MOVES}
         assert set(int(r) for r in dist_table.bucket(1)) == neighbors
 

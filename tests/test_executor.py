@@ -15,12 +15,11 @@ from pocketcube.actions import (
     pose_goal_reached,
 )
 from pocketcube.cube import (
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
+    SOLVED,
     Move,
     apply,
-    apply_generalized,
     apply_seq,
     canonicalize,
     is_solved,
@@ -43,6 +42,8 @@ from pocketcube.executor import (
     up_face,
 )
 from pocketcube.solver import oracle_solve
+
+from conftest import apply_generalized
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -132,7 +133,7 @@ class TestAttemptTwist:
             cube = PhysicalCube.at_rest(0)
             cube.pose = cube.pose.__class__((0.0, 0.0, 0.0), goal_orientation(m))
             assert attempt_twist(cube, PERFECT, rng)
-            assert cube.logical == apply_generalized(CANONICAL_SOLVED, prime).rank
+            assert cube.logical == apply_generalized(SOLVED, prime).rank
             assert cube.layer_misalignment == 0.0
 
     @pytest.mark.parametrize("face", "UDRLFB")
@@ -225,7 +226,7 @@ class TestMoveRollback:
             rng = np.random.default_rng(61)
             outcome = execute_move_rollback(cube, step(m), PERFECT, cfg, rng)
             assert outcome is MoveOutcome.COMPLETED
-            assert cube.logical == apply_generalized(CANONICAL_SOLVED, m).rank
+            assert cube.logical == apply_generalized(SOLVED, m).rank
 
     def test_rotate_dead_never_completes(self):
         model = ActuationModel(p_rot=0.0)
@@ -384,7 +385,7 @@ class TestEpisode:
     def test_move_counts_once_an_action_ran(self):
         # the first prime move uses the whole budget of 2; the second never starts
         plan = [Move.U_PRIME, Move.R_PRIME]
-        s = canonicalize(apply_seq(CANONICAL_SOLVED, [m.inverse for m in reversed(plan)]))
+        s = canonicalize(apply_seq(SOLVED, [m.inverse for m in reversed(plan)]))
         for mode in ExecutionMode:
             rep = execute_episode(s.rank, mode, lambda _: plan, PERFECT,
                                   ExecutorConfig(action_budget=2), np.random.default_rng(80))

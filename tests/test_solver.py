@@ -4,12 +4,10 @@ import numpy as np
 
 from pocketcube.cube import (
     ANCHOR,
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
     SOLVED,
     Move,
-    apply_generalized,
     apply_seq,
     canonicalize,
     format_moves,
@@ -18,6 +16,8 @@ from pocketcube.cube import (
     unrank,
 )
 from pocketcube.solver import PERIMETER, ida_star, oracle_descent, oracle_solve, search_heuristic
+
+from conftest import apply_generalized
 
 # sha256 of IDA*'s solutions to the first 100 random_canonical draws of
 # default_rng(0), one format_moves line each, as first computed: at its
@@ -28,14 +28,14 @@ REFERENCE_SOLUTIONS_SHA256 = "264bd7683a39c50c285dec2c2eed0ec96a5957ba2078472836
 
 class TestIdaStar:
     def test_solved_needs_nothing(self, pdb):
-        res = ida_star(CANONICAL_SOLVED, pdb)
+        res = ida_star(SOLVED, pdb)
         assert res.solution == []
         assert res.iterations == 0
         assert res.nodes_expanded == 0
 
     def test_distance_one_states(self, pdb):
         for m in GENERALIZED_MOVES:
-            state = apply_generalized(CANONICAL_SOLVED, m)
+            state = apply_generalized(SOLVED, m)
             res = ida_star(state, pdb)
             assert res.solution == [m.inverse]
 
@@ -107,11 +107,11 @@ class TestSearchHeuristic:
 
 class TestOracle:
     def test_solved(self, dist_table):
-        assert oracle_solve(CANONICAL_SOLVED, dist_table) == []
+        assert oracle_solve(SOLVED, dist_table) == []
 
     def test_distance_one(self, dist_table):
         for m in GENERALIZED_MOVES:
-            state = apply_generalized(CANONICAL_SOLVED, m)
+            state = apply_generalized(SOLVED, m)
             sol = oracle_solve(state, dist_table)
             assert sol == [m.inverse]
 

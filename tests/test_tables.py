@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from pocketcube import solver, tables
 from pocketcube.cube import (
-    CANONICAL_SOLVED,
     GENERALIZED_MOVES,
     N_STATES,
     SOLVED,
     Move,
     apply,
-    apply_generalized,
     apply_seq,
     canonicalize,
     rank,
@@ -31,6 +29,8 @@ from pocketcube.tables import (
     TruncatedFile,
     move_tables,
 )
+
+from conftest import apply_generalized
 
 # Depth histogram of the quarter-turn metric, pinned after the first
 # verified exhaustive build as a regression artifact.
@@ -109,7 +109,7 @@ class TestBuild:
             return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
 
         for m in GENERALIZED_MOVES:
-            assert parity(apply_generalized(CANONICAL_SOLVED, m).perm) == 1
+            assert parity(apply_generalized(SOLVED, m).perm) == 1
         rows, src = tables._rank_colours()
         perm = move_tables()[0]
         for c in (0, 1):
@@ -136,7 +136,7 @@ class TestBuild:
 
 class TestDistance:
     def test_solved_is_zero(self, dist_table):
-        assert dist_table.distance(CANONICAL_SOLVED) == 0
+        assert dist_table.distance(SOLVED) == 0
 
     def test_one_turn_is_one(self, dist_table):
         assert dist_table.distance(apply(SOLVED, Move.U)) == 1
@@ -145,8 +145,8 @@ class TestDistance:
         # enumeration oracle: the state is neither solved nor any of the
         # six one-move states, and two moves reach it by construction
         state = canonicalize(apply_seq(SOLVED, [Move.U, Move.R]))
-        depth_le_1 = {CANONICAL_SOLVED}
-        depth_le_1 |= {apply_generalized(CANONICAL_SOLVED, m) for m in GENERALIZED_MOVES}
+        depth_le_1 = {SOLVED}
+        depth_le_1 |= {apply_generalized(SOLVED, m) for m in GENERALIZED_MOVES}
         assert state not in depth_le_1
         assert dist_table.distance(state) == 2
 
