@@ -3,9 +3,14 @@ distance-table greedy oracle used to cross-check it.
 
 IDA*'s heuristic has two parts (perimeter search, Dillenburg & Nelson
 1994; BIDA*, Manzini 1995): the exact distance within PERIMETER moves of
-solved, from a breadth-first search of that ball, and PERIMETER + 1 beyond
-it, admissible because every state nearer than that lies in the ball.
-Inside the ball the search follows an optimal path without branching.
+solved, from a breadth-first search of that ball, and beyond it the least
+value above PERIMETER with the parity of the state's distance.  Every
+generalized move flips the parity of the perm code's depth in the perm
+quotient, so a rank's distance has the parity of its perm pattern-database
+entry; every state nearer than PERIMETER + 1 lies in the ball, so the
+bound is admissible.  It is also consistent, changing by exactly 1 along
+every move, so IDA*'s bounds step by 2.  Inside the ball the search
+follows an optimal path without branching.
 
 Both planners operate on canonical ranks through the scalar coordinate
 move tables, `tables.rank_moves()` (a child's rank is the sum of a perm
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import GENERALIZED_MOVES, N_STATES, CanonicalState, CubeletState, Move, canonicalize
+from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState, Move,
+                   canonicalize)
 from .tables import N_ORI, DistanceTable, InconsistentTable, PatternDB, fill_ball, rank_moves
 
 MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
@@ -55,14 +61,18 @@ class SolveResult:
 
 def search_heuristic(pdb: PatternDB) -> bytearray:
     """IDA*'s heuristic, one byte per rank, built on first use and cached
-    on `pdb`.  One buffer is filled in place: PERIMETER + 1 everywhere,
-    then the exact distances of the ball, which read that value as not
-    reached.  No pattern-database bound exceeds PERIMETER + 1 (the largest
-    is 8), so taking their max would change no byte.
+    on `pdb`.  One buffer is filled in place: each perm code's row of 729
+    ranks gets the least value above PERIMETER with the parity of
+    `pdb.perm_db`'s entry, the parity of every distance in the row; then
+    `fill_ball` writes the exact distances of the ball, reading every value
+    above PERIMETER as not reached.  Both parts need no whole-grid BFS
+    level, so the half-grid split is never built.
     """
     if pdb.ida_heuristic is None:
-        h = bytearray([PERIMETER + 1]) * N_STATES
-        fill_ball(np.frombuffer(h, dtype=np.uint8), PERIMETER)
+        h = bytearray(N_STATES)
+        grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
+        grid[:] = (PERIMETER + 1 + ((pdb.perm_db + PERIMETER + 1) & 1))[:, None]
+        fill_ball(grid.reshape(N_STATES), PERIMETER)
         pdb.ida_heuristic = h
     return pdb.ida_heuristic
 
@@ -77,7 +87,9 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
 
     Iterative deepening with bound = g + `search_heuristic(pdb)`; branches
     whose bound exceeds the current iteration limit are pruned, as are
-    immediate undo moves and triple repeats of one move.
+    immediate undo moves and triple repeats of one move.  `pdb` supplies
+    the heuristic's parity beyond the perimeter (its perm distances) and
+    holds the heuristic's cache.
     """
     root = _root(state)
     if root == 0:

@@ -5,6 +5,8 @@ import numpy as np
 from pocketcube.cube import (
     ANCHOR,
     GENERALIZED_MOVES,
+    N_ORI,
+    N_PERM,
     N_STATES,
     SOLVED,
     Move,
@@ -16,6 +18,7 @@ from pocketcube.cube import (
     unrank,
 )
 from pocketcube.solver import PERIMETER, ida_star, oracle_descent, oracle_solve, search_heuristic
+from pocketcube.tables import DistanceTable, move_tables, successor_summary
 
 from conftest import apply_generalized
 
@@ -56,16 +59,18 @@ class TestIdaStar:
         assert a.iterations == b.iterations
 
     def test_monotone_deepening(self, dist_table, pdb):
-        # first bound is the solver's h(root); bounds strictly increase up to the
-        # exact distance (they may step by more than one: the quarter-turn
-        # graph is bipartite, so no path can realize every f value)
+        # first bound is the solver's h(root), with the parity of the root's
+        # distance; bounds step by exactly 2 up to the exact distance, since
+        # along every move g grows by 1 and h changes by exactly 1
         rng = np.random.default_rng(32)
         for _ in range(50):
             s = random_canonical(rng)
             res = ida_star(s, pdb)
+            dist = dist_table.distance(s)
             assert res.bounds[0] == search_heuristic(pdb)[s.rank]
-            assert list(res.bounds) == sorted(set(res.bounds))
-            assert res.bounds[-1] == dist_table.distance(s)
+            assert res.bounds[0] % 2 == dist % 2
+            assert all(b - a == 2 for a, b in zip(res.bounds, res.bounds[1:]))
+            assert res.bounds[-1] == dist
             assert res.iterations == len(res.bounds)
 
     def test_antipode_solves_at_14(self, dist_table, pdb):
@@ -81,14 +86,24 @@ class TestIdaStar:
 
 
 class TestSearchHeuristic:
-    def test_exact_in_perimeter_pdb_bound_beyond(self, dist_table, pdb):
+    def test_exact_in_perimeter_parity_bound_beyond(self, dist_table, pdb):
         h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
         dist = dist_table.dist
         inside = dist <= PERIMETER
         assert np.all(h <= dist)
         assert np.array_equal(h[inside], dist[inside])
-        assert np.array_equal(h[~inside],
-                              np.maximum(pdb.dense_heuristic()[~inside], PERIMETER + 1))
+        beyond = dist[~inside]
+        assert np.array_equal(h[~inside], PERIMETER + 1 + ((beyond - PERIMETER - 1) & 1))
+        assert np.array_equal(h % 2, dist % 2)
+
+    def test_consistent_one_per_move(self, pdb):
+        # every move changes h by at most 1, and by an odd amount: h's parity
+        # is its perm code's, which every move flips; so by exactly 1
+        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        assert successor_summary(DistanceTable(h))[1] == [1] * 6
+        colour = pdb.perm_db % 2
+        assert np.all(h.reshape(N_PERM, N_ORI) % 2 == colour[:, None])
+        assert np.all(colour[move_tables()[0]] != colour[:, None])
 
     def test_cached_per_pattern_db(self, pdb):
         assert search_heuristic(pdb) is search_heuristic(pdb)

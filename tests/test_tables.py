@@ -102,6 +102,19 @@ class TestBuild:
         assert tables._rank_colours.cache_info().currsize == 0
         assert int(ball.max()) == solver.PERIMETER + 1
 
+    def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
+        # solve's set-up, IDA*'s heuristic on a fresh PatternDB, takes its
+        # parity from the perm PDB: it builds neither the half-grid split
+        # nor the 7.3 MB of scratch a whole-grid level needs
+        calls = []
+        monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
+        tables._rank_colours.cache_clear()
+        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
+        assert fresh.ida_heuristic is None
+        solver.search_heuristic(fresh)
+        assert calls == []
+        assert tables._rank_colours.cache_info().currsize == 0
+
     def test_half_grid_split_is_the_corner_permutation_parity(self):
         # every generalized move is a quarter turn, an odd permutation of
         # the corners, so a perm code's colour is its permutation's parity
