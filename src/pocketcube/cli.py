@@ -43,6 +43,16 @@ DIST_FILE = "distance_qtm.bin"
 ORI_PDB_FILE = "pdb_ori.bin"
 PERM_PDB_FILE = "pdb_perm.bin"
 
+# the most states `scramble --count` and `eval --trials` draw per distance
+MAX_DRAWS = 1_000_000
+
+
+def _check_draws(flag: str, n: int) -> None:
+    """Ends the command as 'error: ...' unless 1 <= n <= MAX_DRAWS: checked
+    before any table is read or any draw allocated."""
+    if not 1 <= n <= MAX_DRAWS:
+        raise SystemExit(f"error: {flag} must be in 1..{MAX_DRAWS}")
+
 
 def _table_dir(args) -> Path:
     if args.tables:
@@ -136,8 +146,7 @@ def cmd_solve(args) -> int:
 def cmd_scramble(args) -> int:
     if not 1 <= args.distance <= 14:
         raise SystemExit("error: --distance must be in 1..14")
-    if args.count < 1:
-        raise SystemExit("error: --count must be >= 1")
+    _check_draws("--count", args.count)
     table = _load_distance_table(args)
     rng = np.random.default_rng(args.seed)
     for r in evaluate.sample_at_distance(args.distance, args.count, table, rng):
@@ -167,8 +176,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.trials < 1:
-        raise SystemExit("error: --trials must be >= 1")
+    _check_draws("--trials", args.trials)
     table = _load_distance_table(args)
     if args.modes == "both":
         modes = (ExecutionMode.ROLLBACK, ExecutionMode.OPEN_LOOP)

@@ -1,12 +1,13 @@
 """Scramble sampling by exact move distance and the SR/AN experiment.
 
-Scrambles are drawn uniformly, with replacement, from the distance
-table's depth buckets, so every sample sits at its exact advertised
-distance.  The experiment runs a block of episodes per (distance, mode),
-aggregates success rate and action-number statistics, and writes one CSV
-row per cell.  All randomness is derived from the master seed, episode
-by episode, so a repeated run reproduces the CSV byte for byte (within
-one build; cross-build PRNG stability is not promised).
+Scrambles are drawn uniformly, with replacement, from the states at one
+depth of the distance table, through its per-row rank/select directory, so
+every sample sits at its exact advertised distance.  The experiment runs
+a block of episodes per (distance, mode), aggregates success rate and
+action-number statistics, and writes one CSV row per cell.  All
+randomness is derived from the master seed, episode by episode, so a
+repeated run reproduces the CSV byte for byte (within one build;
+cross-build PRNG stability is not promised).
 """
 
 from __future__ import annotations
@@ -78,18 +79,20 @@ class ExperimentResult:
 
 
 def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list[int]:
-    """Ranks of n states drawn uniformly with replacement from the exact-depth bucket.
+    """Ranks of n states drawn uniformly with replacement from those at
+    exactly `distance`: n picks k in 0..count - 1, each mapped to the k-th
+    smallest such rank by the table's rank/select directory.
 
-    A distance outside 1..14 raises ValueError; an empty bucket, which only
-    a table with wrong content can have, raises InconsistentTable.
+    A distance outside 1..14 raises ValueError; a depth with no state, which
+    only a table with wrong content can have, raises InconsistentTable.
     """
     if not MIN_DISTANCE <= distance <= MAX_DISTANCE:
         raise ValueError(f"distance {distance} outside 1..14")
-    bucket = table.bucket(distance)
-    if bucket.size == 0:
+    count = table.count_at(distance)
+    if count == 0:
         raise InconsistentTable(f"distance table has no states at distance {distance}")
-    picks = rng.integers(0, bucket.size, size=n)
-    return bucket[picks].tolist()
+    picks = rng.integers(0, count, size=n)
+    return table.select_at(distance, picks).tolist()
 
 
 def oracle_planner(table: DistanceTable) -> Planner:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,6 +17,11 @@ def apply_generalized(state, move) -> CanonicalState:
     result is canonical too, as it is for the six generalized moves."""
     moved = apply(state, move)
     return CanonicalState(moved.perm, moved.ori)
+
+
+def bucket(table, depth: int) -> np.ndarray:
+    """Sorted ranks of every state at exactly `depth` moves in `table`."""
+    return np.flatnonzero(table.dist == depth)
 
 
 @pytest.fixture(scope="session")

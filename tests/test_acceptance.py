@@ -41,7 +41,7 @@ from pocketcube.executor import (
 )
 from pocketcube.solver import ida_star, oracle_solve
 
-from conftest import apply_generalized
+from conftest import apply_generalized, bucket
 
 P_ROT = 0.952   # measured re-pose success rate, used as a parameter
 P_OP = 0.923    # measured twist success rate, used as a parameter
@@ -70,12 +70,12 @@ def test_c03_solver_optimality(dist_table, pdb):
     rng = np.random.default_rng(103)
     ranks = [int(r) for r in rng.integers(0, N_STATES, size=1000)]
     for d in (1, 2, 13, 14):
-        bucket = dist_table.bucket(d)
-        if bucket.size > 1000:
-            picks = np.linspace(0, bucket.size - 1, 1000).astype(np.int64)
-            ranks.extend(int(bucket[i]) for i in picks)
+        at_d = bucket(dist_table, d)
+        if at_d.size > 1000:
+            picks = np.linspace(0, at_d.size - 1, 1000).astype(np.int64)
+            ranks.extend(int(at_d[i]) for i in picks)
         else:
-            ranks.extend(int(r) for r in bucket)
+            ranks.extend(int(r) for r in at_d)
     for r in ranks:
         state = unrank(r)
         res = ida_star(state, pdb)

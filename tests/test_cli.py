@@ -63,14 +63,24 @@ def understated_dir(table_dir, dist_table, tmp_path):
     return d
 
 
-@pytest.fixture()
-def no_fourteen_dir(table_dir, dist_table, tmp_path):
-    """Tables whose distance file says 13 for every depth-14 state, with a valid CRC."""
-    d = copy_tables(table_dir, tmp_path / "no_fourteen")
+def emptied_depth_dir(table_dir, dist_table, dest, depth, into):
+    """Tables whose distance file says `into` for every state at `depth`,
+    with a valid CRC."""
+    d = copy_tables(table_dir, dest)
     dist = dist_table.dist.copy()
-    dist[dist == 14] = 13
+    dist[dist == depth] = into
     tables.DistanceTable(dist).save(d / cli.DIST_FILE)
     return d
+
+
+@pytest.fixture()
+def no_fourteen_dir(table_dir, dist_table, tmp_path):
+    return emptied_depth_dir(table_dir, dist_table, tmp_path / "no_fourteen", 14, 13)
+
+
+@pytest.fixture()
+def no_seven_dir(table_dir, dist_table, tmp_path):
+    return emptied_depth_dir(table_dir, dist_table, tmp_path / "no_seven", 7, 8)
 
 
 class TestSolve:
@@ -144,6 +154,13 @@ class TestScramble:
         with pytest.raises(SystemExit):
             cli.main(["--tables", tdir, "scramble", "--distance", "15"])
         capsys.readouterr()
+
+    def test_output_is_pinned(self, tdir, capsys):
+        code, out, _ = run_cli(capsys, "--tables", tdir, "scramble", "--distance", "11",
+                               "--count", "20", "--seed", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "a4fe13cd372e1d57c7de2408bf28848a6e1ab030874a72cd2484809a9af5f179"
 
 
 class TestSimulate:
@@ -354,6 +371,34 @@ class TestBadInputErrors:
                                     "--trials", "1", "--quiet", "--out", str(tmp_path / "r.csv"))
         assert code == 1
         assert err == "error: distance table has no states at distance 14\n"
+
+    def test_scramble_from_an_empty_middle_depth(self, no_seven_dir, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", str(no_seven_dir), "scramble",
+                                    "--distance", "7")
+        assert code == 1
+        assert err == "error: distance table has no states at distance 7\n"
+
+    def test_eval_on_an_empty_middle_depth(self, no_seven_dir, tmp_path, capsys):
+        code, _, err = run_cli_exit(capsys, "--tables", str(no_seven_dir), "eval",
+                                    "--trials", "1", "--quiet", "--out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert err == "error: distance table has no states at distance 7\n"
+
+    @pytest.mark.parametrize("count", [cli.MAX_DRAWS + 1, 10**12])
+    @pytest.mark.parametrize("argv", [
+        ("scramble", "--distance", "7", "--count"),
+        ("eval", "--quiet", "--out", "r.csv", "--trials"),
+    ], ids=lambda argv: argv[0])
+    def test_draw_count_above_the_limit(self, tdir, tmp_path, monkeypatch, capsys, argv,
+                                        count):
+        def no_draw(*args):
+            raise AssertionError("drew before the flag was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.evaluate, "sample_at_distance", no_draw)
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, *argv, str(count))
+        assert code == 1
+        assert err == f"error: {argv[-1]} must be in 1..{cli.MAX_DRAWS}\n"
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scramble", "R"),

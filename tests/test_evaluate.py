@@ -8,7 +8,6 @@ from scipy import stats
 from pocketcube.actions import compile_moves
 from pocketcube.cube import (
     GENERALIZED_MOVES,
-    N_STATES,
     SOLVED,
     unrank,
 )
@@ -23,8 +22,9 @@ from pocketcube.evaluate import (
 )
 from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
 from pocketcube.solver import oracle_descent, oracle_solve
+from pocketcube.tables import DistanceTable
 
-from conftest import apply_generalized
+from conftest import apply_generalized, bucket
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -44,7 +44,7 @@ class TestSampling:
     def test_distance_one_bucket_is_the_six_neighbors(self, dist_table):
         neighbors = {apply_generalized(SOLVED, m).rank
                      for m in GENERALIZED_MOVES}
-        assert set(int(r) for r in dist_table.bucket(1)) == neighbors
+        assert set(int(r) for r in bucket(dist_table, 1)) == neighbors
 
     def test_deterministic_under_seed(self, dist_table):
         a = sample_at_distance(7, 20, dist_table, np.random.default_rng(81))
@@ -58,8 +58,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_at_distance(15, 1, dist_table, rng)
 
-    def test_bucket_sizes_cover_the_space(self, dist_table):
-        assert sum(dist_table.bucket(d).size for d in range(1, 15)) + 1 == N_STATES
+    def test_draws_are_the_bucket_indexed_by_the_same_stream(self, dist_table):
+        # the reference: the sorted ranks at the depth, indexed by the draws
+        for d in range(1, 15):
+            at_d = bucket(dist_table, d)
+            for seed in range(3):
+                for n in (1, 100, 200_000):
+                    want = at_d[np.random.default_rng(seed).integers(0, at_d.size, size=n)]
+                    got = sample_at_distance(d, n, dist_table, np.random.default_rng(seed))
+                    assert got == want.tolist()
+
+    def test_sampling_cache_stays_small(self, dist_table):
+        # 14 depth buckets of ranks would hold 14.7 MB; the directories ~0.56 MB
+        table = DistanceTable(dist_table.dist)
+        run_experiment(ExperimentConfig(trials_per_distance=1), table)
+        cached = sum(a.nbytes for cache in vars(table).values() if isinstance(cache, dict)
+                     for a in cache.values())
+        assert 0 < cached < 1_000_000
 
 
 class TestRunExperiment:

@@ -43,7 +43,7 @@ from pocketcube.executor import (
 )
 from pocketcube.solver import oracle_solve
 
-from conftest import apply_generalized
+from conftest import apply_generalized, bucket
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -340,11 +340,11 @@ class TestEpisode:
         planner = oracle_planner(dist_table)
         for d in (3, 8):
             wins = {mode: 0 for mode in ExecutionMode}
-            bucket = dist_table.bucket(d)
-            pick = np.random.default_rng((75, d)).integers(0, bucket.size, size=150)
+            at_d = bucket(dist_table, d)
+            pick = np.random.default_rng((75, d)).integers(0, at_d.size, size=150)
             for t, bi in enumerate(pick):
                 for mi, mode in enumerate(ExecutionMode):
-                    rep = execute_episode(int(bucket[bi]), mode, planner, model, ExecutorConfig(),
+                    rep = execute_episode(int(at_d[bi]), mode, planner, model, ExecutorConfig(),
                                           np.random.default_rng((76, d, mi, t)))
                     wins[mode] += rep.success
             assert wins[ExecutionMode.ROLLBACK] >= wins[ExecutionMode.OPEN_LOOP]

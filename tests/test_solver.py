@@ -20,7 +20,7 @@ from pocketcube.cube import (
 from pocketcube.solver import PERIMETER, ida_star, oracle_descent, oracle_solve, search_heuristic
 from pocketcube.tables import DistanceTable, move_tables, successor_summary
 
-from conftest import apply_generalized
+from conftest import apply_generalized, bucket
 
 # sha256 of IDA*'s solutions to the first 100 random_canonical draws of
 # default_rng(0), one format_moves line each, as first computed: at its
@@ -74,7 +74,7 @@ class TestIdaStar:
             assert res.iterations == len(res.bounds)
 
     def test_antipode_solves_at_14(self, dist_table, pdb):
-        r = int(dist_table.bucket(14)[0])
+        r = int(bucket(dist_table, 14)[0])
         res = ida_star(unrank(r), pdb)
         assert len(res.solution) == 14
 
@@ -113,9 +113,9 @@ class TestSearchHeuristic:
         # the first optimal path are expanded
         rng = np.random.default_rng(35)
         for d in range(1, PERIMETER + 1):
-            bucket = dist_table.bucket(d)
-            for i in rng.choice(bucket.size, size=min(50, bucket.size), replace=False):
-                res = ida_star(unrank(int(bucket[i])), pdb)
+            at_d = bucket(dist_table, d)
+            for i in rng.choice(at_d.size, size=min(50, at_d.size), replace=False):
+                res = ida_star(unrank(int(at_d[i])), pdb)
                 assert res.bounds == (d,)
                 assert res.nodes_expanded == d
 
@@ -133,9 +133,9 @@ class TestOracle:
     def test_length_matches_distance_at_every_depth(self, dist_table):
         rng = np.random.default_rng(33)
         for d in range(1, 15):
-            bucket = dist_table.bucket(d)
-            for i in rng.integers(0, bucket.size, size=5):
-                s = unrank(int(bucket[i]))
+            at_d = bucket(dist_table, d)
+            for i in rng.integers(0, at_d.size, size=5):
+                s = unrank(int(at_d[i]))
                 sol = oracle_solve(s, dist_table)
                 assert len(sol) == d
                 assert is_solved(apply_seq(s, sol))

@@ -30,7 +30,7 @@ from pocketcube.tables import (
     move_tables,
 )
 
-from conftest import apply_generalized
+from conftest import apply_generalized, bucket
 
 # Depth histogram of the quarter-turn metric, pinned after the first
 # verified exhaustive build as a regression artifact.
@@ -185,7 +185,7 @@ class TestDistance:
     def test_one_gather_pass_feeds_both_checks(self, dist_table):
         # an antipode lowered from 14 to 10 is 3 away from every neighbour
         dist = dist_table.dist.copy()
-        dist[int(dist_table.bucket(14)[0])] = 10
+        dist[int(bucket(dist_table, 14)[0])] = 10
         table = tables.DistanceTable(dist)
         summary = tables.successor_summary(table)
         assert summary[1] == [3] * 6
@@ -194,9 +194,14 @@ class TestDistance:
         assert tables.check_neighbor_consistency(table) == (False, "move 0: distance gap 3")
         assert not tables.check_exact_distances(table)[0]
 
-    def test_buckets_partition_the_space(self, dist_table):
-        total = sum(dist_table.bucket(d).size for d in range(1, 15))
-        assert total + 1 == N_STATES
+    def test_rank_select_directory_is_the_depth_buckets(self, dist_table):
+        table = DistanceTable(dist_table.dist)  # a fresh directory
+        assert tuple(table.count_at(d) for d in range(15)) == dist_table.histogram
+        assert sum(dist_table.histogram) == N_STATES
+        for d in range(15):
+            at_d, count = bucket(table, d), table.count_at(d)
+            ks = np.arange(count) if d <= 6 else np.r_[0:100, count - 100:count]
+            assert np.array_equal(table.select_at(d, ks), at_d[ks])
 
 
 class TestRankKernel:
