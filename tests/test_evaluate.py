@@ -8,6 +8,7 @@ from scipy import stats
 from pocketcube.actions import compile_moves
 from pocketcube.cube import (
     GENERALIZED_MOVES,
+    N_STATES,
     SOLVED,
     unrank,
 )
@@ -57,6 +58,9 @@ class TestSampling:
             sample_at_distance(0, 1, dist_table, rng)
         with pytest.raises(ValueError):
             sample_at_distance(15, 1, dist_table, rng)
+
+    def test_bucket_sizes_cover_the_space(self, dist_table):
+        assert sum(dist_table.count_at(d) for d in range(1, 15)) + 1 == N_STATES
 
     def test_draws_are_the_bucket_indexed_by_the_same_stream(self, dist_table):
         # the reference: the sorted ranks at the depth, indexed by the draws

@@ -194,6 +194,10 @@ class TestDistance:
         assert tables.check_neighbor_consistency(table) == (False, "move 0: distance gap 3")
         assert not tables.check_exact_distances(table)[0]
 
+    def test_buckets_partition_the_space(self, dist_table):
+        total = sum(dist_table.count_at(d) for d in range(1, 15))
+        assert total + 1 == N_STATES
+
     def test_rank_select_directory_is_the_depth_buckets(self, dist_table):
         table = DistanceTable(dist_table.dist)  # a fresh directory
         assert tuple(table.count_at(d) for d in range(15)) == dist_table.histogram
