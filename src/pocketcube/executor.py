@@ -36,6 +36,14 @@ counts as attempted once at least one of its actions ran.  Counting is
 inline and needs no trace; only `trace=True` (`simulate --trace`) builds
 a TraceEntry, with its pose errors, per action.  The draws are the same
 either way.
+
+A successful re-pose makes its draws at once but computes its floats
+(position, orientation, the anchor twists' turns) only when something
+reads the pose: the trace, or a check outside its proof's bounds.  The
+goal check and the up face at each twist are proven from the draws while
+delta_q is small enough (see _DrawnPose), and the computed pose has the
+same bits as an eager one.  Failure and randomized poses are computed at
+once.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .actions import (
     Quaternion,
     Vector3,
     compile_moves,
+    goal_orientation,
     orientation_distance,
     pose_goal_reached,
 )
@@ -128,17 +137,33 @@ class ExecutorConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
-@dataclass
 class PhysicalCube:
-    """Logical state (a canonical rank) plus tracked pose and layer misalignment."""
+    """Logical state (a canonical rank) plus tracked pose and layer misalignment.
 
-    logical: int
-    pose: Pose
-    layer_misalignment: float = 0.0  # rad; 0 when the halves are aligned
+    After a successful re-pose the pose is held as its `_DrawnPose` until
+    something reads `pose`; the read computes the floats once and keeps them.
+    """
+
+    __slots__ = ("logical", "layer_misalignment", "_pose", "_drawn")
+
+    def __init__(self, logical: int, pose: Pose, layer_misalignment: float = 0.0):
+        self.logical = logical
+        self.pose = pose
+        self.layer_misalignment = layer_misalignment  # rad; 0 when the halves are aligned
 
     @classmethod
     def at_rest(cls, logical: int) -> "PhysicalCube":
         return cls(logical, Pose(PALM_CENTER, Quaternion.identity()))
+
+    @property
+    def pose(self) -> Pose:
+        if self._drawn is not None:
+            self._pose, self._drawn = self._drawn.materialize(), None
+        return self._pose
+
+    @pose.setter
+    def pose(self, pose: Pose) -> None:
+        self._pose, self._drawn = pose, None
 
 
 @dataclass(frozen=True)
@@ -204,15 +229,110 @@ _MOVE_INDEX = {move: i for i, move in enumerate(GENERALIZED_MOVES)}
 # a -90 degree top twist performs the prime move of the up face
 _COMMITTED_MOVE_INDEX = {face: _MOVE_INDEX[reduce_move(Move(face + "'"))] for face in FACES}
 
+# each compiled goal orientation and the body face it puts up (U, R or B)
+_GOAL_FACE = {q: up_face(q) for q in map(goal_orientation, GENERALIZED_MOVES)}
+
+# Bounds of the two proofs on a drawn pose (see _DrawnPose).  Rounding in
+# the materialized floats is a few hundred ulp of 1 at most, far inside
+# each margin; the up-face proof also stops at _PROVEN_TURNS queued turns,
+# each of which adds a few ulp.
+_PROVEN_UP_DELTA_Q = math.pi / 4 - 2.0 ** -32
+_PROVEN_TURNS = 1024
+
+
+class _DrawnPose:
+    """A successful re-pose held as its goal and its four draws, plus the
+    anchor-twist quarter turns queued since.
+
+    The draws are the position direction, the radius draw, the wobble axis
+    and the angle draw.  `materialize` computes the pose from them with the
+    float operations of an eager draw, in the same order, so it gets the
+    same bits: both radii volume-uniform inside the tolerance region
+    (cube-root draws), then each queued turn.  Two readers skip that work
+    where a proof gives their answer; outside its bounds they read the
+    materialized pose.
+    """
+
+    __slots__ = ("goal", "face", "direction", "radius_draw", "axis", "angle_draw",
+                 "delta_x", "delta_q", "turns")
+
+    def __init__(self, goal: PoseGoal, direction: Vector3, radius_draw: float,
+                 axis: Vector3, angle_draw: float, delta_x: float, delta_q: float):
+        self.goal = goal
+        self.face = _GOAL_FACE.get(goal.q_target)  # None: no proof covers this goal
+        self.direction, self.radius_draw = direction, radius_draw
+        self.axis, self.angle_draw = axis, angle_draw
+        self.delta_x, self.delta_q = delta_x, delta_q
+        self.turns = 0
+
+    def materialize(self) -> Pose:
+        c, u = self.goal.x_target, self.direction
+        r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
+        position = (c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r)
+        wobble = Quaternion.from_axis_angle(self.axis, self.delta_q * self.angle_draw ** (1.0 / 3.0))
+        orientation = (wobble * self.goal.q_target).normalized()
+        for _ in range(self.turns):
+            orientation = (_TWIST_ROTATION * orientation).normalized()
+        return Pose(position, orientation)
+
+    def proven_up_face(self) -> str | None:
+        """up_face of the materialized orientation, or None where unproven.
+
+        The wobble angle t is at most delta_q < pi/4.  It tilts the goal
+        face's normal at most t from the hand's up axis, so that face's
+        height is at least cos t; every other face's normal is at right
+        angles to it or opposite, so its height is at most sin t < cos t.
+        A quarter turn about the hand's up axis changes no height.
+        """
+        if (self.face is None or self.delta_q > _PROVEN_UP_DELTA_Q
+                or self.turns >= _PROVEN_TURNS):
+            return None
+        return self.face
+
+    def proven_reached(self, goal: PoseGoal, delta_x: float, delta_q: float) -> bool:
+        """True where pose_goal_reached(self.materialize(), goal, delta_x,
+        delta_q) provably holds; False means only that no proof applies.
+
+        Position: with r the drawn radius, the computed distance is at
+        most r (1 + 2^-41) plus 2^-52 |x_target|_1, allowing up to 2^10
+        ulp of error in math.dist (CPython's is within 1 ulp); 2^-1000
+        covers underflow.
+        Orientation: the goal is a unit table quaternion, so the real part
+        that orientation_distance reads is cos(a/2) within k = 2^-44.  For
+        0 <= a <= b <= pi, cos(a/2) - cos(b/2) >= (b^2 - a^2) / (2 pi^2),
+        so 2 acos of it stays below delta_q once a^2 + 2 pi^2 k (< 2^-35)
+        is below delta_q^2 with a 2^-40 relative margin.  A tiny delta_q
+        leaves no room for that term, and the proof never applies.
+        """
+        if goal is not self.goal or self.face is None or self.turns or not delta_q <= math.pi:
+            return False
+        c = goal.x_target
+        r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
+        slack = (abs(c[0]) + abs(c[1]) + abs(c[2])) * 2.0 ** -50 + 2.0 ** -1000
+        a = self.delta_q * self.angle_draw ** (1.0 / 3.0)
+        return (r + slack < delta_x * (1.0 - 2.0 ** -40)
+                and a * a + 2.0 ** -35 < delta_q * delta_q * (1.0 - 2.0 ** -40))
+
 
 def _commit_twist(cube: PhysicalCube) -> None:
-    face = up_face(cube.pose.orientation)
+    drawn = cube._drawn
+    face = (drawn.proven_up_face() if drawn else None) or up_face(cube.pose.orientation)
     cube.logical = successor(cube.logical, _COMMITTED_MOVE_INDEX[face])
     cube.layer_misalignment = 0.0
     if face in _ANCHOR_FACES:
         # anchor piece rides the twisted layer: the body frame turns with it
-        cube.pose = Pose(cube.pose.position,
-                         (_TWIST_ROTATION * cube.pose.orientation).normalized())
+        if cube._drawn:
+            cube._drawn.turns += 1  # materialize replays the turns in order
+        else:
+            cube.pose = Pose(cube.pose.position,
+                             (_TWIST_ROTATION * cube.pose.orientation).normalized())
+
+
+def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: float) -> bool:
+    """pose_goal_reached on the cube's pose, by proof where the pose is still drawn."""
+    drawn = cube._drawn
+    return ((drawn is not None and drawn.proven_reached(goal, delta_x, delta_q))
+            or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
 
 
 def _unit_vector(rng) -> Vector3:
@@ -229,15 +349,6 @@ def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
     u = _unit_vector(rng)
     r = radius * rng.random() ** (1.0 / 3.0)
     return (center[0] + u[0] * r, center[1] + u[1] * r, center[2] + u[2] * r)
-
-
-def _sample_pose_near(rng, goal: PoseGoal, delta_x: float, delta_q: float) -> Pose:
-    # volume-uniform inside the tolerance region: cube-root radii
-    position = _sample_in_ball(rng, goal.x_target, delta_x)
-    axis = _unit_vector(rng)
-    angle = delta_q * rng.random() ** (1.0 / 3.0)
-    wobble = Quaternion.from_axis_angle(axis, angle)
-    return Pose(position, (wobble * goal.q_target).normalized())
 
 
 def _sample_failure_pose(rng) -> Pose:
@@ -257,8 +368,13 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
     goal tolerance on success and in the failure distribution otherwise.
     """
     success = rng.random() < model.p_rot
-    cube.pose = (_sample_pose_near(rng, goal, delta_x, delta_q) if success
-                 else _sample_failure_pose(rng))
+    if success:
+        # the draws of the pose, in order: direction, radius, axis, angle
+        direction, radius_draw = _unit_vector(rng), rng.random()
+        axis, angle_draw = _unit_vector(rng), rng.random()
+        cube._drawn = _DrawnPose(goal, direction, radius_draw, axis, angle_draw, delta_x, delta_q)
+    else:
+        cube.pose = _sample_failure_pose(rng)
     return success
 
 
@@ -341,7 +457,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
         log.count += 1
         if trace:
             log.record("rotate", ok, cube, goal)
-        posed = not checked or pose_goal_reached(cube.pose, goal, config.delta_x, config.delta_q)
+        posed = not checked or _goal_reached(cube, goal, config.delta_x, config.delta_q)
         if posed:
             break
         if attempt + 1 < rotates:

@@ -321,7 +321,6 @@ class DistanceTable:
     depth's ranks in the perm rows before each row, 5041 int64 per depth."""
 
     dist: np.ndarray
-    metric: str = "QTM"
     _row_starts: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _histogram: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pocketcube.actions import (
+    DELTA_X,
     PALM_CENTER,
     Pose,
     PoseGoal,
@@ -24,6 +26,7 @@ from pocketcube.cube import (
     canonicalize,
     is_solved,
     random_canonical,
+    reduce_move,
     unrank,
 )
 from pocketcube.evaluate import oracle_planner
@@ -41,7 +44,9 @@ from pocketcube.executor import (
     format_trace_entry,
     up_face,
 )
+from pocketcube.executor import _goal_reached
 from pocketcube.solver import oracle_solve
+from pocketcube.tables import successor
 
 from conftest import apply_generalized, bucket
 
@@ -55,6 +60,35 @@ FACE_UP = {up_face(q): q for q in (
     *(Quaternion.from_axis_angle(axis, angle)
       for axis in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)) for angle in (math.pi / 2, -math.pi / 2)),
 )}
+
+
+# the eager success pose: the formula a drawn pose must materialize to, bit for bit
+
+def eager_unit_vector(rng):
+    while True:
+        v = rng.standard_normal(3)
+        n = math.sqrt(v.dot(v))
+        if n >= 1e-12:
+            x, y, z = v.tolist()
+            return (x / n, y / n, z / n)
+
+
+def eager_pose_near(rng, goal, delta_x, delta_q):
+    u = eager_unit_vector(rng)
+    r = delta_x * rng.random() ** (1.0 / 3.0)
+    c = goal.x_target
+    position = (c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r)
+    axis = eager_unit_vector(rng)
+    angle = delta_q * rng.random() ** (1.0 / 3.0)
+    wobble = Quaternion.from_axis_angle(axis, angle)
+    return Pose(position, (wobble * goal.q_target).normalized())
+
+
+EAGER_TURN = Quaternion.from_axis_angle((0.0, 0.0, 1.0), math.pi / 2)
+
+
+def bits(pose):
+    return struct.pack("<7d", *pose.position, *pose.orientation)
 
 
 def step(move):
@@ -123,6 +157,81 @@ class TestAttemptRotate:
         hits = sum(attempt_rotate(cube, goal, model, rng) for _ in range(n))
         sigma = math.sqrt(model.p_rot * (1 - model.p_rot) / n)
         assert abs(hits / n - model.p_rot) <= 3 * sigma
+
+
+class TestDrawnPose:
+    """A successful re-pose is kept as its draws until read; every reader
+    must see what the eager formula gives, proof or no proof."""
+
+    @pytest.mark.parametrize("delta_x, delta_q", [
+        (DELTA_X, 0.1), (DELTA_X, math.pi / 4 - 1e-9), (DELTA_X, 1.0), (DELTA_X, 3.0),
+        (1e-12, 1e-12),
+    ])
+    def test_materializes_to_the_eager_pose(self, delta_x, delta_q):
+        goal_proofs = 0
+        for seed in range(200):
+            lazy_rng, eager_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            twist_rng = np.random.default_rng((81, seed))
+            for i in range(50):
+                x_target = PALM_CENTER if i % 2 else (0.25, -1.5, 3.0)
+                goal = PoseGoal(x_target, goal_orientation(GENERALIZED_MOVES[i % 6]))
+                cube = PhysicalCube.at_rest(0)
+                assert attempt_rotate(cube, goal, PERFECT, lazy_rng, delta_x, delta_q)
+                assert eager_rng.random() < PERFECT.p_rot
+                pose = eager_pose_near(eager_rng, goal, delta_x, delta_q)
+
+                proven = cube._drawn.proven_reached(goal, delta_x, delta_q)
+                assert (_goal_reached(cube, goal, delta_x, delta_q)
+                        == pose_goal_reached(pose, goal, delta_x, delta_q))
+                assert (cube._drawn is None) == (not proven)  # no proof: the floats were read
+                goal_proofs += proven
+
+                # 0-3 committed twists; the F goals put B up and queue anchor turns
+                logical = 0
+                for _ in range(i % 4):
+                    proven = cube._drawn.proven_up_face() if cube._drawn else None
+                    face = up_face(pose.orientation)
+                    assert proven in (None, face)
+                    # below pi/4 by the margin, every twist of a drawn pose is proven
+                    assert cube._drawn is None or (proven is None) == (delta_q > math.pi / 4)
+                    assert attempt_twist(cube, PERFECT, twist_rng)
+                    assert (cube._drawn is None) == (proven is None)
+                    logical = successor(logical, GENERALIZED_MOVES.index(reduce_move(Move(face + "'"))))
+                    if face in "DLB":
+                        pose = Pose(pose.position, (EAGER_TURN * pose.orientation).normalized())
+                assert cube.logical == logical
+                assert bits(cube.pose) == bits(pose)
+        # a tiny delta_q leaves no room for the margin: always the exact check
+        assert goal_proofs == 0 if delta_q == 1e-12 else goal_proofs >= 0.99 * 200 * 50
+
+    @pytest.mark.parametrize("uniforms", [(0.0, 1.0 - 2.0 ** -53, 0.5),
+                                          (0.0, 0.5, 1.0 - 2.0 ** -53)])
+    def test_draw_at_the_tolerance_takes_the_exact_check(self, uniforms):
+        class StubRng:
+            """Fixed uniform draws: the success gate, the radius, the angle."""
+
+            def __init__(self, seed):
+                self.uniforms = iter(uniforms)
+                self.normals = np.random.default_rng(seed)
+
+            def random(self):
+                return next(self.uniforms)
+
+            def standard_normal(self, n):
+                return self.normals.standard_normal(n)
+
+        for seed in range(100):
+            for m in GENERALIZED_MOVES:
+                goal = PoseGoal(PALM_CENTER, goal_orientation(m))
+                cube = PhysicalCube.at_rest(0)
+                assert attempt_rotate(cube, goal, ActuationModel(), StubRng(seed))
+                eager_rng = StubRng(seed)
+                assert eager_rng.random() < ActuationModel().p_rot
+                pose = eager_pose_near(eager_rng, goal, DELTA_X, 0.1)
+                assert not cube._drawn.proven_reached(goal, DELTA_X, 0.1)
+                reached = _goal_reached(cube, goal, DELTA_X, 0.1)
+                assert cube._drawn is None  # the exact path read the floats
+                assert reached == pose_goal_reached(pose, goal, DELTA_X, 0.1)
 
 
 class TestAttemptTwist:

@@ -348,6 +348,15 @@ class TestPersistence:
         with pytest.raises(BadVersion):
             PatternDB.load(path, tmp_path / "p.bin")
 
+    def test_unknown_metric_byte(self, pdb, tmp_path):
+        path = tmp_path / "o.bin"
+        pdb.save(path, tmp_path / "p.bin")
+        blob = bytearray(path.read_bytes())
+        blob[12] = 1  # metric byte; only 0 (QTM) is defined
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TableFormatError, match="unknown metric byte 1"):
+            PatternDB.load(path, tmp_path / "p.bin")
+
     def test_wrong_kind(self, pdb, dist_table, tmp_path):
         dist_table.save(tmp_path / "full.bin")
         with pytest.raises(TableFormatError):
