@@ -9,8 +9,18 @@ generalized move flips the parity of the perm code's depth in the perm
 quotient, so a rank's distance has the parity of its perm pattern-database
 entry; every state nearer than PERIMETER + 1 lies in the ball, so the
 bound is admissible.  It is also consistent, changing by exactly 1 along
-every move, so IDA*'s bounds step by 2.  Inside the ball the search
-follows an optimal path without branching.
+every move, so IDA*'s bounds step by 2.
+
+The ball also stores its paths to solved.  Each rank's heuristic byte
+holds h in its low nibble and, for every ball rank but solved, in bits
+4-6 the first move in child order whose successor is one move closer.
+Once the search reaches a ball rank within its bound, it appends the
+stored moves instead of searching on.  That walk cannot fail, and it is
+the path the search would have taken: a bound below the root's distance
+d admits no ball rank, as g + exact distance >= d there; at bound d the
+search takes the first descending child at every step; and neither the
+undo filter nor the triple-repeat filter can drop a descending move, as
+both lead back to the rank one move farther out.
 
 Both planners operate on canonical ranks through the scalar coordinate
 move tables, `tables.rank_moves()` (a child's rank is the sum of a perm
@@ -29,7 +39,8 @@ import numpy as np
 
 from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState, Move,
                    canonicalize)
-from .tables import N_ORI, DistanceTable, InconsistentTable, PatternDB, fill_ball, rank_moves
+from .tables import (N_ORI, DistanceTable, InconsistentTable, PatternDB, rank_moves,
+                     rank_successors)
 
 MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
@@ -61,18 +72,32 @@ class SolveResult:
 
 def search_heuristic(pdb: PatternDB) -> bytearray:
     """IDA*'s heuristic, one byte per rank, built on first use and cached
-    on `pdb`.  One buffer is filled in place: each perm code's row of 729
-    ranks gets the least value above PERIMETER with the parity of
-    `pdb.perm_db`'s entry, the parity of every distance in the row; then
-    `fill_ball` writes the exact distances of the ball, reading every value
-    above PERIMETER as not reached.  Both parts need no whole-grid BFS
-    level, so the half-grid split is never built.
+    on `pdb`: h in the low nibble, and for every rank of the ball but
+    solved, its first move in child order one move closer in bits 4-6.
+
+    One buffer is filled in place.  Each perm code's row of 729 ranks gets
+    the least value above PERIMETER with the parity of `pdb.perm_db`'s
+    entry, the parity of every distance in the row, and no move.  Then a
+    push BFS over depths 1..PERIMETER reads any low nibble above PERIMETER
+    as not reached.  Each level pushes its moves in `_INV` order, so the
+    first push to reach a rank is the inverse of its first descending move
+    in child order, and writes ``depth | _INV[m] << 4``.  No level runs
+    over the whole grid, so the half-grid split is never built.
     """
     if pdb.ida_heuristic is None:
         h = bytearray(N_STATES)
-        grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
+        dist = np.frombuffer(h, dtype=np.uint8)
+        grid = dist.reshape(N_PERM, N_ORI)
         grid[:] = (PERIMETER + 1 + ((pdb.perm_db + PERIMETER + 1) & 1))[:, None]
-        fill_ball(grid.reshape(N_STATES), PERIMETER)
+        dist[0] = 0
+        frontier = np.zeros(1, dtype=np.int32)
+        for depth in range(1, PERIMETER + 1):
+            found = []
+            for m, succ in zip(_INV, rank_successors(frontier, _INV)):
+                succ = succ[(dist.take(succ) & 15) > PERIMETER]
+                dist[succ] = depth | _INV[m] << 4
+                found.append(succ)
+            frontier = np.concatenate(found)
         pdb.ida_heuristic = h
     return pdb.ida_heuristic
 
@@ -87,9 +112,12 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
 
     Iterative deepening with bound = g + `search_heuristic(pdb)`; branches
     whose bound exceeds the current iteration limit are pruned, as are
-    immediate undo moves and triple repeats of one move.  `pdb` supplies
-    the heuristic's parity beyond the perimeter (its perm distances) and
-    holds the heuristic's cache.
+    immediate undo moves and triple repeats of one move.  The first child
+    inside the perimeter within the bound ends the search: its stored
+    moves are appended, and each rank on them counts as an expanded node,
+    as the search would have expanded it.  `pdb` supplies the heuristic's
+    parity beyond the perimeter (its perm distances) and holds the
+    heuristic's cache.
     """
     root = _root(state)
     if root == 0:
@@ -101,6 +129,17 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     path: list[int] = []
     nodes = 0
 
+    def walk(r: int, n: int) -> None:
+        """Append the `n` stored moves from ball rank `r` at distance `n`,
+        counting a node for each rank they leave."""
+        nonlocal nodes
+        nodes += n
+        for _ in range(n):
+            mi = h[r] >> 4
+            path.append(mi)
+            p, o = divmod(r, N_ORI)
+            r = perm_parts[p][mi] + ori_parts[o][mi]
+
     def dfs(r: int, g: int, bound: int, m1: int, m2: int) -> int:
         nonlocal nodes
         nodes += 1
@@ -111,13 +150,15 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
         g += 1
         for mi in allowed[m1][m2]:
             child = prow[mi] + orow[mi]
-            f = g + h[child]
+            hc = h[child] & 15
+            f = g + hc
             if f > bound:
                 if f < nxt:
                     nxt = f
                 continue
             path.append(mi)
-            if child == 0:
+            if hc <= PERIMETER:
+                walk(child, hc)
                 return _FOUND
             t = dfs(child, g, bound, mi, m1)
             if t == _FOUND:
@@ -127,7 +168,10 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
                 nxt = t
         return nxt
 
-    bound = h[root]
+    bound = h[root] & 15
+    if bound <= PERIMETER:
+        walk(root, bound)
+        return SolveResult([GENERALIZED_MOVES[i] for i in path], nodes, 1, (bound,))
     bounds: list[int] = []
     while True:
         bounds.append(bound)

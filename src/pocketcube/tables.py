@@ -126,12 +126,21 @@ def successor(r: int, mi: int) -> int:
     return perm[p][mi] + ori[o][mi]
 
 
-def _rank_successors(ranks: np.ndarray):
-    """Ranks after each generalized move from `ranks`, one array per move,
-    each made as it is read.  The split is intp, so no take casts its index."""
+def rank_successors(ranks: np.ndarray, moves=range(6)):
+    """Ranks after each generalized move of `moves` from `ranks`, one array
+    per move, each made as it is read.  The split is intp, so no take casts
+    its index.  Each array gets its twist part added in place and is then
+    held by the caller alone (a generator function would keep the last one
+    alive), so a BFS level keeps the fewest temporaries."""
     perm, ori = move_tables()
     p, o = np.divmod(ranks.astype(np.intp), N_ORI)
-    return ((perm[:, mi] * N_ORI).take(p) + ori[:, mi].take(o) for mi in range(6))
+
+    def successors(mi: int) -> np.ndarray:
+        succ = (perm[:, mi] * N_ORI).take(p)
+        succ += ori[:, mi].take(o)
+        return succ
+
+    return map(successors, moves)
 
 
 # The cost of a push or pull per node it expands, over that of a whole-grid
@@ -144,6 +153,10 @@ def _rank_successors(ranks: np.ndarray):
 # every rank is reached).  A ratio of 40 also runs depth 9 whole grid,
 # which measured 1-2 ms slower.
 _GRID_COST_RATIO = 24
+
+
+# a BFS's mark for a node not reached yet, above every depth of these graphs
+_UNREACHED = 0xFF
 
 
 def _colour_split(perm: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -190,18 +203,18 @@ def _colour_rows(dist: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.nda
     return dist.reshape(N_PERM, N_ORI).take(codes, axis=0, out=out.view(np.uint8), mode="clip")
 
 
-def _grid_level(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -> int:
+def _grid_level(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> int:
     """One BFS level over the half of the rank grid that can take `depth`:
-    every rank of `dist` above `limit` with a successor at depth - 1 takes
+    every rank of `dist` not reached with a successor at depth - 1 takes
     `depth`.  Returns how many did.
 
-    A rank's depth parity is its perm code's colour (`_rank_colours`), so
-    the level reads only the rows of colour (depth - 1) % 2 and writes only
-    those of colour depth % 2.  `scratch` is four bool (2520, 729) grids,
-    kept for the whole BFS: fresh ones would fault their pages in again on
-    every level.
+    A rank's depth parity is its perm code's colour (`colours`, the
+    `_rank_colours` split), so the level reads only the rows of colour
+    (depth - 1) % 2 and writes only those of colour depth % 2.  `scratch`
+    is four bool (2520, 729) grids, kept for the whole BFS: fresh ones
+    would fault their pages in again on every level.
     """
-    rows, src = _rank_colours()
+    rows, src = colours
     ori = move_tables()[1]
     prev, gathered, succ, hit = scratch
     np.equal(_colour_rows(dist, rows[1 - depth % 2], prev), depth - 1, out=prev)
@@ -209,7 +222,7 @@ def _grid_level(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -
     for mi, perm_col in enumerate(src[depth % 2]):
         hit |= _grid_gather(prev, perm_col, ori[:, mi], gathered, succ)
     now = _colour_rows(dist, rows[depth % 2], gathered)
-    hit &= np.greater(now, limit, out=prev)
+    hit &= np.equal(now, _UNREACHED, out=prev)
     # now -= hit * (now - depth), the gap in the spent column buffer; a
     # boolean-mask store costs ~15x more
     gap = np.subtract(now, depth, out=succ.view(np.uint8))
@@ -219,21 +232,21 @@ def _grid_level(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -
     return int(np.count_nonzero(hit))
 
 
-def _grid_unreached(dist: np.ndarray, depth: int, limit: int, scratch: np.ndarray) -> np.ndarray:
-    """The ranks of `dist` above `limit` whose parity is that of `depth`,
-    sorted, as int32: the rows of one colour, scanned in `scratch`."""
-    codes = _rank_colours()[0][depth % 2]
-    found = np.flatnonzero(np.greater(_colour_rows(dist, codes, scratch[0]), limit,
-                                      out=scratch[1]))
+def _grid_unreached(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> np.ndarray:
+    """The ranks of `dist` not reached whose parity is that of `depth`,
+    sorted, as int32: the rows of one colour of `colours`, scanned in
+    `scratch`."""
+    codes = colours[0][depth % 2]
+    found = np.flatnonzero(np.equal(_colour_rows(dist, codes, scratch[0]), _UNREACHED,
+                                    out=scratch[1]))
     # half-grid position i * 729 + o is rank codes[i] * 729 + o
     shift = (codes - np.arange(codes.size)) * N_ORI
     return (found + shift.take(found // N_ORI)).astype(np.int32)
 
 
-def _bfs_fill(dist: np.ndarray, expand, limit: int, grid: np.ndarray | None = None) -> list[int]:
-    """Exact distances from index 0 up to `limit`, written into `dist` in
-    place; an entry above `limit` reads as not reached.  Returns the count
-    of nodes at each depth reached, from 0.
+def _bfs_fill(dist: np.ndarray, expand, grid: np.ndarray | None = None) -> list[int]:
+    """Exact distances from index 0, written into `dist` (all _UNREACHED)
+    in place.  Returns the count of nodes at each depth reached, from 0.
 
     `expand(nodes)` gives the successors of every node, one array per
     move, each move a bijection.  A depth runs one of three levels:
@@ -258,16 +271,16 @@ def _bfs_fill(dist: np.ndarray, expand, limit: int, grid: np.ndarray | None = No
     dist[0] = 0
     frontier, counts = np.zeros(1, dtype=np.int32), [1]
     reached, depth, unreached = 1, 0, None
-    while counts[-1] and depth < limit and reached < dist.size:
+    while counts[-1] and reached < dist.size:
         depth += 1
         size, left = counts[-1], dist.size - reached
         if grid is not None and min(size, left) * _GRID_COST_RATIO > dist.size:
-            size = _grid_level(dist, depth, limit, grid)
+            size = _grid_level(dist, depth, _rank_colours(), grid)
             frontier = unreached = None
         elif size > left:
             if unreached is None:
-                unreached = (np.flatnonzero(dist > limit).astype(np.int32) if grid is None
-                             else _grid_unreached(dist, depth, limit, grid))
+                unreached = (np.flatnonzero(dist == _UNREACHED).astype(np.int32) if grid is None
+                             else _grid_unreached(dist, depth, _rank_colours(), grid))
             hit = np.zeros(unreached.size, dtype=bool)
             for succ in expand(unreached):
                 hit |= dist.take(succ) == depth - 1
@@ -281,7 +294,7 @@ def _bfs_fill(dist: np.ndarray, expand, limit: int, grid: np.ndarray | None = No
                 frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
             found = []
             for succ in expand(frontier):
-                succ = succ[dist.take(succ) > limit]
+                succ = succ[dist.take(succ) == _UNREACHED]
                 dist[succ] = depth
                 found.append(succ)
             frontier, unreached = np.concatenate(found), None
@@ -298,16 +311,11 @@ def _half_grids() -> np.ndarray:
 
 
 def _bfs_distances(n: int, expand) -> np.ndarray:
-    """Exact distances from index 0 in a graph of `n` nodes; 0xFF = unreachable."""
-    dist = np.full(n, 0xFF, dtype=np.uint8)
-    _bfs_fill(dist, expand, 0xFE)
+    """Exact distances from index 0 in a graph of `n` nodes; _UNREACHED (0xFF)
+    = unreachable."""
+    dist = np.full(n, _UNREACHED, dtype=np.uint8)
+    _bfs_fill(dist, expand)
     return dist
-
-
-def fill_ball(dist: np.ndarray, radius: int) -> None:
-    """Exact distance of every rank within `radius` moves of solved, written
-    into `dist` (one uint8 per rank, all above `radius`) in place."""
-    _bfs_fill(dist, _rank_successors, radius, _half_grids())
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +401,8 @@ class DistanceTable:
 def build_distance_table() -> DistanceTable:
     """BFS over the whole canonical space; about 0.05 s on one core.  The
     table's histogram is the BFS's level counts once every rank is reached."""
-    dist = np.full(N_STATES, 0xFF, dtype=np.uint8)
-    counts = _bfs_fill(dist, _rank_successors, 0xFE, _half_grids())
+    dist = np.full(N_STATES, _UNREACHED, dtype=np.uint8)
+    counts = _bfs_fill(dist, rank_successors, _half_grids())
     if sum(counts) != N_STATES:
         return DistanceTable(dist)
     return DistanceTable(dist, _histogram=tuple(counts) + (0,) * (15 - len(counts)))

@@ -28,6 +28,14 @@ from conftest import apply_generalized, bucket
 # so a change of heuristic must leave these solutions byte for byte alone
 REFERENCE_SOLUTIONS_SHA256 = "264bd7683a39c50c285dec2c2eed0ec96a5957ba2078472836ec700a3e04c703"
 
+# IDA*'s node and iteration totals over the first 4,000 random_canonical
+# draws of default_rng(0), and the sha256 of one "solution nodes bounds"
+# line per antipode in rank order, as the search computed them before it
+# walked the perimeter by stored moves: the walk counts a node per rank on
+# it, as the search did, and perfbench's per-depth node counts read them
+REFERENCE_NODES, REFERENCE_ITERATIONS = 48_119, 4_974
+REFERENCE_ANTIPODES_SHA256 = "488b6e5adb887de4551166c97e3f21ddf5fee14b5942c5e04803f6df7a9d2446"
+
 
 class TestIdaStar:
     def test_solved_needs_nothing(self, pdb):
@@ -67,7 +75,7 @@ class TestIdaStar:
             s = random_canonical(rng)
             res = ida_star(s, pdb)
             dist = dist_table.distance(s)
-            assert res.bounds[0] == search_heuristic(pdb)[s.rank]
+            assert res.bounds[0] == search_heuristic(pdb)[s.rank] & 0x0F
             assert res.bounds[0] % 2 == dist % 2
             assert all(b - a == 2 for a, b in zip(res.bounds, res.bounds[1:]))
             assert res.bounds[-1] == dist
@@ -84,10 +92,23 @@ class TestIdaStar:
                         for _ in range(100))
         assert hashlib.sha256(lines.encode()).hexdigest() == REFERENCE_SOLUTIONS_SHA256
 
+    def test_node_and_iteration_totals_are_the_reference(self, pdb):
+        rng = np.random.default_rng(0)
+        results = [ida_star(random_canonical(rng), pdb) for _ in range(4000)]
+        assert sum(res.nodes_expanded for res in results) == REFERENCE_NODES
+        assert sum(res.iterations for res in results) == REFERENCE_ITERATIONS
+
+    def test_antipodes_are_byte_identical_to_reference(self, dist_table, pdb):
+        lines = ""
+        for r in bucket(dist_table, 14):
+            res = ida_star(unrank(int(r)), pdb)
+            lines += f"{format_moves(res.solution)} {res.nodes_expanded} {res.bounds}\n"
+        assert hashlib.sha256(lines.encode()).hexdigest() == REFERENCE_ANTIPODES_SHA256
+
 
 class TestSearchHeuristic:
     def test_exact_in_perimeter_parity_bound_beyond(self, dist_table, pdb):
-        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
         dist = dist_table.dist
         inside = dist <= PERIMETER
         assert np.all(h <= dist)
@@ -99,11 +120,27 @@ class TestSearchHeuristic:
     def test_consistent_one_per_move(self, pdb):
         # every move changes h by at most 1, and by an odd amount: h's parity
         # is its perm code's, which every move flips; so by exactly 1
-        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
         assert successor_summary(DistanceTable(h))[1] == [1] * 6
         colour = pdb.perm_db % 2
         assert np.all(h.reshape(N_PERM, N_ORI) % 2 == colour[:, None])
         assert np.all(colour[move_tables()[0]] != colour[:, None])
+
+    def test_ball_stores_its_first_move_one_closer(self, dist_table, pdb):
+        # bits 4-6 of every rank at distance 1..PERIMETER hold the first
+        # move in child order whose successor is one move closer; solved
+        # and every rank beyond the ball hold none
+        byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        dist = dist_table.dist.astype(np.int16)
+        grid = dist.reshape(N_PERM, N_ORI)
+        perm, ori = move_tables()
+        first = np.full(N_STATES, -1, dtype=np.int16)
+        for mi in reversed(range(6)):
+            succ = grid[np.ix_(perm[:, mi], ori[:, mi])].reshape(N_STATES)
+            first[succ == dist - 1] = mi
+        ball = (dist >= 1) & (dist <= PERIMETER)
+        assert np.array_equal(byte[ball] >> 4, first[ball])
+        assert not np.any(byte[~ball] >> 4)
 
     def test_cached_per_pattern_db(self, pdb):
         assert search_heuristic(pdb) is search_heuristic(pdb)

@@ -69,15 +69,6 @@ class TestBuild:
         dist[123] = 20
         assert DistanceTable(dist).histogram == tuple(int(n) for n in np.bincount(dist))
 
-    @pytest.mark.parametrize("k", [0, 1, 9, 10, 11, 12, 13, 14])
-    def test_fill_ball_is_the_table_clamped_to_the_radius(self, dist_table, k):
-        # a fill of k + 1, not 0xFF, stands for "not reached": radii 10 and up
-        # run whole-grid levels and 13 and up pull, and both must read any
-        # value above the radius that way
-        ball = np.full(N_STATES, k + 1, dtype=np.uint8)
-        tables.fill_ball(ball, k)
-        assert np.array_equal(ball, np.where(dist_table.dist <= k, dist_table.dist, k + 1))
-
     def test_full_build_runs_whole_grid_levels_at_depths_10_to_12(self, monkeypatch):
         depths = []
         grid_level = tables._grid_level
@@ -89,18 +80,6 @@ class TestBuild:
         monkeypatch.setattr(tables, "_grid_level", counting)
         assert tables.build_distance_table().histogram == EXPECTED_HISTOGRAM
         assert depths == [10, 11, 12]
-
-    def test_perimeter_ball_runs_no_whole_grid_level(self, monkeypatch):
-        # solve's set-up fills the perimeter with push levels only, and so
-        # never derives the half-grid split either
-        calls = []
-        monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
-        tables._rank_colours.cache_clear()
-        ball = np.full(N_STATES, solver.PERIMETER + 1, dtype=np.uint8)
-        tables.fill_ball(ball, solver.PERIMETER)
-        assert calls == []
-        assert tables._rank_colours.cache_info().currsize == 0
-        assert int(ball.max()) == solver.PERIMETER + 1
 
     def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
         # solve's set-up, IDA*'s heuristic on a fresh PatternDB, takes its
