@@ -120,7 +120,7 @@ def cmd_build_tables(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     table = tables.build_distance_table()
-    pdb = tables.build_pattern_dbs()
+    pdb = tables.build_pattern_dbs(table)
     table.save(out / DIST_FILE)
     pdb.save(out / ORI_PDB_FILE, out / PERM_PDB_FILE)
     histogram = table.histogram  # the BFS's level counts: no pass over the table

@@ -9,18 +9,21 @@ quotients; their pointwise max is an admissible IDA* heuristic.
 A rank is perm code * 729 + twist code, the coordinates `cube` defines,
 and a generalized move acts on each coordinate on its own.  So two small
 coordinate move tables, 5040 x 6 and 729 x 6, from `cube.coordinate_moves`,
-give the successor of any rank, and the abstractions are free: ori index
-= rank % 729, perm index = rank // 729.  Everything heavy is vectorized
-with numpy over those tables; per-rank loops read them as `rank_moves()`.
-A BFS depth runs the cheapest of three levels: a push from the frontier,
-a pull over the nodes left (a node takes the depth if a successor is one
-less, exact because the moves are closed under inverse) or, when both are
-a large share of the space, a pull over the whole grid in memory order,
-one row and one column gather per move.  Every move flips the parity of
-a perm code's depth in the perm quotient (derived from the move table and
-checked), so a rank's depth parity is its perm code's: the 5040 perm rows
-split into two (2520, 729) half-grids, and a depth's grid level reads
-only the half of the previous depth's parity and writes only its own.
+give the successor of any rank, and the abstractions are homomorphic:
+ori index = rank % 729, perm index = rank // 729.  Each pattern database
+is thus the table's projection, a code's least distance over its ranks,
+and a loaded one is certified on its quotient's move table.  Everything
+heavy is vectorized with numpy over those tables; per-rank loops read them
+as `rank_moves()`.  The one BFS, over the ranks, runs each depth as the
+cheapest of three levels: a push from the frontier, a pull over the ranks
+left (a rank takes the depth if a successor is one less, exact because the
+moves are closed under inverse) or, when both are a large share of the
+space, a pull over the whole grid in memory order, one row and one column
+gather per move.  Every move is a quarter turn, an odd corner permutation,
+so a rank's depth parity is its perm code's permutation parity (checked on
+the move table): the 5040 perm rows split into two (2520, 729) half-grids,
+and a depth's grid level reads only the half of the previous depth's
+parity and writes only its own.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -155,22 +158,22 @@ def rank_successors(ranks: np.ndarray, moves=range(6)):
 _GRID_COST_RATIO = 24
 
 
-# a BFS's mark for a node not reached yet, above every depth of these graphs
+# a BFS's mark for a rank not reached yet, above every depth of the rank graph
 _UNREACHED = 0xFF
 
 
-def _colour_split(perm: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The perm codes split by the parity of their depth in the perm
-    quotient, and where each move takes them.
+def _colour_split(perm: np.ndarray, colour: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The perm codes split by `colour`, 0 or 1 per code, and where each
+    move takes them.
 
     Returns (rows, src): rows[c], the sorted codes of colour c, and
     src[c][mi], the position inside rows[1 - c] of each code's successor
-    under move mi (intp).  Raises RuntimeError unless every move flips the
-    colour of every code: only then does a rank's depth parity equal its
-    perm code's colour, and a BFS level reads one colour and writes the other.
+    under move mi (intp).  Raises RuntimeError unless code 0 has colour 0
+    and every move flips the colour of every code: only then is a rank's
+    depth parity its perm code's colour, and a BFS level reads one colour
+    and writes the other.
     """
-    colour = _bfs_distances(perm.shape[0], lambda codes: perm.T.take(codes, axis=1)) & 1
-    if (colour[perm] == colour[:, None]).any():
+    if colour[0] or (colour[perm] == colour[:, None]).any():
         raise RuntimeError("a perm move keeps the parity of a code's depth")
     rows = tuple(np.flatnonzero(colour == c) for c in (0, 1))
     position = np.empty(perm.shape[0], dtype=np.intp)
@@ -182,8 +185,13 @@ def _colour_split(perm: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
 
 @lru_cache(maxsize=1)
 def _rank_colours():
-    """`_colour_split` of the perm move table, built once per process."""
-    return _colour_split(move_tables()[0])
+    """`_colour_split` of the perm move table by permutation parity, built
+    once per process.  A perm code is its permutation's Lehmer code
+    (`cube`'s layout), whose digits sum to the inversion count."""
+    radices = np.arange(7, 0, -1)  # digit i, most significant first, is below 7 - i
+    weights = np.cumprod(np.r_[1, 1:7])[::-1]  # and weighs (6 - i)!
+    digits = np.arange(N_PERM)[:, None] // weights % radices
+    return _colour_split(move_tables()[0], digits.sum(axis=1) & 1)
 
 
 def _grid_gather(grid: np.ndarray, perm_col: np.ndarray, ori_col: np.ndarray,
@@ -244,78 +252,58 @@ def _grid_unreached(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) 
     return (found + shift.take(found // N_ORI)).astype(np.int32)
 
 
-def _bfs_fill(dist: np.ndarray, expand, grid: np.ndarray | None = None) -> list[int]:
-    """Exact distances from index 0, written into `dist` (all _UNREACHED)
-    in place.  Returns the count of nodes at each depth reached, from 0.
-
-    `expand(nodes)` gives the successors of every node, one array per
-    move, each move a bijection.  A depth runs one of three levels:
+def _bfs_fill(dist: np.ndarray) -> list[int]:
+    """Exact distances from the solved rank, written into `dist` (N_STATES
+    entries, all _UNREACHED) in place.  Returns the count of ranks at each
+    depth reached, from 0.  A depth runs one of three levels:
 
     - push: the successors of the frontier not yet reached get the depth,
       move by move, so they hold no duplicates and are the next frontier;
-    - pull: every node not reached takes the depth if one of its
-      successors is at depth - 1, sound because the moves are closed
-      under inverse, so a node's predecessors are its successors (Beamer
-      et al., SC 2012);
+    - pull: every rank not reached of the depth's parity (`_grid_unreached`)
+      takes the depth if one of its successors is at depth - 1, sound
+      because the moves are closed under inverse, so a rank's predecessors
+      are its successors (Beamer et al., SC 2012);
     - whole grid: `_grid_level`, the pull over every rank of the depth's
       parity in memory order.
 
-    `grid` is given only for the rank graph: the four half-grid scratch
-    buffers of `_grid_level`.  Then a depth runs whole grid once the
-    smaller of the frontier and the nodes left, times _GRID_COST_RATIO,
-    exceeds the node count, and a pull scans only the ranks of its depth's
-    parity (`_grid_unreached`), as every move flips a rank's parity.
-    Otherwise a depth pulls when the frontier outnumbers the nodes left and
-    pushes if not.
+    A depth runs whole grid once the smaller of the frontier and the ranks
+    left, times _GRID_COST_RATIO, exceeds N_STATES; otherwise it pulls when
+    the frontier outnumbers the ranks left and pushes if not.  The four
+    half-grid buffers of `_grid_level` are mapped here; np.empty touches no
+    page of them until a grid level runs.
     """
+    colours = _rank_colours()
+    scratch = np.empty((4, N_PERM // 2, N_ORI), dtype=bool)
     dist[0] = 0
     frontier, counts = np.zeros(1, dtype=np.int32), [1]
-    reached, depth, unreached = 1, 0, None
+    reached, depth = 1, 0
     while counts[-1] and reached < dist.size:
         depth += 1
         size, left = counts[-1], dist.size - reached
-        if grid is not None and min(size, left) * _GRID_COST_RATIO > dist.size:
-            size = _grid_level(dist, depth, _rank_colours(), grid)
-            frontier = unreached = None
+        if min(size, left) * _GRID_COST_RATIO > dist.size:
+            size = _grid_level(dist, depth, colours, scratch)
+            frontier = None
         elif size > left:
-            if unreached is None:
-                unreached = (np.flatnonzero(dist == _UNREACHED).astype(np.int32) if grid is None
-                             else _grid_unreached(dist, depth, _rank_colours(), grid))
+            unreached = _grid_unreached(dist, depth, colours, scratch)
             hit = np.zeros(unreached.size, dtype=bool)
-            for succ in expand(unreached):
+            for succ in rank_successors(unreached):
                 hit |= dist.take(succ) == depth - 1
             frontier = unreached[hit]
             dist[frontier] = depth
             size = frontier.size
-            # on the rank grid the rest have this depth's parity, not the next's
-            unreached = unreached[~hit] if grid is None else None
         else:
             if frontier is None:
                 frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
             found = []
-            for succ in expand(frontier):
+            for succ in rank_successors(frontier):
                 succ = succ[dist.take(succ) == _UNREACHED]
                 dist[succ] = depth
                 found.append(succ)
-            frontier, unreached = np.concatenate(found), None
+            frontier = np.concatenate(found)
             size = frontier.size
         reached += size
         counts.append(size)
     return counts if counts[-1] else counts[:-1]
-
-
-def _half_grids() -> np.ndarray:
-    """The scratch of `_grid_level` for one BFS over the ranks.  np.empty
-    maps it but touches no page until a grid level runs."""
-    return np.empty((4, N_PERM // 2, N_ORI), dtype=bool)
-
-
-def _bfs_distances(n: int, expand) -> np.ndarray:
-    """Exact distances from index 0 in a graph of `n` nodes; _UNREACHED (0xFF)
-    = unreachable."""
-    dist = np.full(n, _UNREACHED, dtype=np.uint8)
-    _bfs_fill(dist, expand)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +390,7 @@ def build_distance_table() -> DistanceTable:
     """BFS over the whole canonical space; about 0.05 s on one core.  The
     table's histogram is the BFS's level counts once every rank is reached."""
     dist = np.full(N_STATES, _UNREACHED, dtype=np.uint8)
-    counts = _bfs_fill(dist, rank_successors, _half_grids())
+    counts = _bfs_fill(dist)
     if sum(counts) != N_STATES:
         return DistanceTable(dist)
     return DistanceTable(dist, _histogram=tuple(counts) + (0,) * (15 - len(counts)))
@@ -437,28 +425,26 @@ class PatternDB:
 
     @classmethod
     def load(cls, ori_path, perm_path) -> "PatternDB":
-        """Read both files and check their content against a rebuild (a few
-        ms), which is returned; a well-formed file with wrong distances
-        raises InconsistentTable."""
-        ori = _read_table(ori_path, expect_kind=KIND_ORI_PDB)
-        perm = _read_table(perm_path, expect_kind=KIND_PERM_PDB)
-        exact = build_pattern_dbs()
-        for path, payload, want in ((ori_path, ori, exact.ori_db),
-                                    (perm_path, perm, exact.perm_db)):
-            if payload != want.tobytes():
-                bad = np.flatnonzero(np.frombuffer(payload, dtype=np.uint8) != want)
+        """Read both files and certify each on its quotient's move table
+        (`_bellman_violations`, microseconds): a well-formed file with a
+        wrong entry raises InconsistentTable naming the file.  Returns
+        read-only arrays over the files' bytes."""
+        perm_moves, ori_moves = move_tables()
+        ori = np.frombuffer(_read_table(ori_path, expect_kind=KIND_ORI_PDB), dtype=np.uint8)
+        perm = np.frombuffer(_read_table(perm_path, expect_kind=KIND_PERM_PDB), dtype=np.uint8)
+        for path, db, moves in ((ori_path, ori, ori_moves), (perm_path, perm, perm_moves)):
+            bad = _bellman_violations(db, db.take(moves).min(axis=1))
+            if bad.size:
                 raise InconsistentTable(f"{path}: {bad.size} entries are not the abstract "
                                         f"distances, first index {int(bad[0])}")
-        return exact
+        return cls(ori, perm)
 
 
-def build_pattern_dbs() -> PatternDB:
-    perm_moves, ori_moves = move_tables()
-    ori = _bfs_distances(N_ORI, lambda codes: ori_moves.T.take(codes, axis=1))
-    perm = _bfs_distances(N_PERM, lambda codes: perm_moves.T.take(codes, axis=1))
-    if (ori == 0xFF).any() or (perm == 0xFF).any():
-        raise RuntimeError("abstract space not fully reachable")
-    return PatternDB(ori, perm)
+def build_pattern_dbs(table: DistanceTable) -> PatternDB:
+    """The table's projections, each code's least distance over its ranks:
+    the exact quotient distances, as both abstractions are homomorphic."""
+    grid = table.dist.reshape(N_PERM, N_ORI)
+    return PatternDB(grid.min(axis=0), grid.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +541,24 @@ def check_neighbor_consistency(table: DistanceTable, summary=None) -> tuple[bool
             return False, f"move {mi}: distance gap {gap}"
     return True, "all states, all 6 moves within +-1"
 
+def _bellman_violations(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """The sorted indices where `dist` fails the Bellman certificate of
+    distances from index 0: dist[0] == 0, every other dist == 1 + its
+    `nearest` successor's.  With moves closed under inverse, a `dist` with
+    none is exact: a nearest-successor walk reaches 0 in dist steps, and
+    induction from 0 bounds every dist by the distance."""
+    want = nearest.astype(np.int16)
+    want += 1
+    want[0] = 0
+    return np.flatnonzero(dist != want)
+
+
 def check_exact_distances(table: DistanceTable, summary=None) -> tuple[bool, str]:
-    """Bellman certificate: dist[0] == 0 and, for every other rank,
-    dist == 1 + the least distance among its six successors.  Any table
-    that passes holds the exact distance of every state."""
+    """`_bellman_violations` over every rank: any table that passes holds
+    the exact distance of every state."""
     if table.dist[0] != 0:
         return False, f"solved state at distance {int(table.dist[0])}"
-    nearest = (summary or successor_summary(table))[0]
-    bad = np.flatnonzero(table.dist[1:] != nearest[1:].astype(np.int16) + 1) + 1
+    bad = _bellman_violations(table.dist, (summary or successor_summary(table))[0])
     if bad.size:
         return False, (f"{bad.size} states not 1 + their nearest successor, "
                        f"first rank {int(bad[0])}")

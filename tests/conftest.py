@@ -19,6 +19,17 @@ def apply_generalized(state, move) -> CanonicalState:
     return CanonicalState(moved.perm, moved.ori)
 
 
+def wrong_pdbs(pdb) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """(ori, perm, the wrong one's name) for pattern databases with one
+    overestimating table each: the perm PDB 20 everywhere, one ori entry
+    raised by 2 (its parity kept) and one perm entry raised by 1."""
+    ori, perm = pdb.ori_db.copy(), pdb.perm_db.copy()
+    ori[100] += 2
+    perm[4000] += 1
+    return [(pdb.ori_db, np.full(5040, 20, dtype=np.uint8), "perm"),
+            (ori, pdb.perm_db, "ori"), (pdb.ori_db, perm, "perm")]
+
+
 def bucket(table, depth: int) -> np.ndarray:
     """Sorted ranks of every state at exactly `depth` moves in `table`."""
     return np.flatnonzero(table.dist == depth)
@@ -30,8 +41,8 @@ def dist_table():
 
 
 @pytest.fixture(scope="session")
-def pdb():
-    return build_pattern_dbs()
+def pdb(dist_table):
+    return build_pattern_dbs(dist_table)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import pytest
 from pocketcube import cli, cube, tables
 from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
 
+from conftest import wrong_pdbs
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -39,12 +41,15 @@ ANTIPODE_RANK = 19364
 
 
 @pytest.fixture()
-def overestimating_dir(table_dir, pdb, tmp_path):
-    """Tables whose perm PDB says 20 everywhere, with a valid CRC."""
-    d = copy_tables(table_dir, tmp_path / "overestimating")
-    tables.PatternDB(pdb.ori_db, np.full(5040, 20, dtype=np.uint8)).save(
-        d / cli.ORI_PDB_FILE, d / cli.PERM_PDB_FILE)
-    return d
+def overestimating_dirs(table_dir, pdb, tmp_path):
+    """(dir, file name) for tables with one overestimating PDB file each,
+    with a valid CRC: `wrong_pdbs`."""
+    dirs = []
+    for i, (ori, perm, wrong) in enumerate(wrong_pdbs(pdb)):
+        d = copy_tables(table_dir, tmp_path / f"overestimating{i}")
+        tables.PatternDB(ori, perm).save(d / cli.ORI_PDB_FILE, d / cli.PERM_PDB_FILE)
+        dirs.append((d, cli.ORI_PDB_FILE if wrong == "ori" else cli.PERM_PDB_FILE))
+    return dirs
 
 
 @pytest.fixture()
@@ -278,11 +283,12 @@ class TestVerify:
         assert "FAIL  table files" in out
         assert "ChecksumMismatch" in out
 
-    def test_overestimating_pdb_fails_table_files(self, overestimating_dir, capsys):
-        code, out, _ = run_cli(capsys, "--tables", str(overestimating_dir), "verify")
-        assert code == 1
-        assert "FAIL  table files" in out
-        assert "InconsistentTable" in out
+    def test_overestimating_pdb_fails_table_files(self, overestimating_dirs, capsys):
+        for d, wrong in overestimating_dirs:
+            code, out, _ = run_cli(capsys, "--tables", str(d), "verify")
+            assert code == 1
+            assert "FAIL  table files" in out
+            assert "InconsistentTable" in out and wrong in out
 
     def test_missing_tables_fail(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--tables", str(tmp_path), "verify")
@@ -353,12 +359,12 @@ class TestBadInputErrors:
         assert err.startswith("error: ")
         assert "delta_x" in err
 
-    def test_ida_on_overestimating_pdb(self, overestimating_dir, capsys):
-        code, _, err = run_cli_exit(capsys, "--tables", str(overestimating_dir), "solve",
-                                    "--scramble", "R U")
-        assert code == 1
-        assert err.startswith("error: ")
-        assert cli.PERM_PDB_FILE in err
+    def test_ida_on_overestimating_pdb(self, overestimating_dirs, capsys):
+        for d, wrong in overestimating_dirs:
+            code, _, err = run_cli_exit(capsys, "--tables", str(d), "solve", "--scramble", "R U")
+            assert code == 1
+            assert err.startswith("error: ")
+            assert wrong in err
 
     def test_scramble_from_an_empty_depth(self, no_fourteen_dir, capsys):
         code, _, err = run_cli_exit(capsys, "--tables", str(no_fourteen_dir), "scramble",

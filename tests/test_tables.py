@@ -30,7 +30,7 @@ from pocketcube.tables import (
     move_tables,
 )
 
-from conftest import apply_generalized, bucket
+from conftest import apply_generalized, bucket, wrong_pdbs
 
 # Depth histogram of the quarter-turn metric, pinned after the first
 # verified exhaustive build as a regression artifact.
@@ -110,20 +110,11 @@ class TestBuild:
             assert np.array_equal(rows[1 - c][src[c]], perm[rows[c]].T)
 
     def test_perm_move_table_that_is_not_bipartite_raises(self):
-        # three codes on a cycle: code 0 is 1 move from both others, which
-        # are 1 move from each other
+        # three codes on a cycle, which no colouring flips along every
+        # move: code 0 is 1 move from both others, which are 1 move apart
         cycle = np.array([[1, 2] * 3, [2, 0] * 3, [0, 1] * 3], dtype=np.int32)
         with pytest.raises(RuntimeError, match="parity"):
-            tables._colour_split(cycle)
-
-    def test_bfs_stops_and_leaves_an_unreachable_node_unreached(self):
-        # node 0 swaps with each of 1..6, node 7 is fixed by every move:
-        # depth 2 pulls (frontier 6 > 1 left), finds nothing and stops
-        moves = np.tile(np.arange(8, dtype=np.int32), (6, 1))
-        for i in range(1, 7):
-            moves[i - 1, [0, i]] = i, 0
-        dist = tables._bfs_distances(8, lambda nodes: moves.take(nodes, axis=1))
-        assert dist.tolist() == [0, 1, 1, 1, 1, 1, 1, 0xFF]
+            tables._colour_split(cycle, np.array([0, 1, 0]))
 
 
 class TestDistance:
@@ -253,6 +244,25 @@ class TestPatternDB:
         r = canonicalize(state).rank
         assert heuristic(pdb, r) >= 1
 
+    def test_projections_are_the_quotient_distances(self, dist_table):
+        # the reference: a plain BFS over each coordinate move table
+        def bfs(moves):
+            dist, frontier = [0] + [None] * (len(moves) - 1), [0]
+            while frontier:
+                found = []
+                for node in frontier:
+                    for child in moves[node]:
+                        if dist[child] is None:
+                            dist[child] = dist[node] + 1
+                            found.append(child)
+                frontier = found
+            return dist
+
+        pdb = tables.build_pattern_dbs(dist_table)
+        perm, ori = move_tables()
+        assert pdb.ori_db.tolist() == bfs(ori.tolist())
+        assert pdb.perm_db.tolist() == bfs(perm.tolist())
+
     def test_abstraction_projections_from_rank_layout(self, pdb, dist_table):
         dense = pdb.dense_heuristic()
         rng = np.random.default_rng(23)
@@ -275,13 +285,14 @@ class TestPersistence:
         loaded = PatternDB.load(tmp_path / "o.bin", tmp_path / "p.bin")
         assert np.array_equal(loaded.ori_db, pdb.ori_db)
         assert np.array_equal(loaded.perm_db, pdb.perm_db)
+        assert not loaded.ori_db.flags.writeable and not loaded.perm_db.flags.writeable
 
     def test_pattern_db_with_wrong_content(self, pdb, tmp_path):
-        # well-formed, valid CRC, but every perm entry overestimates
-        PatternDB(pdb.ori_db, np.full(5040, 20, dtype=np.uint8)).save(
-            tmp_path / "o.bin", tmp_path / "p.bin")
-        with pytest.raises(InconsistentTable, match="p.bin"):
-            PatternDB.load(tmp_path / "o.bin", tmp_path / "p.bin")
+        # well-formed, valid CRC, but one file's distances are wrong
+        for ori, perm, wrong in wrong_pdbs(pdb):
+            PatternDB(ori, perm).save(tmp_path / "ori.bin", tmp_path / "perm.bin")
+            with pytest.raises(InconsistentTable, match=f"{wrong}.bin"):
+                PatternDB.load(tmp_path / "ori.bin", tmp_path / "perm.bin")
 
     def test_files_are_byte_identical_to_reference(self, dist_table, pdb, tmp_path):
         dist_table.save(tmp_path / "distance_qtm.bin")
