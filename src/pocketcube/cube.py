@@ -62,6 +62,7 @@ check_move_reduction proves it for every canonical state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -339,8 +340,10 @@ class CanonicalState(CubeletState):
         if self.perm[ANCHOR] != ANCHOR or self.ori[ANCHOR] != 0:
             raise CubeError("not canonical: anchor cubelet out of place")
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
+        """`rank(self)`, computed on first read; `unrank` stores the rank
+        it was given, so a state it made is never ranked again."""
         return rank(self)
 
 
@@ -446,7 +449,7 @@ def unrank(index: int) -> CanonicalState:
         raise CubeError(f"rank {index} out of range [0, {N_STATES})")
     perm_code, twist_code = divmod(index, N_ORI)
     state = object.__new__(CanonicalState)  # valid by construction: no __post_init__
-    state.__dict__.update(perm=_PERMS[perm_code] + (ANCHOR,), ori=_ORIS[twist_code])
+    state.__dict__.update(perm=_PERMS[perm_code] + (ANCHOR,), ori=_ORIS[twist_code], rank=index)
     return state
 
 

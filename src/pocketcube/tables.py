@@ -47,6 +47,7 @@ from .cube import (
     N_STATES,
     CanonicalState,
     CubeletState,
+    Move,
     canonicalize,
     coordinate_moves,
     rank,
@@ -406,8 +407,11 @@ class PatternDB:
 
     ori_db: np.ndarray
     perm_db: np.ndarray
-    # IDA*'s heuristic, one byte per rank, cached by solver.search_heuristic
+    # IDA*'s heuristic, one byte per rank, and its memo of the paths from
+    # the ranks nearest solved, both cached by solver.search_heuristic
     ida_heuristic: bytearray | None = field(default=None, init=False, repr=False, compare=False)
+    ida_tails: dict[int, tuple[Move, ...]] | None = field(default=None, init=False, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         self.ori_db = np.ascontiguousarray(self.ori_db, dtype=np.uint8)

@@ -233,13 +233,27 @@ class TestRank:
         assert unrank(0) == SOLVED
 
     def test_boundary_roundtrip(self):
-        assert unrank(N_STATES - 1).rank == N_STATES - 1
+        assert rank(unrank(N_STATES - 1)) == N_STATES - 1
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             i = int(rng.integers(0, N_STATES))
-            assert unrank(i).rank == i
+            assert rank(unrank(i)) == i
+
+    def test_unranked_state_keeps_its_rank(self, monkeypatch):
+        # .rank on a state from unrank is the stored index, never recomputed;
+        # the same state built by hand computes it, once
+        states = [unrank(i) for i in (0, 1, 729, 1_234_567, N_STATES - 1)]
+        rebuilt = [CanonicalState(s.perm, s.ori) for s in states]
+        want = [rank(s) for s in rebuilt]
+
+        def no_rank(state):
+            raise AssertionError("cube.rank called")
+        monkeypatch.setattr(cube, "rank", no_rank)
+        assert [s.rank for s in states] == want
+        monkeypatch.undo()
+        assert [s.rank for s in rebuilt] == want
 
     def test_unrank_rejects_out_of_range(self):
         with pytest.raises(CubeError):

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from pocketcube.actions import compile_moves
@@ -79,6 +81,27 @@ class TestSampling:
         cached = sum(a.nbytes for cache in vars(table).values() if isinstance(cache, dict)
                      for a in cache.values())
         assert 0 < cached < 1_000_000
+
+
+class TestSeededRng:
+    @given(st.lists(st.integers(min_value=0, max_value=2**80), min_size=1, max_size=5))
+    def test_same_stream_as_the_tuple(self, ints):
+        want = np.random.default_rng(tuple(ints))
+        got = evaluate._seeded_rng(*ints)
+        assert np.array_equal(got.integers(0, 2**63, size=4), want.integers(0, 2**63, size=4))
+        assert got.random() == want.random()
+
+    def test_word_boundaries_and_trial_zero(self):
+        for seed in (0, 2**32 - 1, 2**32, 2**64, 2**70 + 3):
+            for trial in (0, 1):
+                want = np.random.default_rng((seed, 7, 1, trial)).random(3)
+                assert np.array_equal(evaluate._seeded_rng(seed, 7, 1, trial).random(3), want)
+
+    def test_rejects_a_negative_int_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((-1, 2))
+        with pytest.raises(ValueError):
+            evaluate._seeded_rng(-1, 2)
 
 
 class TestRunExperiment:

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from pocketcube.cube import (
     ANCHOR,
@@ -17,8 +18,9 @@ from pocketcube.cube import (
     random_canonical,
     unrank,
 )
-from pocketcube.solver import PERIMETER, ida_star, oracle_descent, oracle_solve, search_heuristic
-from pocketcube.tables import DistanceTable, move_tables, successor_summary
+from pocketcube.solver import (PERIMETER, TAIL, SolveResult, ida_star, oracle_descent,
+                               oracle_solve, search_heuristic)
+from pocketcube.tables import DistanceTable, move_tables, successor, successor_summary
 
 from conftest import apply_generalized, bucket
 
@@ -98,6 +100,13 @@ class TestIdaStar:
         assert sum(res.nodes_expanded for res in results) == REFERENCE_NODES
         assert sum(res.iterations for res in results) == REFERENCE_ITERATIONS
 
+    def test_result_is_immutable_with_its_field_names(self, pdb):
+        res = ida_star(unrank(1_234_567), pdb)
+        assert SolveResult._fields == ("solution", "nodes_expanded", "iterations", "bounds")
+        with pytest.raises(AttributeError):
+            res.nodes_expanded = 0
+        assert SolveResult([], 0, 0).bounds == ()
+
     def test_antipodes_are_byte_identical_to_reference(self, dist_table, pdb):
         lines = ""
         for r in bucket(dist_table, 14):
@@ -144,6 +153,30 @@ class TestSearchHeuristic:
 
     def test_cached_per_pattern_db(self, pdb):
         assert search_heuristic(pdb) is search_heuristic(pdb)
+        tails = pdb.ida_tails
+        search_heuristic(pdb)
+        assert pdb.ida_tails is tails
+
+    def test_tails_are_the_stored_walks_of_every_rank_near_solved(self, dist_table, pdb):
+        # the memo holds exactly the ranks within TAIL moves of solved, each
+        # mapped to the walk of its stored moves, as long as its distance,
+        # that ends at solved
+        h = search_heuristic(pdb)
+        tails = pdb.ida_tails
+        near = np.flatnonzero(dist_table.dist <= TAIL)
+        assert sorted(tails) == near.tolist()
+        assert len(tails) == 2_944
+        for r in near.tolist():
+            walk, end = [], r
+            for _ in range(dist_table.dist[r]):
+                walk.append(h[end] >> 4)
+                end = successor(end, walk[-1])
+            assert end == 0
+            assert tails[r] == tuple(GENERALIZED_MOVES[mi] for mi in walk)
+            state = unrank(r)
+            for move in tails[r]:
+                state = apply_generalized(state, move)
+            assert state.rank == 0
 
     def test_one_iteration_inside_perimeter(self, dist_table, pdb):
         # exact h: the root's bound is its distance, and only the nodes on
