@@ -143,10 +143,6 @@ class Move(Enum):
     def is_prime(self) -> bool:
         return self.value.endswith("'")
 
-    @property
-    def inverse(self) -> "Move":
-        return Move(self.face if self.is_prime else self.face + "'")
-
     def __repr__(self) -> str:  # "Move.R_PRIME" is noise in test diffs
         return f"Move({self.value!r})"
 

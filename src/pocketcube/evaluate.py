@@ -8,6 +8,13 @@ action-number statistics, and writes one CSV row per cell.  All
 randomness is derived from the master seed, episode by episode, so a
 repeated run reproduces the CSV byte for byte (within one build;
 cross-build PRNG stability is not promised).
+
+Each distance's scrambles come from `np.random.default_rng((master_seed,
+distance, 99))` and trial t of the m-th mode runs on
+`np.random.default_rng((master_seed, distance, m, t))`.  Those generators
+are not built one by one: `_pcg64_states` hashes a block of keys in one
+numpy pass, and one Generator moves from stream to stream by setting its
+PCG64 state, with the same draws.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import csv
 import functools
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,12 +73,6 @@ class ResultRow:
 class ExperimentResult:
     rows: list[ResultRow]
 
-    def row(self, distance: int, mode: ExecutionMode) -> ResultRow:
-        for r in self.rows:
-            if r.distance == distance and r.mode is mode:
-                return r
-        raise KeyError((distance, mode))
-
     def overall_sr(self, mode: ExecutionMode) -> float:
         srs = [r.sr for r in self.rows if r.mode is mode]
         if not srs:
@@ -107,24 +109,113 @@ def oracle_planner(table: DistanceTable) -> Planner:
     return plan
 
 
-def _seeded_rng(*ints: int) -> np.random.Generator:
-    """`np.random.default_rng(ints)`, the same stream, built faster.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool of 4 words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    SeedSequence turns a tuple of ints into the little-endian 32-bit words
-    of each int, [0] for 0, one numpy array per int; given those words as
-    one uint32 array it only copies them.  The hashing and the generator's
-    set-up are unchanged, and so is every draw.
-    """
-    words = []
-    for n in ints:
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & 0xFFFFFFFF)
+# the most streams whose states are built in one pass, which bounds their memory
+_STREAM_CHUNK = 1024
+
+
+def _seed_words(n: int) -> list[int]:
+    """SeedSequence's entropy words for one int: little-endian 32-bit, [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
         n >>= 32
-        while n:
-            words.append(n & 0xFFFFFFFF)
-            n >>= 32
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return words
+
+
+def _lcg32(start: int, mult: int, n: int) -> np.ndarray:
+    """start * mult**k mod 2^32 for k = 0..n, as an (n + 1, 1) uint32 column."""
+    values = [start]
+    for _ in range(n):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of `values` (or one word,
+    broadcast): the k-th call xors consts[k] and multiplies by consts[k + 1]."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of `PCG64(SeedSequence(row))` for each row of a uint32
+    entropy matrix.
+
+    SeedSequence's mix_entropy and generate_state run over every row at
+    once, in numpy's uint32 arithmetic, which wraps as the C code's does.
+    Their hash constants do not depend on the data, so one sequence serves
+    every row, and the calls that read the same word share one array
+    operation.  PCG64 then takes its seed and increment from the four
+    uint64 words and sets up as O'Neill's pcg_setseq_128_srandom_r does,
+    on Python ints.
+    """
+    rows, width = entropy.shape
+    columns = np.zeros((max(width, _POOL_SIZE), rows), dtype=np.uint32)
+    columns[:width] = entropy.T  # the pool's missing words hash 0
+    extra = len(columns) - _POOL_SIZE
+    consts = _lcg32(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = _hashmix(columns[:_POOL_SIZE], consts[:_POOL_SIZE + 1])
+    k = _POOL_SIZE  # index of the next hashmix call
+    # every pool word into every other, then each remaining word into every pool word
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE - 1
+    for column in columns[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(column, consts[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+
+    # generate_state(4, np.uint64): 8 words cycling over the pool, read as
+    # little-endian pairs
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _lcg32(_INIT_B, _MULT_B, 8))
+    seeds = np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
+
+    states = []
+    for s_high, s_low, i_high, i_low in seeds.tolist():
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        states.append((((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(key: tuple[int, ...], lasts: Sequence[int]) -> Iterator[np.random.Generator]:
+    """`np.random.default_rng(key + (last,))` for each int in `lasts` (each
+    below 2^32), in order, with the same draws.
+
+    One Generator is moved from stream to stream through its bit
+    generator's state, so each yield holds only until the next.  The states
+    are built _STREAM_CHUNK at a time by _pcg64_states.  A negative int
+    in `key` raises ValueError, as numpy does.
+    """
+    head = [w for n in key for w in _seed_words(n)]
+    rng = np.random.default_rng(0)  # seeded only to skip reading OS entropy
+    bitgen = rng.bit_generator
+    for start in range(0, len(lasts), _STREAM_CHUNK):
+        tail = lasts[start:start + _STREAM_CHUNK]
+        entropy = np.empty((len(tail), len(head) + 1), dtype=np.uint32)
+        entropy[:, :-1] = head
+        entropy[:, -1] = tail
+        for state, inc in _pcg64_states(entropy):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def run_experiment(config: ExperimentConfig, table: DistanceTable,
@@ -134,14 +225,15 @@ def run_experiment(config: ExperimentConfig, table: DistanceTable,
     rows: list[ResultRow] = []
     for distance in sorted(config.distances):
         # stream tag 99 keeps scramble draws apart from episode draws
-        scramble_rng = _seeded_rng(config.master_seed, distance, 99)
+        scramble_rng = next(_streams((config.master_seed, distance), (99,)))
         scrambles = sample_at_distance(distance, config.trials_per_distance,
                                        table, scramble_rng)
         for mode_index, mode in enumerate(config.modes):
             successes = 0
             counts = np.empty(config.trials_per_distance, dtype=np.float64)
-            for trial, scramble in enumerate(scrambles):
-                rng = _seeded_rng(config.master_seed, distance, mode_index + 1, trial)
+            streams = _streams((config.master_seed, distance, mode_index + 1),
+                               range(config.trials_per_distance))
+            for trial, (scramble, rng) in enumerate(zip(scrambles, streams)):
                 report = execute_episode(scramble, mode, planner,
                                          config.model, config.executor, rng)
                 successes += report.success

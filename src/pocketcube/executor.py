@@ -37,9 +37,11 @@ inline and needs no trace; only `trace=True` (`simulate --trace`) builds
 a TraceEntry, with its pose errors, per action.  The draws are the same
 either way.
 
-A successful re-pose makes its draws at once but computes its floats
-(position, orientation, the anchor twists' turns) only when something
-reads the pose: the trace, or a check outside its proof's bounds.  The
+A successful re-pose makes its draws at once, keeping its two normal
+3-vectors raw, but computes its floats (the unit vectors, position,
+orientation, the anchor twists' turns) only when something reads the
+pose: the trace, or a check outside its proof's bounds.  A normal draw
+too short to normalize is still redrawn at once (see _normal_draw).  The
 goal check and the up face at each twist are proven from the draws while
 delta_q is small enough (see _DrawnPose), and the computed pose has the
 same bits as an eager one.  Failure and randomized poses are computed at
@@ -52,6 +54,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .actions import (
     DELTA_Q,
@@ -244,20 +248,21 @@ class _DrawnPose:
     """A successful re-pose held as its goal and its four draws, plus the
     anchor-twist quarter turns queued since.
 
-    The draws are the position direction, the radius draw, the wobble axis
-    and the angle draw.  `materialize` computes the pose from them with the
-    float operations of an eager draw, in the same order, so it gets the
-    same bits: both radii volume-uniform inside the tolerance region
-    (cube-root draws), then each queued turn.  Two readers skip that work
-    where a proof gives their answer; outside its bounds they read the
+    The draws are the position direction and the wobble axis, both raw
+    normal 3-vectors, the radius draw and the angle draw.  `materialize`
+    computes the pose from them with the float operations of an eager draw,
+    in the same order, so it gets the same bits: both vectors normalized,
+    both radii volume-uniform inside the tolerance region (cube-root
+    draws), then each queued turn.  Two readers skip that work where a
+    proof gives their answer; outside its bounds they read the
     materialized pose.
     """
 
     __slots__ = ("goal", "face", "direction", "radius_draw", "axis", "angle_draw",
                  "delta_x", "delta_q", "turns")
 
-    def __init__(self, goal: PoseGoal, direction: Vector3, radius_draw: float,
-                 axis: Vector3, angle_draw: float, delta_x: float, delta_q: float):
+    def __init__(self, goal: PoseGoal, direction: np.ndarray, radius_draw: float,
+                 axis: np.ndarray, angle_draw: float, delta_x: float, delta_q: float):
         self.goal = goal
         self.face = _GOAL_FACE.get(goal.q_target)  # None: no proof covers this goal
         self.direction, self.radius_draw = direction, radius_draw
@@ -266,10 +271,11 @@ class _DrawnPose:
         self.turns = 0
 
     def materialize(self) -> Pose:
-        c, u = self.goal.x_target, self.direction
+        c, u = self.goal.x_target, _unit(self.direction)
         r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
         position = (c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r)
-        wobble = Quaternion.from_axis_angle(self.axis, self.delta_q * self.angle_draw ** (1.0 / 3.0))
+        wobble = Quaternion.from_axis_angle(_unit(self.axis),
+                                            self.delta_q * self.angle_draw ** (1.0 / 3.0))
         orientation = (wobble * self.goal.q_target).normalized()
         for _ in range(self.turns):
             orientation = (_TWIST_ROTATION * orientation).normalized()
@@ -335,18 +341,33 @@ def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: f
             or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
 
 
-def _unit_vector(rng) -> Vector3:
-    """A uniformly random direction: a normal 3-vector, redrawn while its norm is ~0."""
+def _normal_draw(rng) -> np.ndarray:
+    """A standard normal 3-vector, redrawn while its computed norm is below
+    1e-12, as _unit needs.
+
+    A component of magnitude at least 2e-12 proves that it is not: its
+    square rounds to at least 4e-24 (1 - 2^-52), far above underflow; a
+    rounded sum of non-negative terms is no less than its largest term, so
+    the computed norm is at least about 2e-12.  Only a draw with no such
+    component computes the norm.
+    """
     while True:
         v = rng.standard_normal(3)
-        n = math.sqrt(v.dot(v))
-        if n >= 1e-12:
-            x, y, z = v.tolist()
-            return (x / n, y / n, z / n)
+        x, y, z = v.tolist()
+        if (abs(x) >= 2e-12 or abs(y) >= 2e-12 or abs(z) >= 2e-12
+                or math.sqrt(v.dot(v)) >= 1e-12):
+            return v
+
+
+def _unit(v: np.ndarray) -> Vector3:
+    """v / |v|, for a draw of _normal_draw."""
+    n = math.sqrt(v.dot(v))
+    x, y, z = v.tolist()
+    return (x / n, y / n, z / n)
 
 
 def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
-    u = _unit_vector(rng)
+    u = _unit(_normal_draw(rng))
     r = radius * rng.random() ** (1.0 / 3.0)
     return (center[0] + u[0] * r, center[1] + u[1] * r, center[2] + u[2] * r)
 
@@ -370,8 +391,8 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
     success = rng.random() < model.p_rot
     if success:
         # the draws of the pose, in order: direction, radius, axis, angle
-        direction, radius_draw = _unit_vector(rng), rng.random()
-        axis, angle_draw = _unit_vector(rng), rng.random()
+        direction, radius_draw = _normal_draw(rng), rng.random()
+        axis, angle_draw = _normal_draw(rng), rng.random()
         cube._drawn = _DrawnPose(goal, direction, radius_draw, axis, angle_draw, delta_x, delta_q)
     else:
         cube.pose = _sample_failure_pose(rng)
@@ -393,7 +414,8 @@ def attempt_twist(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     if rng.random() < model.p_op:
         _commit_twist(cube)
         return True
-    residual = rng.uniform(FAILURE_ANGLE_LOW, FAILURE_ANGLE_HIGH)
+    # Generator.uniform's own formula, low + (high - low) * a double, without its call
+    residual = FAILURE_ANGLE_LOW + (FAILURE_ANGLE_HIGH - FAILURE_ANGLE_LOW) * rng.random()
     if abs(residual - TWIST_TARGET) <= CHAMFER_TOLERANCE:
         _commit_twist(cube)  # slipped through to the next detent
     elif abs(residual) <= CHAMFER_TOLERANCE:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pocketcube.cube import CanonicalState, apply
+from pocketcube.cube import CanonicalState, Move, apply
 from pocketcube.tables import build_distance_table, build_pattern_dbs
 
 # Every property test draws the same examples on every run, and none are
@@ -17,6 +17,19 @@ def apply_generalized(state, move) -> CanonicalState:
     result is canonical too, as it is for the six generalized moves."""
     moved = apply(state, move)
     return CanonicalState(moved.perm, moved.ori)
+
+
+def inverse(move: Move) -> Move:
+    """The move that undoes `move`: R for R', R' for R."""
+    return Move(move.face if move.is_prime else move.face + "'")
+
+
+def result_row(result, distance: int, mode):
+    """The ResultRow of one (distance, mode) cell of an ExperimentResult."""
+    for r in result.rows:
+        if r.distance == distance and r.mode is mode:
+            return r
+    raise KeyError((distance, mode))
 
 
 def wrong_pdbs(pdb) -> list[tuple[np.ndarray, np.ndarray, str]]:

@@ -41,7 +41,7 @@ from pocketcube.executor import (
 )
 from pocketcube.solver import ida_star, oracle_solve
 
-from conftest import apply_generalized, bucket
+from conftest import apply_generalized, bucket, result_row
 
 P_ROT = 0.952   # measured re-pose success rate, used as a parameter
 P_OP = 0.923    # measured twist success rate, used as a parameter
@@ -187,8 +187,8 @@ def test_c10_rollback_domination(dist_table):
     n = config.trials_per_distance
     worst_p = 1.0
     for d in range(1, 15):
-        rb = result.row(d, ExecutionMode.ROLLBACK)
-        ol = result.row(d, ExecutionMode.OPEN_LOOP)
+        rb = result_row(result, d, ExecutionMode.ROLLBACK)
+        ol = result_row(result, d, ExecutionMode.OPEN_LOOP)
         rb_succ, ol_succ = round(rb.sr * n), round(ol.sr * n)
         # one-sided test: fail only if open loop significantly beats rollback
         pvalue = stats.fisher_exact([[rb_succ, n - rb_succ],

@@ -229,6 +229,15 @@ class TestEval:
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
             "224c4f1eeb2499274282e895218937ec2ccd0e08c8d6f2750b39028fc751a927"
 
+    def test_csv_is_pinned_for_a_two_word_seed(self, tdir, capsys, tmp_path):
+        # 2^40 + 5: the master seed fills more than one 32-bit seed word
+        out_csv = tmp_path / "r.csv"
+        code, _, _ = run_cli(capsys, "--tables", tdir, "eval", "--trials", "3",
+                             "--seed", "1099511627781", "--out", str(out_csv), "--quiet")
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
+            "3cbbbb5c3132420938b6681cba2de4c7362612c7c21b595dde62d1b802123e36"
+
     def test_single_mode(self, tdir, capsys, tmp_path):
         out_csv = tmp_path / "r.csv"
         code, out, _ = run_cli(capsys, "--tables", tdir, "eval", "--trials", "1",

@@ -34,7 +34,7 @@ from pocketcube.cube import (
     unrank,
 )
 
-from conftest import apply_generalized
+from conftest import apply_generalized, inverse
 
 # Sticker pictures of one U and one R turn applied to the solved cube,
 # traced by hand on the unfolded layout (independent of the move tables).
@@ -68,7 +68,7 @@ def rotate_state(state, rotation) -> CubeletState:
 
 
 def inverse_seq(seq):
-    return [m.inverse for m in reversed(seq)]
+    return [inverse(m) for m in reversed(seq)]
 
 
 class TestGeometry:
@@ -126,7 +126,7 @@ class TestApply:
     def test_inverse_cancels(self):
         for s in random_states(1, 20):
             for m in Move:
-                assert apply(apply(s, m), m.inverse) == s
+                assert apply(apply(s, m), inverse(m)) == s
 
     def test_order_four(self):
         for m in Move:

@@ -27,7 +27,7 @@ from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
 from pocketcube.solver import oracle_descent, oracle_solve
 from pocketcube.tables import DistanceTable
 
-from conftest import apply_generalized, bucket
+from conftest import apply_generalized, bucket, result_row
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -83,25 +83,42 @@ class TestSampling:
         assert 0 < cached < 1_000_000
 
 
-class TestSeededRng:
-    @given(st.lists(st.integers(min_value=0, max_value=2**80), min_size=1, max_size=5))
-    def test_same_stream_as_the_tuple(self, ints):
-        want = np.random.default_rng(tuple(ints))
-        got = evaluate._seeded_rng(*ints)
-        assert np.array_equal(got.integers(0, 2**63, size=4), want.integers(0, 2**63, size=4))
-        assert got.random() == want.random()
+class TestStreams:
+    """Each episode and scramble stream is np.random.default_rng of its key."""
 
-    def test_word_boundaries_and_trial_zero(self):
-        for seed in (0, 2**32 - 1, 2**32, 2**64, 2**70 + 3):
-            for trial in (0, 1):
-                want = np.random.default_rng((seed, 7, 1, trial)).random(3)
-                assert np.array_equal(evaluate._seeded_rng(seed, 7, 1, trial).random(3), want)
+    CHUNK = evaluate._STREAM_CHUNK
+
+    @given(st.integers(min_value=0, max_value=2**80), st.integers(min_value=1, max_value=14),
+           st.sampled_from((1, 2, 99)),
+           st.sampled_from((1, 2, CHUNK - 1, CHUNK, CHUNK + 1)))
+    def test_block_states_are_default_rng_of_the_key(self, master, distance, tag, trials):
+        key = (master, distance, tag)
+        checked = {0, 1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, trials - 1}
+        n = 0
+        for trial, rng in enumerate(evaluate._streams(key, range(trials))):
+            if trial in checked:
+                want = np.random.default_rng(key + (trial,))
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.random() == want.random()
+            n += 1
+        assert n == trials
+        # the scramble stream's key has no trial
+        scramble_rng = next(evaluate._streams((master, distance), (99,)))
+        want = np.random.default_rng((master, distance, 99))
+        assert scramble_rng.bit_generator.state == want.bit_generator.state
+
+    def test_every_state_across_the_chunks(self):
+        for key in ((0, 1, 1), (2**32 - 1, 14, 2), (2**64 + 7, 9, 99)):
+            got = [rng.bit_generator.state
+                   for rng in evaluate._streams(key, range(2 * self.CHUNK + 5))]
+            assert got == [np.random.default_rng(key + (t,)).bit_generator.state
+                           for t in range(2 * self.CHUNK + 5)]
 
     def test_rejects_a_negative_int_as_numpy_does(self):
         with pytest.raises(ValueError):
-            np.random.default_rng((-1, 2))
+            np.random.default_rng((-1, 2, 99))
         with pytest.raises(ValueError):
-            evaluate._seeded_rng(-1, 2)
+            next(evaluate._streams((-1, 2), (99,)))
 
 
 class TestRunExperiment:
@@ -124,7 +141,7 @@ class TestRunExperiment:
                             compile_moves(oracle_solve(unrank(r), dist_table)))
                         for r in scrambles]
         for mode in ExecutionMode:
-            row = result.row(4, mode)
+            row = result_row(result, 4, mode)
             assert row.an_mean == pytest.approx(np.mean(plan_lengths))
             assert row.an_std == pytest.approx(np.std(plan_lengths))
 
@@ -148,7 +165,7 @@ class TestRunExperiment:
                                   modes=(ExecutionMode.OPEN_LOOP,),
                                   master_seed=9)
         result = run_experiment(config, dist_table)
-        srs = [result.row(d, ExecutionMode.OPEN_LOOP).sr for d in range(1, 15)]
+        srs = [result_row(result, d, ExecutionMode.OPEN_LOOP).sr for d in range(1, 15)]
         rho, pvalue = stats.spearmanr(range(1, 15), srs)
         assert rho < 0
         assert pvalue / 2 < 0.05  # one-sided

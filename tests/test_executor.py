@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pocketcube.actions import (
     DELTA_X,
     PALM_CENTER,
+    TWIST_TARGET,
     Pose,
     PoseGoal,
     Quaternion,
@@ -44,11 +45,16 @@ from pocketcube.executor import (
     format_trace_entry,
     up_face,
 )
-from pocketcube.executor import _goal_reached
+from pocketcube.executor import (
+    CHAMFER_TOLERANCE,
+    FAILURE_ANGLE_HIGH,
+    FAILURE_ANGLE_LOW,
+    _goal_reached,
+)
 from pocketcube.solver import oracle_solve
 from pocketcube.tables import successor
 
-from conftest import apply_generalized, bucket
+from conftest import apply_generalized, bucket, inverse
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 
@@ -233,12 +239,49 @@ class TestDrawnPose:
                 assert cube._drawn is None  # the exact path read the floats
                 assert reached == pose_goal_reached(pose, goal, DELTA_X, 0.1)
 
+    @pytest.mark.parametrize("normal", [
+        (1e-13, 1e-13, 1e-13),     # norm below 1e-12: redrawn by both
+        (5e-13, -5e-13, 5e-13),    # no component proves it, and the norm redraws
+        (1.5e-12, 1.5e-12, 0.0),   # no component proves it, but the norm keeps it
+        (2e-12, 0.0, 0.0),         # the largest component exactly at the bound
+        (-2e-12, 1e-13, -1e-13),
+    ])
+    @pytest.mark.parametrize("slot", ["direction", "axis"])
+    def test_tiny_normals_redraw_as_the_eager_draw(self, normal, slot):
+        class StubRng:
+            """Seeded draws, but one standard_normal draw, the direction's
+            or the axis's first, replaced by `normal`."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.normals = 0
+
+            def random(self):
+                return self.rng.random()
+
+            def standard_normal(self, n):
+                v = self.rng.standard_normal(n)
+                self.normals += 1
+                return np.array(normal) if self.normals == (1 if slot == "direction" else 2) else v
+
+        goal = PoseGoal(PALM_CENTER, goal_orientation(Move.R))
+        for seed in range(20):
+            lazy_rng, eager_rng = StubRng(seed), StubRng(seed)
+            cube = PhysicalCube.at_rest(0)
+            assert attempt_rotate(cube, goal, PERFECT, lazy_rng)
+            assert eager_rng.random() < PERFECT.p_rot
+            pose = eager_pose_near(eager_rng, goal, DELTA_X, 0.1)
+            assert bits(cube.pose) == bits(pose)
+            assert lazy_rng.normals == eager_rng.normals
+            assert np.array_equal(lazy_rng.standard_normal(3), eager_rng.standard_normal(3))
+            assert lazy_rng.random() == eager_rng.random()
+
 
 class TestAttemptTwist:
     def test_perfect_twist_advances_each_move_class(self):
         rng = np.random.default_rng(54)
         for m in GENERALIZED_MOVES:
-            prime = m if m.is_prime else m.inverse
+            prime = m if m.is_prime else inverse(m)
             cube = PhysicalCube.at_rest(0)
             cube.pose = cube.pose.__class__((0.0, 0.0, 0.0), goal_orientation(m))
             assert attempt_twist(cube, PERFECT, rng)
@@ -291,6 +334,27 @@ class TestAttemptTwist:
         assert 0.02 < committed / 2000 < 0.10
         assert 0.02 < aligned / 2000 < 0.10
         assert residual > 1500
+
+    def test_residual_is_generator_uniform(self):
+        # attempt_twist computes uniform's formula on random(); the residual
+        # it leaves must be the uniform draw, bit for bit
+        model = ActuationModel(p_op=0.0)
+        cube = PhysicalCube.at_rest(0)
+        for seed in range(200):
+            rng, eager_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(1000):
+                logical = cube.logical
+                assert not attempt_twist(cube, model, rng)
+                assert eager_rng.random() >= model.p_op
+                residual = eager_rng.uniform(FAILURE_ANGLE_LOW, FAILURE_ANGLE_HIGH)
+                if abs(residual - TWIST_TARGET) <= CHAMFER_TOLERANCE:
+                    assert cube.logical != logical and cube.layer_misalignment == 0.0
+                else:
+                    assert cube.logical == logical
+                    assert cube.layer_misalignment == (
+                        0.0 if abs(residual) <= CHAMFER_TOLERANCE else residual)
+                cube.layer_misalignment = 0.0
+            assert rng.random() == eager_rng.random()
 
     def test_empirical_rate_matches_calibration(self):
         model = ActuationModel()
@@ -494,7 +558,7 @@ class TestEpisode:
     def test_move_counts_once_an_action_ran(self):
         # the first prime move uses the whole budget of 2; the second never starts
         plan = [Move.U_PRIME, Move.R_PRIME]
-        s = canonicalize(apply_seq(SOLVED, [m.inverse for m in reversed(plan)]))
+        s = canonicalize(apply_seq(SOLVED, [inverse(m) for m in reversed(plan)]))
         for mode in ExecutionMode:
             rep = execute_episode(s.rank, mode, lambda _: plan, PERFECT,
                                   ExecutorConfig(action_budget=2), np.random.default_rng(80))

@@ -30,7 +30,7 @@ from pocketcube.tables import (
     move_tables,
 )
 
-from conftest import apply_generalized, bucket, wrong_pdbs
+from conftest import apply_generalized, bucket, inverse, wrong_pdbs
 
 # Depth histogram of the quarter-turn metric, pinned after the first
 # verified exhaustive build as a regression artifact.
@@ -222,7 +222,7 @@ class TestRankKernel:
 
     @given(st.integers(0, N_STATES - 1), st.integers(0, 5))
     def test_inverse_move_undoes_successor(self, r, mi):
-        inv = GENERALIZED_MOVES.index(GENERALIZED_MOVES[mi].inverse)
+        inv = GENERALIZED_MOVES.index(inverse(GENERALIZED_MOVES[mi]))
         assert tables.successor(tables.successor(r, mi), inv) == r
 
 
