@@ -209,24 +209,20 @@ def cmd_verify(args) -> int:
             ok, detail = False, f"{type(err).__name__}: {err}"
         checks.append((name, ok, detail))
 
-    table = pdb = None
     d = _table_dir(args)
     try:
         table = DistanceTable.load(d / DIST_FILE)
-        pdb = PatternDB.load(d / ORI_PDB_FILE, d / PERM_PDB_FILE)
+        PatternDB.load(d / ORI_PDB_FILE, d / PERM_PDB_FILE)  # certifies both files
         checks.append(("table files", True, f"loaded from {d}"))
     except (TableFormatError, OSError) as err:
+        table = None
         checks.append(("table files", False, f"{type(err).__name__}: {err}"))
 
-    if table is not None and pdb is not None:
-        run("state count", tables.check_state_count, table)
+    if table is not None:
         run("diameter 14", tables.check_diameter, table)
-        summary = tables.successor_summary(table)  # six gathers, read by two checks
-        run("exact distances", tables.check_exact_distances, table, summary)
+        run("exact distances", tables.check_exact_distances, table)
         run("rank round-trip", tables.check_rank_roundtrip)
-        run("pdb admissibility", tables.check_admissibility, table, pdb)
         run("move reduction", cube.check_move_reduction)
-        run("neighbor consistency", tables.check_neighbor_consistency, table, summary)
 
     failed = 0
     for name, ok, detail in checks:
@@ -235,9 +231,19 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors end like every other bad input: the usage,
+    then 'error: ...' on stderr, and exit 1.  Subparsers are made of the
+    parser's own class, so they end the same way."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pocketcube", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="pocketcube", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tables", help=f"table directory (default ${TABLE_DIR_ENV} or .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -273,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_actuator_args(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("verify", help="run the exhaustive self-checks")
+    p = sub.add_parser("verify", help="prove the table files exact and check the rank "
+                                      "layout and the move reduction")
     p.add_argument("--full", action="store_true",
                    help="accepted for compatibility; verify always checks every state")
     p.set_defaults(fn=cmd_verify)

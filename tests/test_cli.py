@@ -256,20 +256,33 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "--tables", tdir, "verify")
         assert code == 0
         assert "FAIL" not in out
-        names = ("state count", "diameter 14", "exact distances", "rank round-trip",
-                 "pdb admissibility", "move reduction", "neighbor consistency")
+        names = ("table files", "diameter 14", "exact distances", "rank round-trip",
+                 "move reduction")
         lines = out.splitlines()
-        assert [line.split(":")[0] for line in lines[1:]] == [f"PASS  {n}" for n in names]
+        assert [line.split(":")[0] for line in lines] == [f"PASS  {n}" for n in names]
         assert "PASS  move reduction: 12 transform identities" in out
         assert "all 3674160 canonical states" in out
 
     def test_understated_distance_fails_exact_check(self, understated_dir, capsys):
-        # the +-1 neighbour check and the diameter still pass on this table
+        # the diameter still passes on this table
         code, out, _ = run_cli(capsys, "--tables", str(understated_dir), "verify", "--full")
         assert code == 1
         assert "FAIL  exact distances" in out
-        assert "PASS  neighbor consistency" in out
         assert "PASS  diameter 14" in out
+
+    @pytest.mark.parametrize("rank, value", [(70_000, 0xFF), (70_000, 0), (ANTIPODE_RANK, 10)])
+    def test_corollaries_fail_exact_check(self, table_dir, dist_table, tmp_path, capsys,
+                                          rank, value):
+        # an unreached state, a second solved state and an antipode 3 below
+        # its neighbours: the state count and neighbour consistency follow
+        # from the exact-distance certificate, which catches each
+        d = copy_tables(table_dir, tmp_path / "corollary")
+        dist = dist_table.dist.copy()
+        dist[rank] = value
+        tables.DistanceTable(dist).save(d / cli.DIST_FILE)
+        code, out, _ = run_cli(capsys, "--tables", str(d), "verify")
+        assert code == 1
+        assert "FAIL  exact distances" in out
 
     def test_wrong_entry_count_fails_table_files(self, table_dir, tmp_path, capsys):
         d = copy_tables(table_dir, tmp_path / "short")
@@ -360,6 +373,23 @@ class TestBadInputErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert "inconsistent" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scramble", "--distance", "x"],
+        ["scramble"],
+        ["solve"],
+        ["eval", "--out"],
+        ["no-such-command"],
+    ])
+    def test_argparse_errors(self, argv, capsys):
+        code, _, err = run_cli_exit(capsys, *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error:")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli_exit(capsys, "--help")
+        assert code == 0
+        assert "verify" in out
 
     def test_nan_threshold(self, tdir, capsys):
         code, _, err = run_cli_exit(capsys, "--tables", tdir, "simulate",

@@ -20,7 +20,7 @@ from pocketcube.cube import (
 )
 from pocketcube.solver import (PERIMETER, TAIL, SolveResult, ida_star, oracle_descent,
                                oracle_solve, search_heuristic)
-from pocketcube.tables import DistanceTable, move_tables, successor, successor_summary
+from pocketcube.tables import move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse
 
@@ -130,10 +130,13 @@ class TestSearchHeuristic:
         # every move changes h by at most 1, and by an odd amount: h's parity
         # is its perm code's, which every move flips; so by exactly 1
         h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
-        assert successor_summary(DistanceTable(h))[1] == [1] * 6
+        grid = h.reshape(N_PERM, N_ORI).astype(np.int16)
+        perm, ori = move_tables()
+        gaps = [int(np.abs(grid[perm[:, mi]][:, ori[:, mi]] - grid).max()) for mi in range(6)]
+        assert gaps == [1] * 6
         colour = pdb.perm_db % 2
-        assert np.all(h.reshape(N_PERM, N_ORI) % 2 == colour[:, None])
-        assert np.all(colour[move_tables()[0]] != colour[:, None])
+        assert np.all(grid % 2 == colour[:, None])
+        assert np.all(colour[perm] != colour[:, None])
 
     def test_ball_stores_its_first_move_one_closer(self, dist_table, pdb):
         # bits 4-6 of every rank at distance 1..PERIMETER hold the first
