@@ -1,9 +1,9 @@
 """Compile generalized moves into the two-stage atomic hand actions.
 
-Each move becomes: re-pose the whole cube so a twistable layer faces up
-(Rotate, with a goal pose from a fixed three-row orientation table), then
-twist the top layer by -90 degrees (Twist), three times when the
-clockwise variant of the move is needed.
+Each move becomes one `Step`: re-pose the whole cube so a twistable layer
+faces up (a goal pose from a fixed three-row orientation table), then twist
+the top layer by -90 degrees, three times for the clockwise variant.  The
+six Steps are built once at import and shared by every compiled plan.
 
 Frames.  The hand frame is z-up.  The cube's body frame is the canonical
 frame of the anchored bottom piece: body +x is the canonical R-face
@@ -128,28 +128,42 @@ def pose_goal_reached(pose: Pose, goal: PoseGoal,
     return dx < delta_x and orientation_distance(pose.orientation, goal.q_target) < delta_q
 
 
-@dataclass(frozen=True)
-class Rotate:
+def up_face(orientation: Quaternion) -> str:
+    """Body face whose outward normal points closest to the hand up axis.
+
+    The hand-frame z of the body axes is the third row of the rotation
+    matrix; faces are taken in order U D R L F B, the first maximum wins.
+    """
+    w, x, y, z = orientation
+    up_x, up_y, up_z = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
+    heights = (up_z, -up_z, up_x, -up_x, -up_y, up_y)
+    return "UDRLFB"[heights.index(max(heights))]
+
+
+class Step(NamedTuple):
+    """One compiled move: re-pose to `goal`, then `twists` top-layer twists.
+
+    `index` is the move's position in GENERALIZED_MOVES and `face` the body
+    face the goal puts up (U, R or B), whose prime move each twist commits.
+    """
+
+    index: int
     goal: PoseGoal
+    face: str
+    twists: int
 
 
-@dataclass(frozen=True)
-class Twist:
-    """Turn the top layer by TWIST_TARGET."""
+def _step(index: int, move: Move) -> Step:
+    goal = PoseGoal(PALM_CENTER, goal_orientation(move))
+    return Step(index, goal, up_face(goal.q_target), 1 if move.is_prime else 3)
 
 
-AtomicAction = Rotate | Twist
+_STEPS = {move: _step(i, move) for i, move in enumerate(GENERALIZED_MOVES)}
 
 
-def _step(move: Move) -> tuple[Move, tuple[AtomicAction, ...]]:
-    twists = 1 if move.is_prime else 3
-    return move, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(move))),) + (Twist(),) * twists
-
-
-# built once; any other move goes to _step, whose goal_orientation raises CubeError
-_STEPS = {move: _step(move) for move in GENERALIZED_MOVES}
-
-
-def compile_moves(seq: Sequence[Move]) -> tuple[tuple[Move, tuple[AtomicAction, ...]], ...]:
-    """Generalized move sequence -> (move, [Rotate, Twist] or [Rotate, Twist x3]) each."""
-    return tuple(_STEPS.get(move) or _step(move) for move in seq)
+def compile_moves(seq: Sequence[Move]) -> tuple[Step, ...]:
+    """Generalized move sequence -> the shared Step of each move."""
+    try:
+        return tuple([_STEPS[move] for move in seq])
+    except KeyError as err:
+        raise CubeError(f"{err.args[0].value} is not in the generalized move set") from None

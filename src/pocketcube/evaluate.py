@@ -11,10 +11,10 @@ cross-build PRNG stability is not promised).
 
 Each distance's scrambles come from `np.random.default_rng((master_seed,
 distance, 99))` and trial t of the m-th mode runs on
-`np.random.default_rng((master_seed, distance, m, t))`.  Those generators
-are not built one by one: `_pcg64_states` hashes a block of keys in one
-numpy pass, and one Generator moves from stream to stream by setting its
-PCG64 state, with the same draws.
+`np.random.default_rng((master_seed, distance, m, t))`.  The episode
+generators are not built one by one: `_pcg64_states` hashes a block of keys
+in one numpy pass, and one Generator moves from stream to stream by setting
+its PCG64 state, with the same draws.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cube import Move
+from .actions import Step, compile_moves
 from .executor import (
     ActuationModel,
     ExecutionMode,
@@ -100,12 +100,12 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list
 def oracle_planner(table: DistanceTable) -> Planner:
     """The executor's planner: greedy descent on the exact table, from a rank.
 
-    Plans are memoized per rank, as tuples, for the planner's lifetime:
+    Plans are compiled and memoized per rank for the planner's lifetime:
     both modes of `run_experiment` plan the same scrambles.
     """
     @functools.cache
-    def plan(r: int) -> tuple[Move, ...]:
-        return tuple(oracle_descent(r, table))
+    def plan(r: int) -> tuple[Step, ...]:
+        return compile_moves(oracle_descent(r, table))
     return plan
 
 
@@ -225,7 +225,7 @@ def run_experiment(config: ExperimentConfig, table: DistanceTable,
     rows: list[ResultRow] = []
     for distance in sorted(config.distances):
         # stream tag 99 keeps scramble draws apart from episode draws
-        scramble_rng = next(_streams((config.master_seed, distance), (99,)))
+        scramble_rng = np.random.default_rng((config.master_seed, distance, 99))
         scrambles = sample_at_distance(distance, config.trials_per_distance,
                                        table, scramble_rng)
         for mode_index, mode in enumerate(config.modes):

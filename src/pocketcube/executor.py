@@ -16,9 +16,10 @@ hand up axis, ties broken in face order U D R L F B), folded through
 reduce_move and applied to the rank by tables.successor; when that layer
 holds the anchor piece the body frame, and so the tracked pose, turns too.
 
-Each move runs its compiled actions (actions.compile_moves): one re-pose
-goal, then 1 or 3 twists.  The two modes differ only in whether the
-operator checks its own results.  Rollback (checked) per move:
+The planner hands over each move as one of the six `actions.Step`s built
+at import: the move index, a re-pose goal, the face that goal puts up and
+1 or 3 twists.  The two modes differ only in whether the operator checks
+its own results.  Rollback (checked) per move:
   Stage 1  attempt the re-pose; if the pose check fails, randomize the
            pose and retry, at most r1_max rotate attempts.
   Stage 2  attempt the twists; after each, if the layers are
@@ -62,15 +63,14 @@ from .actions import (
     DELTA_X,
     PALM_CENTER,
     TWIST_TARGET,
-    AtomicAction,
     Pose,
     PoseGoal,
     Quaternion,
+    Step,
     Vector3,
-    compile_moves,
-    goal_orientation,
     orientation_distance,
     pose_goal_reached,
+    up_face,
 )
 from .cube import FACES, GENERALIZED_MOVES, Move, reduce_move
 from .tables import successor
@@ -217,24 +217,9 @@ class _ActionLog:
 # pose and commit mechanics
 # ---------------------------------------------------------------------------
 
-def up_face(orientation: Quaternion) -> str:
-    """Body face whose outward normal points closest to the hand up axis.
-
-    The hand-frame z of the body axes is the third row of the rotation
-    matrix; faces are taken in order U D R L F B, the first maximum wins.
-    """
-    w, x, y, z = orientation
-    up_x, up_y, up_z = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
-    heights = (up_z, -up_z, up_x, -up_x, -up_y, up_y)
-    return "UDRLFB"[heights.index(max(heights))]
-
-
-_MOVE_INDEX = {move: i for i, move in enumerate(GENERALIZED_MOVES)}
 # a -90 degree top twist performs the prime move of the up face
-_COMMITTED_MOVE_INDEX = {face: _MOVE_INDEX[reduce_move(Move(face + "'"))] for face in FACES}
-
-# each compiled goal orientation and the body face it puts up (U, R or B)
-_GOAL_FACE = {q: up_face(q) for q in map(goal_orientation, GENERALIZED_MOVES)}
+_COMMITTED_MOVE_INDEX = {face: GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
+                         for face in FACES}
 
 # Bounds of the two proofs on a drawn pose (see _DrawnPose).  Rounding in
 # the materialized floats is a few hundred ulp of 1 at most, far inside
@@ -245,8 +230,8 @@ _PROVEN_TURNS = 1024
 
 
 class _DrawnPose:
-    """A successful re-pose held as its goal and its four draws, plus the
-    anchor-twist quarter turns queued since.
+    """A successful re-pose held as its step's goal and up face and its four
+    draws, plus the anchor-twist quarter turns queued since.
 
     The draws are the position direction and the wobble axis, both raw
     normal 3-vectors, the radius draw and the angle draw.  `materialize`
@@ -261,10 +246,9 @@ class _DrawnPose:
     __slots__ = ("goal", "face", "direction", "radius_draw", "axis", "angle_draw",
                  "delta_x", "delta_q", "turns")
 
-    def __init__(self, goal: PoseGoal, direction: np.ndarray, radius_draw: float,
+    def __init__(self, step: Step, direction: np.ndarray, radius_draw: float,
                  axis: np.ndarray, angle_draw: float, delta_x: float, delta_q: float):
-        self.goal = goal
-        self.face = _GOAL_FACE.get(goal.q_target)  # None: no proof covers this goal
+        self.goal, self.face = step.goal, step.face
         self.direction, self.radius_draw = direction, radius_draw
         self.axis, self.angle_draw = axis, angle_draw
         self.delta_x, self.delta_q = delta_x, delta_q
@@ -290,8 +274,7 @@ class _DrawnPose:
         angles to it or opposite, so its height is at most sin t < cos t.
         A quarter turn about the hand's up axis changes no height.
         """
-        if (self.face is None or self.delta_q > _PROVEN_UP_DELTA_Q
-                or self.turns >= _PROVEN_TURNS):
+        if self.delta_q > _PROVEN_UP_DELTA_Q or self.turns >= _PROVEN_TURNS:
             return None
         return self.face
 
@@ -310,7 +293,7 @@ class _DrawnPose:
         is below delta_q^2 with a 2^-40 relative margin.  A tiny delta_q
         leaves no room for that term, and the proof never applies.
         """
-        if goal is not self.goal or self.face is None or self.turns or not delta_q <= math.pi:
+        if goal is not self.goal or self.turns or not delta_q <= math.pi:
             return False
         c = goal.x_target
         r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
@@ -381,9 +364,9 @@ def _sample_failure_pose(rng) -> Pose:
 # atomic actions
 # ---------------------------------------------------------------------------
 
-def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rng,
+def attempt_rotate(cube: PhysicalCube, step: Step, model: ActuationModel, rng,
                    delta_x: float = DELTA_X, delta_q: float = DELTA_Q) -> bool:
-    """One re-pose attempt.  Mutates the pose only; never the logical state.
+    """One re-pose attempt to `step.goal`.  Mutates the pose, never the logical state.
 
     Returns the actuator's Bernoulli outcome; the pose lands inside the
     goal tolerance on success and in the failure distribution otherwise.
@@ -393,7 +376,7 @@ def attempt_rotate(cube: PhysicalCube, goal: PoseGoal, model: ActuationModel, rn
         # the draws of the pose, in order: direction, radius, axis, angle
         direction, radius_draw = _normal_draw(rng), rng.random()
         axis, angle_draw = _normal_draw(rng), rng.random()
-        cube._drawn = _DrawnPose(goal, direction, radius_draw, axis, angle_draw, delta_x, delta_q)
+        cube._drawn = _DrawnPose(step, direction, radius_draw, axis, angle_draw, delta_x, delta_q)
     else:
         cube.pose = _sample_failure_pose(rng)
     return success
@@ -454,10 +437,10 @@ def _pose_errors(cube: PhysicalCube, goal: PoseGoal) -> tuple[float, float]:
 # the action loop
 # ---------------------------------------------------------------------------
 
-def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicAction, ...]],
+def execute_move_rollback(cube: PhysicalCube, step: Step,
                           model: ActuationModel, config: ExecutorConfig, rng,
                           log: _ActionLog | None = None, checked: bool = True) -> MoveOutcome:
-    """Run one compiled step, a move and its [Rotate, Twist x1 or x3].
+    """Run one compiled step: a re-pose, then 1 or 3 twists.
 
     Checked, this is the rollback workflow of the module docstring and
     the outcome is the completion check's.  Unchecked (open loop) it
@@ -465,17 +448,16 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
     """
     if log is None:
         log = _ActionLog(config.action_budget)
-    move, (rotate, *twists) = step
-    goal = rotate.goal
+    goal = step.goal
     budget, trace = log.budget, log.trace
     rotates = config.r1_max if checked else 1
 
-    expected = successor(cube.logical, _MOVE_INDEX[move]) if checked else None
+    expected = successor(cube.logical, step.index) if checked else None
     posed = False
     for attempt in range(rotates):
         if log.count >= budget:
             return MoveOutcome.BUDGET_EXHAUSTED
-        ok = attempt_rotate(cube, goal, model, rng, config.delta_x, config.delta_q)
+        ok = attempt_rotate(cube, step, model, rng, config.delta_x, config.delta_q)
         log.count += 1
         if trace:
             log.record("rotate", ok, cube, goal)
@@ -491,7 +473,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
                 log.record("randomize", True, cube, goal)
 
     if posed:
-        for _ in twists:
+        for _ in range(step.twists):
             if log.count >= budget:
                 return MoveOutcome.BUDGET_EXHAUSTED
             ok = attempt_twist(cube, model, rng)
@@ -518,7 +500,7 @@ def execute_move_rollback(cube: PhysicalCube, step: tuple[Move, tuple[AtomicActi
             else MoveOutcome.NEEDS_REPLAN)
 
 
-Planner = Callable[[int], Sequence[Move]]
+Planner = Callable[[int], Sequence[Step]]
 
 
 def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
@@ -539,7 +521,7 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     replans = 0
 
     while cube.logical != 0 and log.count < log.budget:
-        steps = compile_moves(planner(cube.logical))
+        steps = planner(cube.logical)
         for step in steps:
             if log.count >= log.budget:
                 break

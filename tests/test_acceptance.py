@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats
 
 from pocketcube import tables
-from pocketcube.actions import PoseGoal, compile_moves, goal_orientation
+from pocketcube.actions import compile_moves
 from pocketcube.cube import (
     GENERALIZED_MOVES,
     N_STATES,
@@ -144,8 +144,8 @@ def test_c08_actuator_calibration():
     n = 10_000
     rng = np.random.default_rng(108)
     cube = PhysicalCube.at_rest(0)
-    goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U_PRIME))
-    rot_hits = sum(attempt_rotate(cube, goal, model, rng) for _ in range(n))
+    step = compile_moves([Move.U_PRIME])[0]
+    rot_hits = sum(attempt_rotate(cube, step, model, rng) for _ in range(n))
     twist_hits = 0
     for _ in range(n):
         cube.layer_misalignment = 0.0

@@ -12,18 +12,18 @@ from pocketcube.actions import (
     Pose,
     PoseGoal,
     Quaternion,
-    Rotate,
-    Twist,
+    Step,
     compile_moves,
     goal_orientation,
     orientation_distance,
     pose_goal_reached,
+    up_face,
 )
 from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
 
 
 def atomic_count(plan):
-    return sum(len(actions) for _, actions in plan)
+    return sum(1 + step.twists for step in plan)
 
 
 def norm(q):
@@ -178,29 +178,30 @@ class TestCompile:
     def test_prime_move_is_rotate_plus_one_twist(self):
         plan = compile_moves([Move.U_PRIME])
         assert atomic_count(plan) == 2
-        (move, acts), = plan
-        assert move is Move.U_PRIME
-        assert isinstance(acts[0], Rotate)
-        assert isinstance(acts[1], Twist)
-        assert acts[0].goal == PoseGoal(PALM_CENTER, goal_orientation(Move.U_PRIME))
+        step, = plan
+        assert step.index == GENERALIZED_MOVES.index(Move.U_PRIME)
+        assert step.goal == PoseGoal(PALM_CENTER, goal_orientation(Move.U_PRIME))
+        assert step.face == "U"
+        assert step.twists == 1
 
     def test_plain_move_is_rotate_plus_three_twists(self):
         plan = compile_moves([Move.R])
         assert atomic_count(plan) == 4
-        (_, acts), = plan
-        assert isinstance(acts[0], Rotate)
-        assert all(isinstance(a, Twist) for a in acts[1:])
+        step, = plan
+        assert (step.index, step.face, step.twists) == (GENERALIZED_MOVES.index(Move.R), "R", 3)
 
     def test_repeated_move_steps_equal_a_fresh_build(self):
-        # the table of compiled steps is shared between plans and repeats
-        for m in GENERALIZED_MOVES:
-            fresh = (m, (Rotate(PoseGoal(PALM_CENTER, goal_orientation(m))),)
-                     + (Twist(),) * (1 if m.is_prime else 3))
-            steps = compile_moves([m, m]) + compile_moves([m])
-            assert steps == (fresh,) * 3
+        # one shared Step per move, handed out again for every repeat and plan
+        for i, m in enumerate(GENERALIZED_MOVES):
+            goal = PoseGoal(PALM_CENTER, goal_orientation(m))
+            fresh = Step(i, goal, up_face(goal.q_target), 1 if m.is_prime else 3)
+            a, b = compile_moves([m, m])
+            assert a == fresh
+            assert a is b is compile_moves([m])[0]
+            assert a.face == {"U": "U", "R": "R", "F": "B"}[m.face]
 
     def test_move_outside_the_generalized_set_is_rejected(self):
-        with pytest.raises(CubeError):
+        with pytest.raises(CubeError, match="^D is not in the generalized move set$"):
             compile_moves([Move.U, Move.D])
 
     def test_empty_plan(self):
@@ -213,4 +214,4 @@ class TestCompile:
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=10)]
             plan = compile_moves(seq)
             assert atomic_count(plan) == sum(2 if m.is_prime else 4 for m in seq)
-            assert [m for m, _ in plan] == seq
+            assert [GENERALIZED_MOVES[step.index] for step in plan] == seq

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocketcube import cli, cube, tables
 from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
@@ -455,3 +459,124 @@ class TestBadInputErrors:
         code, _, err = run_cli_exit(capsys, "--tables", tdir, *argv, "--seed", "-1")
         assert code == 1
         assert err == "error: --seed must be >= 0\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory, table_dir, dist_table, pdb):
+    """The good tables plus missing, truncated and wrong-content ones, under
+    a scratch directory made the working directory, with no table variable
+    set."""
+    root = tmp_path_factory.mktemp("fuzz")
+    root.joinpath("a-file").write_text("not a directory")
+    dirs = [table_dir, root / "empty", root / "no-such-dir"]
+    (root / "empty").mkdir()
+    for name, keep in ((cli.DIST_FILE, 1_000_000), (cli.ORI_PDB_FILE, 10), (cli.PERM_PDB_FILE, 0)):
+        d = copy_tables(table_dir, root / f"truncated-{name}")
+        d.joinpath(name).write_bytes(table_dir.joinpath(name).read_bytes()[:keep])
+        dirs.append(d)
+    d = copy_tables(table_dir, root / "dist-is-a-dir")
+    d.joinpath(cli.DIST_FILE).unlink()
+    d.joinpath(cli.DIST_FILE).mkdir()
+    dirs.append(d)
+    d = copy_tables(table_dir, root / "understated")
+    dist = dist_table.dist.copy()
+    dist[ANTIPODE_RANK] = 12
+    tables.DistanceTable(dist).save(d / cli.DIST_FILE)
+    dirs.append(d)
+    dirs.append(emptied_depth_dir(table_dir, dist_table, root / "no-fourteen", 14, 13))
+    ori, perm, _ = wrong_pdbs(pdb)[1]
+    d = copy_tables(table_dir, root / "overestimating")
+    tables.PatternDB(ori, perm).save(d / cli.ORI_PDB_FILE, d / cli.PERM_PDB_FILE)
+    dirs.append(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        mp.delenv(cli.TABLE_DIR_ENV, raising=False)
+        yield [str(d) for d in dirs]
+
+
+MOVES = (("", "R U F'", "R U F' U R' F U'", "D L B", "U U U U R"), ("U2", "X", "u", "R,U"))
+STATES = ((facelets_to_string(to_facelets(SOLVED)),
+           facelets_to_string(to_facelets(unrank(ANTIPODE_RANK))),
+           facelets_to_string(to_facelets(unrank(1_234_567)))),
+          ("W" * 24, "WGWG", "x" * 24, ""))
+SEEDS = (("0", "9", str(2**128 + 1)), ("-1", "x", "1e3"))
+RATES = (("0", "0.5", "0.952", "1", "1e-300"), ("-0.1", "1.5", "nan", "inf", "x"))
+DELTAS = (("0.01", "0.1", "1e-12", "3", "1e308"), ("0", "-1", "nan", "inf", "x"))
+ACTUATOR = [("--p-rot", *RATES), ("--p-op", *RATES), ("--p-restore", *RATES),
+            ("--delta-x", *DELTAS), ("--delta-q", *DELTAS)]
+SWITCH = ((), ())
+# Each flag with its good and bad values.  Where valid, --trials and
+# --count stay at most 2 and 5, and no --out names a writable place outside
+# the fuzz directory: build-tables is only ever given an unwritable one.
+GRAMMAR = {
+    "build-tables": [("--out", ("a-file", "a-file/tables"), ())],
+    "solve": [("--planner", ("ida", "oracle"), ("bfs",))],
+    "scramble": [("--distance", ("1", "7", "14"), ("-1", "0", "15", str(2**70), "x")),
+                 ("--count", ("1", "5"), ("-1", "0", str(cli.MAX_DRAWS + 1), str(10**30), "x")),
+                 ("--seed", *SEEDS)],
+    "simulate": [("--mode", ("rollback", "open"), ("closed",)), ("--seed", *SEEDS),
+                 ("--trace", *SWITCH)] + ACTUATOR,
+    "eval": [("--trials", ("1", "2"), ("-1", "0", str(cli.MAX_DRAWS + 1), "x")),
+             ("--modes", ("both", "rollback", "open"), ("x",)),
+             ("--out", ("r.csv", "out.csv"), (".", "no-such-dir/r.csv", "a-file/r.csv")),
+             ("--seed", *SEEDS), ("--quiet", *SWITCH)] + ACTUATOR,
+    "verify": [("--full", *SWITCH)],
+}
+# flags left out only as a fault: the required ones, and --trials, whose
+# default of 100 would cost seconds
+KEPT = ("--distance", "--out", "--trials")
+JUNK = ("--bogus", "-x", "--", "-h", "R", "7", "nan", "\u2603", "", "--seed=-1",
+        "--trials", "eval", "--tables")
+
+
+@st.composite
+def cli_argv(draw, dirs):
+    """argv over the six subcommands.  Each flag gets a good value or is
+    left out, except for up to two faulty ones, given a bad value or none;
+    the flags come in any order, with up to two junk tokens anywhere, and
+    mostly with the good table directory."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = list(GRAMMAR[command])
+    if command in ("solve", "simulate"):  # exactly one of the two is valid
+        flags += draw(st.sampled_from((
+            [("--scramble", *MOVES)], [("--state", *STATES)], [("--scramble", *MOVES)],
+            [("--state", *STATES)], [], [("--scramble", *MOVES), ("--state", *STATES)])))
+    faults = draw(st.lists(st.sampled_from(range(len(flags))), max_size=draw(st.sampled_from((0, 0, 1, 2)))))
+    groups = []
+    for i, (name, good, bad) in enumerate(flags):
+        if not good:  # a switch: given a value is its fault
+            options = [[name, "1"]] if i in faults else [[name], []]
+        elif i in faults:  # left out, no value or a bad one
+            options = [[], [name]] + [[name, v] for v in bad]
+        else:  # a good value; an optional flag may be left out
+            options = [[name, v] for v in good] + [[]] * (name not in KEPT)
+        groups.append(draw(st.sampled_from(options)))
+    argv = [command] + [t for g in draw(st.permutations(groups)) for t in g]
+    table_dir = draw(st.sampled_from([dirs[0]] * 3 + [None] + dirs[1:]))
+    if table_dir is not None:
+        argv = ["--tables", table_dir] + argv
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_every_argv_exits_zero_or_with_an_error_line(self, fuzz_dirs, data):
+        argv = data.draw(cli_argv(fuzz_dirs), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # anything else escaping fails the test
+                code = exc.code if isinstance(exc.code, int) else 1
+                if isinstance(exc.code, str):
+                    print(exc.code, file=sys.stderr)  # as the interpreter does
+        assert code in (0, 1)
+        if code == 1:
+            # verify reports its failed checks as FAIL lines on stdout
+            failed = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            failed += [line for line in out.getvalue().splitlines() if line.startswith("FAIL")
+                       and "verify" in argv]
+            assert failed, (argv, out.getvalue(), err.getvalue())

@@ -137,7 +137,7 @@ class TestRunExperiment:
         result = run_experiment(config, dist_table)
         scrambles = sample_at_distance(4, 25, dist_table,
                                        np.random.default_rng((8, 4, 99)))
-        plan_lengths = [sum(len(acts) for _, acts in
+        plan_lengths = [sum(1 + step.twists for step in
                             compile_moves(oracle_solve(unrank(r), dist_table)))
                         for r in scrambles]
         for mode in ExecutionMode:
@@ -176,7 +176,7 @@ class TestOraclePlanner:
         planner = oracle_planner(dist_table)
         for r in sample_at_distance(9, 20, dist_table, np.random.default_rng(12)):
             plan = planner(r)
-            assert plan == tuple(oracle_descent(r, dist_table))
+            assert plan == compile_moves(oracle_descent(r, dist_table))
             assert planner(r) is plan
 
     def test_run_experiment_plans_each_rank_once(self, dist_table, monkeypatch):

@@ -49,10 +49,13 @@ from pocketcube.executor import (
     CHAMFER_TOLERANCE,
     FAILURE_ANGLE_HIGH,
     FAILURE_ANGLE_LOW,
+    _ANCHOR_FACES,
+    _COMMITTED_MOVE_INDEX,
+    _TWIST_ROTATION,
     _goal_reached,
 )
 from pocketcube.solver import oracle_solve
-from pocketcube.tables import successor
+from pocketcube.tables import move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse
 
@@ -98,7 +101,7 @@ def bits(pose):
 
 
 def step(move):
-    """The compiled step of one move: (move, [Rotate, Twist x1 or x3])."""
+    """The shared compiled Step of one move."""
     return compile_moves([move])[0]
 
 
@@ -128,39 +131,57 @@ class TestUpFace:
         assert set(faces) == set("UDRLFB")
 
 
+class TestCompiledSteps:
+    def test_each_step_commits_its_move_on_every_state(self):
+        # A certificate, not a sample: a generalized move acts on the perm
+        # and twist coordinates independently, so the 5,040 perm codes and
+        # the 729 twist codes cover every rank.
+        perm, ori = move_tables()
+        for s in compile_moves(GENERALIZED_MOVES):
+            assert s.face == up_face(s.goal.q_target)
+            committed = _COMMITTED_MOVE_INDEX[s.face]
+            p, o = np.arange(len(perm)), np.arange(len(ori))
+            q = s.goal.q_target
+            for _ in range(s.twists):
+                p, o = perm[p, committed], ori[o, committed]
+                if s.face in _ANCHOR_FACES:  # the B-up steps turn the body frame
+                    q = (_TWIST_ROTATION * q).normalized()
+                    assert up_face(q) == s.face
+            assert np.array_equal(p, perm[:, s.index])
+            assert np.array_equal(o, ori[:, s.index])
+
+
 class TestAttemptRotate:
     def test_always_succeeds_at_p_one(self):
         cube = PhysicalCube.at_rest(0)
-        goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.R))
+        r = step(Move.R)
         rng = np.random.default_rng(50)
         for _ in range(200):
-            assert attempt_rotate(cube, goal, PERFECT, rng)
-            assert pose_goal_reached(cube.pose, goal)
+            assert attempt_rotate(cube, r, PERFECT, rng)
+            assert pose_goal_reached(cube.pose, r.goal)
 
     def test_never_succeeds_at_p_zero(self):
         model = ActuationModel(p_rot=0.0)
         cube = PhysicalCube.at_rest(0)
-        goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U))
         rng = np.random.default_rng(51)
-        assert not any(attempt_rotate(cube, goal, model, rng) for _ in range(200))
+        assert not any(attempt_rotate(cube, step(Move.U), model, rng) for _ in range(200))
 
     def test_never_changes_logical_state(self):
         model = ActuationModel(p_rot=0.5)
         rng = np.random.default_rng(52)
         s = random_canonical(rng)
         cube = PhysicalCube.at_rest(s.rank)
-        goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.F))
         for _ in range(100):
-            attempt_rotate(cube, goal, model, rng)
+            attempt_rotate(cube, step(Move.F), model, rng)
             assert cube.logical == s.rank
 
     def test_empirical_rate_matches_calibration(self):
         model = ActuationModel()
         cube = PhysicalCube.at_rest(0)
-        goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.U))
+        u = step(Move.U)
         rng = np.random.default_rng(53)
         n = 10_000
-        hits = sum(attempt_rotate(cube, goal, model, rng) for _ in range(n))
+        hits = sum(attempt_rotate(cube, u, model, rng) for _ in range(n))
         sigma = math.sqrt(model.p_rot * (1 - model.p_rot) / n)
         assert abs(hits / n - model.p_rot) <= 3 * sigma
 
@@ -180,9 +201,11 @@ class TestDrawnPose:
             twist_rng = np.random.default_rng((81, seed))
             for i in range(50):
                 x_target = PALM_CENTER if i % 2 else (0.25, -1.5, 3.0)
-                goal = PoseGoal(x_target, goal_orientation(GENERALIZED_MOVES[i % 6]))
+                move_step = step(GENERALIZED_MOVES[i % 6])
+                move_step = move_step._replace(goal=PoseGoal(x_target, move_step.goal.q_target))
+                goal = move_step.goal
                 cube = PhysicalCube.at_rest(0)
-                assert attempt_rotate(cube, goal, PERFECT, lazy_rng, delta_x, delta_q)
+                assert attempt_rotate(cube, move_step, PERFECT, lazy_rng, delta_x, delta_q)
                 assert eager_rng.random() < PERFECT.p_rot
                 pose = eager_pose_near(eager_rng, goal, delta_x, delta_q)
 
@@ -228,9 +251,9 @@ class TestDrawnPose:
 
         for seed in range(100):
             for m in GENERALIZED_MOVES:
-                goal = PoseGoal(PALM_CENTER, goal_orientation(m))
+                goal = step(m).goal
                 cube = PhysicalCube.at_rest(0)
-                assert attempt_rotate(cube, goal, ActuationModel(), StubRng(seed))
+                assert attempt_rotate(cube, step(m), ActuationModel(), StubRng(seed))
                 eager_rng = StubRng(seed)
                 assert eager_rng.random() < ActuationModel().p_rot
                 pose = eager_pose_near(eager_rng, goal, DELTA_X, 0.1)
@@ -264,13 +287,13 @@ class TestDrawnPose:
                 self.normals += 1
                 return np.array(normal) if self.normals == (1 if slot == "direction" else 2) else v
 
-        goal = PoseGoal(PALM_CENTER, goal_orientation(Move.R))
+        r = step(Move.R)
         for seed in range(20):
             lazy_rng, eager_rng = StubRng(seed), StubRng(seed)
             cube = PhysicalCube.at_rest(0)
-            assert attempt_rotate(cube, goal, PERFECT, lazy_rng)
+            assert attempt_rotate(cube, r, PERFECT, lazy_rng)
             assert eager_rng.random() < PERFECT.p_rot
-            pose = eager_pose_near(eager_rng, goal, DELTA_X, 0.1)
+            pose = eager_pose_near(eager_rng, r.goal, DELTA_X, 0.1)
             assert bits(cube.pose) == bits(pose)
             assert lazy_rng.normals == eager_rng.normals
             assert np.array_equal(lazy_rng.standard_normal(3), eager_rng.standard_normal(3))
@@ -440,7 +463,7 @@ class TestEpisode:
                                       np.random.default_rng(66))
                 assert rep.success
                 assert rep.atomic_actions == sum(
-                    len(acts) for _, acts in compile_moves(solution))
+                    1 + s.twists for s in compile_moves(solution))
                 assert rep.moves_attempted == len(solution)
                 assert rep.replans == 0
 
@@ -451,7 +474,8 @@ class TestEpisode:
         for _ in range(200):
             seq = [GENERALIZED_MOVES[i] for i in rng.integers(0, 6, size=8)]
             s = random_canonical(rng)
-            report = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, lambda _: seq,
+            plan = compile_moves(seq)
+            report = execute_episode(s.rank, ExecutionMode.OPEN_LOOP, lambda _: plan,
                                      PERFECT, ExecutorConfig(), np.random.default_rng(68),
                                      trace=True)
             expected = canonicalize(apply_seq(s, seq))
@@ -532,7 +556,7 @@ class TestEpisode:
                                   ExecutorConfig(), np.random.default_rng((78, seed)),
                                   trace=True)
             plan = compile_moves(oracle_solve(s, dist_table))
-            assert rep.atomic_actions == sum(len(acts) for _, acts in plan)
+            assert rep.atomic_actions == sum(1 + step.twists for step in plan)
             assert rep.replans == 0
             assert {e.kind for e in rep.trace} <= {"rotate", "twist"}
 
@@ -557,8 +581,9 @@ class TestEpisode:
 
     def test_move_counts_once_an_action_ran(self):
         # the first prime move uses the whole budget of 2; the second never starts
-        plan = [Move.U_PRIME, Move.R_PRIME]
-        s = canonicalize(apply_seq(SOLVED, [inverse(m) for m in reversed(plan)]))
+        moves = [Move.U_PRIME, Move.R_PRIME]
+        s = canonicalize(apply_seq(SOLVED, [inverse(m) for m in reversed(moves)]))
+        plan = compile_moves(moves)
         for mode in ExecutionMode:
             rep = execute_episode(s.rank, mode, lambda _: plan, PERFECT,
                                   ExecutorConfig(action_budget=2), np.random.default_rng(80))
