@@ -19,10 +19,11 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cube, evaluate, solver, tables
+from . import cube, solver, tables
 from .cube import (
     CubeError,
     apply_seq,
@@ -34,8 +35,12 @@ from .cube import (
     string_to_facelets,
     to_facelets,
 )
-from .executor import ActuationModel, ExecutionMode, ExecutorConfig, execute_episode, format_trace_entry
 from .tables import DistanceTable, PatternDB, TableFormatError
+
+# `scramble`, `simulate` and `eval` import `evaluate` and `executor` when
+# they run, so `solve`, `verify` and `build-tables` never load them
+if TYPE_CHECKING:
+    from .executor import ActuationModel, ExecutorConfig
 
 TABLE_DIR_ENV = "POCKETCUBE_TABLES"
 
@@ -94,10 +99,12 @@ def _from_flags(cls, args, names):
 
 
 def _actuation_model(args) -> ActuationModel:
+    from .executor import ActuationModel
     return _from_flags(ActuationModel, args, ("p_rot", "p_op", "p_restore"))
 
 
 def _executor_config(args) -> ExecutorConfig:
+    from .executor import ExecutorConfig
     return _from_flags(ExecutorConfig, args, ("delta_x", "delta_q"))
 
 
@@ -147,6 +154,7 @@ def cmd_scramble(args) -> int:
     if not 1 <= args.distance <= 14:
         raise SystemExit("error: --distance must be in 1..14")
     _check_draws("--count", args.count)
+    from . import evaluate
     table = _load_distance_table(args)
     rng = np.random.default_rng(args.seed)
     for r in evaluate.sample_at_distance(args.distance, args.count, table, rng):
@@ -155,6 +163,8 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import evaluate
+    from .executor import ExecutionMode, execute_episode, format_trace_entry
     state = _parse_state(args)
     table = _load_distance_table(args)
     mode = ExecutionMode.ROLLBACK if args.mode == "rollback" else ExecutionMode.OPEN_LOOP
@@ -176,6 +186,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate
+    from .executor import ExecutionMode
     _check_draws("--trials", args.trials)
     table = _load_distance_table(args)
     if args.modes == "both":

@@ -11,20 +11,32 @@ entry; every state nearer than PERIMETER + 1 lies in the ball, so the
 bound is admissible.  It is also consistent, changing by exactly 1 along
 every move, so IDA*'s bounds step by 2.
 
-The ball also stores its paths to solved.  Each rank's heuristic byte
-holds h in its low nibble and, for every ball rank but solved, in bits
-4-6 the first move in child order whose successor is one move closer.
-Once the search reaches a ball rank within its bound, it appends the
-stored moves instead of searching on.  That walk cannot fail, and it is
-the path the search would have taken: a bound below the root's distance
-d admits no ball rank, as g + exact distance >= d there; at bound d the
-search takes the first descending child at every step; and neither the
-undo filter nor the triple-repeat filter can drop a descending move, as
-both lead back to the rank one move farther out.  The last TAIL moves of
-every walk are memoized: the 2,944 ranks within TAIL moves of solved map
-to the tuples of their stored moves, so a walk takes stored steps only
-down to that radius and then appends the tuple.  The moves appended are
-the same stored moves, so solutions and node counts are unchanged.
+The ball also stores its paths to solved, and so does the ring, the ranks
+at distance exactly PERIMETER + 1, one move outside it.  Each rank's
+heuristic byte holds h in its low nibble and in bits 4-6 a move: for
+every ball or ring rank but solved, the first move in child order whose
+successor is one move closer; for solved 0; for every other rank 7, no
+stored move.  Once the search reaches a ball rank within its bound, it
+appends the stored moves instead of searching on.  That walk cannot fail,
+and it is the path the search would have taken: a bound below the root's
+distance d admits no ball rank, as g + exact distance >= d there; at
+bound d the search takes the first descending child at every step; and
+neither the undo filter nor the triple-repeat filter can drop a
+descending move, as both lead back to the rank one move farther out.
+The last TAIL moves of every walk are memoized: the 2,944 ranks within
+TAIL moves of solved map to the tuples of their stored moves, so a walk
+takes stored steps only down to that radius and then appends the tuple.
+The moves appended are the same stored moves, so solutions and node
+counts are unchanged.
+
+A node with h = PERIMETER + 1 whose bound admits only ball ranks one move
+on is settled without scanning its children: each child has h PERIMETER
+or PERIMETER + 2, so the node is a one-node dead end unless it is a ring
+rank, and then the search would take its stored move and walk the ball
+from there (were the move filters to drop that move, the node would be
+searched as before; on no rank do they).  The heuristic is consistent and
+parity-tight, so every f has the root's parity and grows by 0 or 2 per
+move: an iteration that fails always prunes at bound + 2, the next bound.
 
 Both planners operate on canonical ranks through the scalar coordinate
 move tables, `tables.rank_moves()` (a child's rank is the sum of a perm
@@ -43,14 +55,22 @@ import numpy as np
 
 from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState, Move,
                    canonicalize)
-from .tables import (N_ORI, DistanceTable, InconsistentTable, PatternDB, rank_moves,
-                     rank_successors)
+from .tables import (N_ORI, DistanceTable, InconsistentTable, PatternDB, move_tables,
+                     rank_moves, rank_successors)
 
 MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
 PERIMETER = 9
 # radius of the memoized paths inside it: 2,944 ranks, built in a few ms
 TAIL = 5
+# distance of the ring, the 930,588 ranks one move outside the ball, each
+# storing its first move into it
+RING = PERIMETER + 1
+# bits 4-6 of a rank outside the ball and the ring: no stored move
+_NO_MOVE = 7
+# the ring's pull reads its 2,520 perm rows in 8 blocks, each block's
+# temporaries under 2 MB
+_RING_BLOCKS = 8
 
 # index of the inverse of each generalized move, in child order
 _INV = (1, 0, 3, 2, 5, 4)
@@ -65,8 +85,6 @@ _ALLOWED = tuple(
     for m1 in (*range(6), -1)
 )
 
-_FOUND = -1
-
 
 class SolveResult(NamedTuple):
     solution: list[Move]
@@ -75,18 +93,26 @@ class SolveResult(NamedTuple):
     bounds: tuple[int, ...] = ()  # one deepening bound per iteration
 
 
+# SolveResult from a tuple of all four fields, without the generated
+# __new__'s argument handling: 0.18 against 0.32 us (timeit), which a
+# solve of a few us can see
+_new_result = tuple.__new__
+
+
 def search_heuristic(pdb: PatternDB) -> bytearray:
     """IDA*'s heuristic, one byte per rank, built on first use and cached
-    on `pdb`: h in the low nibble, and for every rank of the ball but
-    solved, its first move in child order one move closer in bits 4-6.
+    on `pdb`: h in the low nibble, and in bits 4-6, for every rank of the
+    ball and the ring but solved, its first move in child order one move
+    closer; solved holds 0 there and every other rank _NO_MOVE.
 
     The same call caches `pdb.ida_tails`, the stored moves to solved of
-    each of the 2,944 ranks within TAIL moves of it.  Each is built in its
-    own function, so the ball's numpy temporaries are freed before the
-    memo is made.
+    each of the 2,944 ranks within TAIL moves of it.  Each part is built
+    in its own function, so one's numpy temporaries are freed before the
+    next is made.
     """
     if pdb.ida_heuristic is None:
         h = _ball(pdb.perm_db)
+        _ring(h, pdb.perm_db)
         pdb.ida_heuristic, pdb.ida_tails = h, _ball_tails(h)
     return pdb.ida_heuristic
 
@@ -96,27 +122,66 @@ def _ball(perm_db: np.ndarray) -> bytearray:
 
     Each perm code's row of 729 ranks gets the least value above PERIMETER
     with the parity of `perm_db`'s entry, the parity of every distance in
-    the row, and no move.  Then a push BFS over depths 1..PERIMETER reads
+    the row, and _NO_MOVE.  Then a push BFS over depths 1..PERIMETER reads
     any low nibble above PERIMETER as not reached.  Each level pushes its
     moves in `_INV` order, so the first push to reach a rank is the
     inverse of its first descending move in child order, and writes
-    ``depth | _INV[m] << 4``.  No level runs over the whole grid, so the
-    half-grid split is never built.
+    ``depth | _INV[m] << 4``.  The last level's ranks are no frontier, so
+    they are neither kept nor joined into one.  No level runs over the
+    whole grid, so the half-grid split is never built.
     """
     h = bytearray(N_STATES)
     dist = np.frombuffer(h, dtype=np.uint8)
     grid = dist.reshape(N_PERM, N_ORI)
-    grid[:] = (PERIMETER + 1 + ((perm_db + PERIMETER + 1) & 1))[:, None]
+    grid[:] = (RING + ((perm_db + RING) & 1) | _NO_MOVE << 4)[:, None]
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
     for depth in range(1, PERIMETER + 1):
+        last = depth == PERIMETER
         found = []
         for m, succ in zip(_INV, rank_successors(frontier, _INV)):
             succ = succ[(dist.take(succ) & 15) > PERIMETER]
             dist[succ] = depth | _INV[m] << 4
-            found.append(succ)
-        frontier = np.concatenate(found)
+            if not last:
+                found.append(succ)
+        if not last:
+            frontier = np.concatenate(found)
     return h
+
+
+def _ring(h: bytearray, perm_db: np.ndarray) -> None:
+    """Store in `h`, the ball `_ball` built, the ring's first moves into
+    the ball.
+
+    A pull over the perm rows whose ranks have h = RING (those whose
+    `perm_db` entry has RING's parity), a block of rows at a time: per
+    move, one row and one column gather of the byte grid give each rank's
+    child, and a rank at RING with a child at PERIMETER, one at distance
+    exactly RING, takes ``RING | m << 4``.  The moves run from last to
+    first, so the first move in child order is the one that stays.
+    """
+    grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
+    perm, ori = move_tables()
+    cols = np.ascontiguousarray(ori.T, dtype=np.intp)
+    codes = np.flatnonzero((perm_db & 1) == RING % 2)
+    for block in np.array_split(codes, _RING_BLOCKS):
+        # (729, rows) arrays: the layout a fancy column gather writes, which
+        # takes half the time of np.take along axis 1
+        byte = grid[block].T.copy()
+        # masks as uint8 0/1, which multiply a uint8 without a cast
+        ring = ((byte & 15) == RING).view(np.uint8)
+        hit = np.empty_like(byte)
+        for m in reversed(range(6)):
+            child = grid[perm[block, m]][:, cols[m]].T
+            child &= 15
+            np.equal(child, PERIMETER, out=hit.view(bool))
+            hit &= ring
+            # byte -= hit * (byte - value): a boolean-mask store of this
+            # dense, random mask costs ~10x more
+            gap = np.subtract(byte, RING | m << 4, out=child)
+            gap *= hit
+            byte -= gap
+        grid[block] = byte.T
 
 
 def _ball_tails(h: bytearray) -> dict[int, tuple[Move, ...]]:
@@ -149,6 +214,20 @@ def _root(state: CubeletState | CanonicalState) -> int:
     return (state if isinstance(state, CanonicalState) else canonicalize(state)).rank
 
 
+def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
+    """The moves that the heuristic bytes of `pdb` store from rank `r`, d
+    moves from solved: stored steps down to TAIL moves, then the memo."""
+    h, tails = pdb.ida_heuristic, pdb.ida_tails
+    perm_parts, ori_parts = rank_moves()
+    path = []
+    for _ in range(d - TAIL):
+        mi = h[r] >> 4
+        path.append(GENERALIZED_MOVES[mi])
+        r = perm_parts[r // N_ORI][mi] + ori_parts[r % N_ORI][mi]
+    path += tails[r]
+    return path
+
+
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
     """One optimal solution for `state`, deterministic in path and node count.
 
@@ -160,74 +239,74 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     as the search would have expanded it.  That walk takes stored steps
     down to TAIL moves from solved and then appends the memoized rest,
     `pdb.ida_tails`, which is the same stored moves: path and node count
-    are unchanged.  A root inside the perimeter is walked the same way.
-    `pdb` supplies the heuristic's parity beyond the perimeter (its perm
-    distances) and holds the heuristic's cache.
+    are unchanged.  A root inside the perimeter or on the ring is walked
+    the same way.  A child at h = RING whose bound admits only ball ranks
+    past it counts the one node the search would expand there and is left
+    when it stores no move; when its stored move passes the move filters,
+    that move is taken and the ball walked.  `pdb` supplies the
+    heuristic's parity beyond the perimeter (its perm distances) and
+    holds the heuristic's cache.
     """
     root = _root(state)
     if root == 0:
         return SolveResult([], 0, 0)
 
     h = search_heuristic(pdb)
-    tails = pdb.ida_tails
+    first = h[root] & 15
+    if h[root] >> 4 != _NO_MOVE:  # a ball or ring rank
+        return _new_result(SolveResult, (_walk(pdb, root, first), first, 1, (first,)))
+
     perm_parts, ori_parts = rank_moves()
     moves = GENERALIZED_MOVES
-    bound = h[root] & 15
-    path: list[Move] = []
-    if bound <= PERIMETER:
-        r = root
-        for _ in range(bound - TAIL):
-            mi = h[r] >> 4
-            path.append(moves[mi])
-            r = perm_parts[r // N_ORI][mi] + ori_parts[r % N_ORI][mi]
-        path += tails[r]
-        return SolveResult(path, bound, 1, (bound,))
-
     allowed = _ALLOWED
+    path: list[Move] = []
     nodes = 0
 
-    def dfs(r: int, g: int, bound: int, m1: int, m2: int) -> int:
+    # True when a path from `r` within the bound was found and appended;
+    # `left` is the largest h of a child that the bound admits.  Unannotated:
+    # a nested def builds its annotations on every call of ida_star.
+    def dfs(r, left, m1, m2):
         nonlocal nodes
         nodes += 1
-        nxt = MAX_DEPTH + 1
         prow = perm_parts[r // N_ORI]
         orow = ori_parts[r % N_ORI]
-        g += 1
         for mi in allowed[m1][m2]:
             child = prow[mi] + orow[mi]
-            hc = h[child] & 15
-            f = g + hc
-            if f > bound:
-                if f < nxt:
-                    nxt = f
+            byte = h[child]
+            hc = byte & 15
+            if hc > left:
+                continue
+            if left == RING and byte >> 4 == _NO_MOVE:
+                # every child of `child` is at RING + 1: a one-node dead end
+                nodes += 1
                 continue
             path.append(moves[mi])
             if hc <= PERIMETER:
                 # the stored moves from `child`, one node per rank they leave
                 nodes += hc
-                for _ in range(hc - TAIL):
-                    mi = h[child] >> 4
-                    path.append(moves[mi])
-                    child = perm_parts[child // N_ORI][mi] + ori_parts[child % N_ORI][mi]
-                path.extend(tails[child])
-                return _FOUND
-            t = dfs(child, g, bound, mi, m1)
-            if t == _FOUND:
-                return _FOUND
+                path.extend(_walk(pdb, child, hc))
+                return True
+            if left == RING and byte >> 4 in allowed[mi][m1]:
+                # a ring rank: its first child in the ball is its stored move
+                nodes += 1 + PERIMETER
+                path.extend(_walk(pdb, child, RING))
+                return True
+            if dfs(child, left - 1, mi, m1):
+                return True
             path.pop()
-            if t < nxt:
-                nxt = t
-        return nxt
+        return False
 
-    bounds: list[int] = []
-    while True:
-        bounds.append(bound)
-        t = dfs(root, 0, bound, -1, -1)
-        if t == _FOUND:
-            return SolveResult(path, nodes, len(bounds), tuple(bounds))
-        if t > MAX_DEPTH:
-            raise RuntimeError(f"no solution within depth {MAX_DEPTH}")
-        bound = t
+    # each failed bound prunes at bound + 2, the next one; a root at RING
+    # with no stored move has every child at RING + 1, so bound RING fails
+    # there after 1 node
+    start = first
+    if first == RING:
+        nodes, start = 1, RING + 2
+    for bound in range(start, MAX_DEPTH + 1, 2):
+        if dfs(root, bound - 1, -1, -1):
+            bounds = tuple(range(first, bound + 1, 2))
+            return _new_result(SolveResult, (path, nodes, len(bounds), bounds))
+    raise RuntimeError(f"no solution within depth {MAX_DEPTH}")
 
 
 def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> list[Move]:

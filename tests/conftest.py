@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pocketcube.cube import CanonicalState, Move, apply
-from pocketcube.tables import build_distance_table, build_pattern_dbs
+from pocketcube.cube import GENERALIZED_MOVES, N_ORI, CanonicalState, Move, apply
+from pocketcube.tables import build_distance_table, build_pattern_dbs, rank_moves
 
 # Every property test draws the same examples on every run, and none are
 # kept between runs.
@@ -41,6 +41,49 @@ def wrong_pdbs(pdb) -> list[tuple[np.ndarray, np.ndarray, str]]:
     perm[4000] += 1
     return [(pdb.ori_db, np.full(5040, 20, dtype=np.uint8), "perm"),
             (ori, pdb.perm_db, "ori"), (pdb.ori_db, perm, "perm")]
+
+
+def plain_ida_star(root: int, h: bytes, max_depth: int = 14):
+    """(solution, nodes, iterations, bounds) of IDA* from rank `root` with
+    heuristic `h` (one byte per rank), in the solver's child order and move
+    filters (no immediate undo, no third repeat of one move) but with none
+    of its shortcuts: the perimeter is searched, not walked, every node
+    entered but solved counts once, and each next bound is the least f the
+    last iteration pruned."""
+    if root == 0:
+        return [], 0, 0, ()
+    perm_parts, ori_parts = rank_moves()
+    undo = (1, 0, 3, 2, 5, 4)
+    path, nodes, found = [], 0, -1
+
+    def dfs(r, g, bound, m1, m2):
+        nonlocal nodes
+        if r == 0:
+            return found
+        nodes += 1
+        nxt = max_depth + 1
+        for mi in range(6):
+            if m1 >= 0 and (mi == undo[m1] or mi == m1 == m2):
+                continue
+            child = perm_parts[r // N_ORI][mi] + ori_parts[r % N_ORI][mi]
+            f = g + 1 + h[child]
+            if f > bound:
+                nxt = min(nxt, f)
+                continue
+            path.append(GENERALIZED_MOVES[mi])
+            t = dfs(child, g + 1, bound, mi, m1)
+            if t == found:
+                return found
+            path.pop()
+            nxt = min(nxt, t)
+        return nxt
+
+    bounds = [h[root]]
+    while (t := dfs(root, 0, bounds[-1], -1, -1)) != found:
+        if t > max_depth:
+            raise RuntimeError(f"no solution within depth {max_depth}")
+        bounds.append(t)
+    return path, nodes, len(bounds), tuple(bounds)
 
 
 def bucket(table, depth: int) -> np.ndarray:

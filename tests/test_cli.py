@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocketcube import cli, cube, tables
+from pocketcube import cli, cube, evaluate, tables
 from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
 
 from conftest import wrong_pdbs
@@ -444,7 +444,7 @@ class TestBadInputErrors:
             raise AssertionError("drew before the flag was checked")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli.evaluate, "sample_at_distance", no_draw)
+        monkeypatch.setattr(evaluate, "sample_at_distance", no_draw)
         code, _, err = run_cli_exit(capsys, "--tables", tdir, *argv, str(count))
         assert code == 1
         assert err == f"error: {argv[-1]} must be in 1..{cli.MAX_DRAWS}\n"

@@ -18,11 +18,11 @@ from pocketcube.cube import (
     random_canonical,
     unrank,
 )
-from pocketcube.solver import (PERIMETER, TAIL, SolveResult, ida_star, oracle_descent,
+from pocketcube.solver import (PERIMETER, RING, TAIL, SolveResult, ida_star, oracle_descent,
                                oracle_solve, search_heuristic)
 from pocketcube.tables import move_tables, successor
 
-from conftest import apply_generalized, bucket, inverse
+from conftest import apply_generalized, bucket, inverse, plain_ida_star
 
 # sha256 of IDA*'s solutions to the first 100 random_canonical draws of
 # default_rng(0), one format_moves line each, as first computed: at its
@@ -107,6 +107,20 @@ class TestIdaStar:
             res.nodes_expanded = 0
         assert SolveResult([], 0, 0).bounds == ()
 
+    def test_equals_a_plain_search_beyond_the_ball(self, dist_table, pdb):
+        # the ball walks, the ring and the bound steps of 2 are shortcuts:
+        # solutions, node counts, iterations and bounds are those of a plain
+        # IDA* on the same heuristic, on every antipode and on 300 seeded
+        # ranks at each distance 10..13
+        h = bytes(np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F)
+        rng = np.random.default_rng(36)
+        ranks = bucket(dist_table, 14).tolist()
+        for d in range(RING, 14):
+            at_d = bucket(dist_table, d)
+            ranks += at_d[rng.choice(at_d.size, size=300, replace=False)].tolist()
+        for r in ranks:
+            assert ida_star(unrank(r), pdb) == plain_ida_star(r, h)
+
     def test_antipodes_are_byte_identical_to_reference(self, dist_table, pdb):
         lines = ""
         for r in bucket(dist_table, 14):
@@ -139,9 +153,9 @@ class TestSearchHeuristic:
         assert np.all(colour[perm] != colour[:, None])
 
     def test_ball_stores_its_first_move_one_closer(self, dist_table, pdb):
-        # bits 4-6 of every rank at distance 1..PERIMETER hold the first
-        # move in child order whose successor is one move closer; solved
-        # and every rank beyond the ball hold none
+        # bits 4-6 of every rank at distance 1..RING, the ball and the ring,
+        # hold the first move in child order whose successor is one move
+        # closer; solved holds 0 and every rank beyond the ring 7, no move
         byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
         dist = dist_table.dist.astype(np.int16)
         grid = dist.reshape(N_PERM, N_ORI)
@@ -150,9 +164,10 @@ class TestSearchHeuristic:
         for mi in reversed(range(6)):
             succ = grid[np.ix_(perm[:, mi], ori[:, mi])].reshape(N_STATES)
             first[succ == dist - 1] = mi
-        ball = (dist >= 1) & (dist <= PERIMETER)
-        assert np.array_equal(byte[ball] >> 4, first[ball])
-        assert not np.any(byte[~ball] >> 4)
+        stored = (dist >= 1) & (dist <= RING)
+        assert np.array_equal(byte[stored] >> 4, first[stored])
+        assert byte[0] >> 4 == 0
+        assert np.all(byte[dist > RING] >> 4 == 7)
 
     def test_cached_per_pattern_db(self, pdb):
         assert search_heuristic(pdb) is search_heuristic(pdb)
