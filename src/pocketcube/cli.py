@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import cube, solver, tables
 from .cube import (
+    DIAMETER,
     CubeError,
     apply_seq,
     canonicalize,
@@ -35,7 +37,7 @@ from .cube import (
     string_to_facelets,
     to_facelets,
 )
-from .tables import DistanceTable, PatternDB, TableFormatError
+from .tables import DistanceTable, InconsistentTable, PatternDB, TableFormatError
 
 # `scramble`, `simulate` and `eval` import `evaluate` and `executor` when
 # they run, so `solve`, `verify` and `build-tables` never load them
@@ -66,10 +68,18 @@ def _table_dir(args) -> Path:
 
 
 def _load_distance_table(args) -> DistanceTable:
+    """The exact distance table, or InconsistentTable: a file whose payload
+    is not the pinned one would print wrong distances.  `verify` loads
+    without this pin, so that its certificates still run on such a file."""
     path = _table_dir(args) / DIST_FILE
     if not path.exists():
         raise SystemExit(f"error: {path} not found; run 'pocketcube build-tables' first")
-    return DistanceTable.load(path)
+    table = DistanceTable.load(path)
+    crc = zlib.crc32(table.dist)
+    if (crc, table.dist.size) != (tables.EXACT_DIST_CRC, tables.EXACT_DIST_LENGTH):
+        raise InconsistentTable(f"{path}: inconsistent distance table: payload CRC-32 "
+                                f"0x{crc:08X}, expected 0x{tables.EXACT_DIST_CRC:08X}")
+    return table
 
 
 def _load_pattern_db(args) -> PatternDB:
@@ -151,8 +161,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_scramble(args) -> int:
-    if not 1 <= args.distance <= 14:
-        raise SystemExit("error: --distance must be in 1..14")
+    if not 1 <= args.distance <= DIAMETER:
+        raise SystemExit(f"error: --distance must be in 1..{DIAMETER}")
     _check_draws("--count", args.count)
     from . import evaluate
     table = _load_distance_table(args)
@@ -231,7 +241,7 @@ def cmd_verify(args) -> int:
         checks.append(("table files", False, f"{type(err).__name__}: {err}"))
 
     if table is not None:
-        run("diameter 14", tables.check_diameter, table)
+        run(f"diameter {DIAMETER}", tables.check_diameter, table)
         run("exact distances", tables.check_exact_distances, table)
         run("rank round-trip", tables.check_rank_roundtrip)
         run("move reduction", cube.check_move_reduction)
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_actuator_args(p)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("eval", help="run the SR/AN experiment over distances 1..14")
+    p = sub.add_parser("eval", help=f"run the SR/AN experiment over distances 1..{DIAMETER}")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--modes", choices=("both", "rollback", "open"), default="both")
     p.add_argument("--out", required=True)

@@ -66,12 +66,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 N_PERM = 5040  # 7!
 N_ORI = 729  # 3**6
 N_STATES = N_PERM * N_ORI  # 3,674,160
+DIAMETER = 14  # the most quarter turns any state needs; verify certifies it
 
 FACES = ("U", "D", "R", "L", "F", "B")
 
@@ -449,24 +451,37 @@ def unrank(index: int) -> CanonicalState:
     return state
 
 
-def coordinate_moves() -> tuple[list[list[int]], list[list[int]]]:
+@functools.cache
+def _perm_rows() -> np.ndarray:
+    """`_PERMS` as one (5040, 7) uint8 array, shared by the two below."""
+    return np.frombuffer(bytes(itertools.chain.from_iterable(_PERMS)), np.uint8).reshape(N_PERM, 7)
+
+
+@functools.cache
+def move_tables() -> tuple[np.ndarray, np.ndarray]:
     """Successor codes of the six generalized moves, per coordinate.
 
-    Returns (perm, twist): perm[m][code] is the perm code after move
-    GENERALIZED_MOVES[m] from perm code `code`, whatever the twists, and
-    twist[m][code] likewise for twist codes, whatever the permutation.
+    Returns (perm, ori): read-only int32 arrays of shape (5040, 6) and
+    (729, 6), built once per process.  A generalized move permutes slots
+    regardless of twist and adds twists regardless of which cubelet sits
+    where, so the successor of a rank is
+    ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Each move's transform
+    is applied to the whole enumeration at once and re-coded: a perm code
+    is the position of the permutation's base-8 key among those of
+    `_PERMS`, which rise with its order, a twist code a base-3 sum.
     """
-    perm, twist = [], []
-    for move in GENERALIZED_MOVES[::2]:
-        src, dori = _MOVE_TABLE[move]
-        moved = tuple(zip(src[:6], dori[:6]))
-        perm_col = list(map(_PERM_CODE.__getitem__, map(itemgetter(*src[:7]), _PERMS)))
-        twist_col = [_TWIST_CODE[tuple((o[s] + d) % 3 for s, d in moved)] for o in _ORIS]
-        # the prime move next in GENERALIZED_MOVES undoes this one, so its
-        # columns are the inverse permutations (the argsorts) of these
-        perm += [perm_col, sorted(range(N_PERM), key=perm_col.__getitem__)]
-        twist += [twist_col, sorted(range(N_ORI), key=twist_col.__getitem__)]
-    return perm, twist
+    src, dori = np.array([_MOVE_TABLE[move] for move in GENERALIZED_MOVES]).swapaxes(0, 1)
+    rows, weights = _perm_rows(), 8 ** np.arange(6, -1, -1)
+    perm = np.searchsorted(rows @ weights, rows[:, src[:, :7]] @ weights).astype(np.int32)
+    ori = ((np.array(_ORIS)[:, src[:, :6]] + dori[:, :6]) % 3 @ 3 ** np.arange(6)).astype(np.int32)
+    perm.flags.writeable = ori.flags.writeable = False
+    return perm, ori
+
+
+def perm_parity() -> np.ndarray:
+    """Each perm code's permutation parity: its inversion count mod 2."""
+    rows = _perm_rows()
+    return sum(rows[:, i] > rows[:, j] for i, j in itertools.combinations(range(7), 2)) & 1
 
 
 def random_canonical(rng) -> CanonicalState:

@@ -28,6 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .actions import Step, compile_moves
+from .cube import DIAMETER
 from .executor import (
     ActuationModel,
     ExecutionMode,
@@ -39,7 +40,7 @@ from .solver import oracle_descent
 from .tables import DistanceTable, InconsistentTable
 
 MIN_DISTANCE = 1
-MAX_DISTANCE = 14
+MAX_DISTANCE = DIAMETER
 
 
 @dataclass
@@ -56,7 +57,7 @@ class ExperimentConfig:
             raise ValueError("trials_per_distance must be >= 1")
         bad = [d for d in self.distances if not MIN_DISTANCE <= d <= MAX_DISTANCE]
         if bad:
-            raise ValueError(f"distances outside 1..14: {bad}")
+            raise ValueError(f"distances outside {MIN_DISTANCE}..{MAX_DISTANCE}: {bad}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list
     only a table with wrong content can have, raises InconsistentTable.
     """
     if not MIN_DISTANCE <= distance <= MAX_DISTANCE:
-        raise ValueError(f"distance {distance} outside 1..14")
+        raise ValueError(f"distance {distance} outside {MIN_DISTANCE}..{MAX_DISTANCE}")
     count = table.count_at(distance)
     if count == 0:
         raise InconsistentTable(f"distance table has no states at distance {distance}")

@@ -53,12 +53,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState, Move,
-                   canonicalize)
+from .cube import (DIAMETER, GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState,
+                   Move, canonicalize)
 from .tables import (N_ORI, DistanceTable, InconsistentTable, PatternDB, move_tables,
                      rank_moves, rank_successors)
 
-MAX_DEPTH = 14  # quarter-turn diameter of the canonical space
+MAX_DEPTH = DIAMETER  # no optimal solution is longer
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
 PERIMETER = 9
 # radius of the memoized paths inside it: 2,944 ranks, built in a few ms

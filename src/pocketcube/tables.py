@@ -9,8 +9,8 @@ for the table-file format and certified on load.
 
 A rank is perm code * 729 + twist code, the coordinates `cube` defines,
 and a generalized move acts on each coordinate on its own.  So two small
-coordinate move tables, 5040 x 6 and 729 x 6, from `cube.coordinate_moves`,
-give the successor of any rank, and the abstractions are homomorphic:
+coordinate move tables, 5040 x 6 and 729 x 6, `cube.move_tables()`, give
+the successor of any rank, and the abstractions are homomorphic:
 ori index = rank % 729, perm index = rank // 729.  Each pattern database
 is thus the table's projection, a code's least distance over its ranks,
 and a loaded one is certified on its quotient's move table.  Everything
@@ -21,10 +21,10 @@ left (a rank takes the depth if a successor is one less, exact because the
 moves are closed under inverse) or, when both are a large share of the
 space, a pull over the whole grid in memory order, one row and one column
 gather per move.  Every move is a quarter turn, an odd corner permutation,
-so a rank's depth parity is its perm code's permutation parity (checked on
-the move table): the 5040 perm rows split into two (2520, 729) half-grids,
-and a depth's grid level reads only the half of the previous depth's
-parity and writes only its own.
+so a rank's depth parity is its perm code's permutation parity, which
+`cube` gives (checked on the move table): the 5040 perm rows split into
+two (2520, 729) half-grids, and a depth's grid level reads only the half
+of the previous depth's parity and writes only its own.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import (
+    DIAMETER,
     N_ORI,
     N_PERM,
     N_STATES,
@@ -50,7 +51,8 @@ from .cube import (
     CubeletState,
     Move,
     canonicalize,
-    coordinate_moves,
+    move_tables,
+    perm_parity,
     rank,
     unrank,
 )
@@ -64,6 +66,12 @@ KIND_ORI_PDB = 1
 KIND_PERM_PDB = 2
 
 _ENTRIES = {KIND_FULL: N_STATES, KIND_ORI_PDB: N_ORI, KIND_PERM_PDB: N_PERM}
+
+# CRC-32 and length of the exact distance table's payload.  The table is a
+# constant, so a file with a valid CRC and any other payload holds a wrong
+# distance, which `check_exact_distances` would find
+EXACT_DIST_CRC = 0x30A4A9B2
+EXACT_DIST_LENGTH = 3_674_160
 
 
 class TableFormatError(Exception):
@@ -97,22 +105,6 @@ class InconsistentTable(TableFormatError):
 # ---------------------------------------------------------------------------
 # move tables
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def move_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Successor codes of the six generalized moves, per coordinate.
-
-    Returns (perm, ori): int32 arrays of shape (5040, 6) and (729, 6),
-    `cube.coordinate_moves()` laid out one row per code.  A generalized
-    move permutes slots regardless of twist and adds twists regardless of
-    which cubelet sits where, so the successor of a rank is
-    ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Built once per process
-    in tens of milliseconds; read-only.
-    """
-    perm, ori = (np.array(cols, dtype=np.int32).T.copy() for cols in coordinate_moves())
-    perm.flags.writeable = ori.flags.writeable = False
-    return perm, ori
-
 
 @lru_cache(maxsize=1)
 def rank_moves() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -187,13 +179,9 @@ def _colour_split(perm: np.ndarray, colour: np.ndarray) -> tuple[tuple[np.ndarra
 
 @lru_cache(maxsize=1)
 def _rank_colours():
-    """`_colour_split` of the perm move table by permutation parity, built
-    once per process.  A perm code is its permutation's Lehmer code
-    (`cube`'s layout), whose digits sum to the inversion count."""
-    radices = np.arange(7, 0, -1)  # digit i, most significant first, is below 7 - i
-    weights = np.cumprod(np.r_[1, 1:7])[::-1]  # and weighs (6 - i)!
-    digits = np.arange(N_PERM)[:, None] // weights % radices
-    return _colour_split(move_tables()[0], digits.sum(axis=1) & 1)
+    """`_colour_split` of the perm move table by `cube.perm_parity`, built
+    once per process."""
+    return _colour_split(move_tables()[0], perm_parity())
 
 
 def _grid_gather(grid: np.ndarray, perm_col: np.ndarray, ori_col: np.ndarray,
@@ -329,11 +317,11 @@ class DistanceTable:
 
     @property
     def histogram(self) -> tuple[int, ...]:
-        """Count of each depth 0..max(14, max depth), counted on first use
-        without np.bincount's intp copy."""
+        """Count of each depth 0..max(DIAMETER, max depth), counted on first
+        use without np.bincount's intp copy."""
         if self._histogram is None:
             self._histogram = tuple(int(np.count_nonzero(self.dist == d))
-                                    for d in range(max(14, self.max_depth) + 1))
+                                    for d in range(max(DIAMETER, self.max_depth) + 1))
         return self._histogram
 
     @property
@@ -395,7 +383,7 @@ def build_distance_table() -> DistanceTable:
     counts = _bfs_fill(dist)
     if sum(counts) != N_STATES:
         return DistanceTable(dist)
-    return DistanceTable(dist, _histogram=tuple(counts) + (0,) * (15 - len(counts)))
+    return DistanceTable(dist, _histogram=tuple(counts) + (0,) * (DIAMETER + 1 - len(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +453,7 @@ def _write_table(path, kind: int, payload) -> None:
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
-def _read_table(path, expect_kind: int | None = None) -> memoryview:
+def _read_table(path, expect_kind: int) -> memoryview:
     """The checked payload of a table file, a read-only view into the bytes read."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC):
@@ -483,7 +471,7 @@ def _read_table(path, expect_kind: int | None = None) -> memoryview:
         raise TableFormatError(f"{path}: unknown metric byte {metric}")
     if kind not in _ENTRIES:
         raise TableFormatError(f"{path}: unknown table kind {kind}")
-    if expect_kind is not None and kind != expect_kind:
+    if kind != expect_kind:
         raise TableFormatError(f"{path}: table kind {kind}, expected {expect_kind}")
     count, = struct.unpack_from("<I", blob, len(MAGIC) + 6)
     if count != _ENTRIES[kind]:
@@ -505,7 +493,7 @@ def _read_table(path, expect_kind: int | None = None) -> memoryview:
 # ---------------------------------------------------------------------------
 
 def check_diameter(table: DistanceTable) -> tuple[bool, str]:
-    return table.max_depth == 14, f"max depth {table.max_depth}"
+    return table.max_depth == DIAMETER, f"max depth {table.max_depth}"
 
 def check_rank_roundtrip() -> tuple[bool, str]:
     # rank and unrank treat the perm code and the twist code independently,

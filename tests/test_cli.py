@@ -1,7 +1,11 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,31 @@ def emptied_depth_dir(table_dir, dist_table, dest, depth, into):
     d = copy_tables(table_dir, dest)
     dist = dist_table.dist.copy()
     dist[dist == depth] = into
+    tables.DistanceTable(dist).save(d / cli.DIST_FILE)
+    return d
+
+
+def pin_error(d) -> str:
+    """The error line of a table-reading command on `d`, whose distance file
+    has a valid CRC but is not the exact table."""
+    path = d / cli.DIST_FILE
+    crc = zlib.crc32(tables.DistanceTable.load(path).dist)
+    return (f"error: {path}: inconsistent distance table: payload CRC-32 0x{crc:08X}, "
+            f"expected 0x30A4A9B2\n")
+
+
+# a state at depth 13, which `forged_dir` says is at 14
+FORGED_RANK = 729
+
+
+@pytest.fixture()
+def forged_dir(table_dir, dist_table, tmp_path):
+    """Tables whose distance file says 14 for FORGED_RANK, with a valid CRC:
+    before the pin, `scramble --distance 14` printed that state."""
+    d = copy_tables(table_dir, tmp_path / "forged")
+    dist = dist_table.dist.copy()
+    assert dist[FORGED_RANK] == 13
+    dist[FORGED_RANK] = 14
     tables.DistanceTable(dist).save(d / cli.DIST_FILE)
     return d
 
@@ -322,6 +351,29 @@ class TestVerify:
         assert "FAIL" in out
 
 
+# runs build-tables, verify and solve in one interpreter, then prints which
+# of the modules they have no use for got imported
+LAZY_IMPORTS = """
+import sys
+from pocketcube import cli
+out = sys.argv[1]
+for argv in (["build-tables", "--out", out], ["--tables", out, "verify"],
+             ["--tables", out, "solve", "--scramble", "R U"]):
+    assert cli.main(argv) == 0, argv
+print(sorted({"pocketcube.executor", "pocketcube.evaluate"} & set(sys.modules)))
+"""
+
+
+def test_solve_verify_and_build_tables_import_neither_executor_nor_evaluate(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestBuildTables:
     def test_build_reports_and_matches_session_tables(self, table_dir, tmp_path, capsys):
         out_dir = tmp_path / "fresh"
@@ -413,25 +465,42 @@ class TestBadInputErrors:
         code, _, err = run_cli_exit(capsys, "--tables", str(no_fourteen_dir), "scramble",
                                     "--distance", "14")
         assert code == 1
-        assert err == "error: distance table has no states at distance 14\n"
+        assert err == pin_error(no_fourteen_dir)
 
     def test_eval_on_an_empty_depth(self, no_fourteen_dir, tmp_path, capsys):
         code, _, err = run_cli_exit(capsys, "--tables", str(no_fourteen_dir), "eval",
                                     "--trials", "1", "--quiet", "--out", str(tmp_path / "r.csv"))
         assert code == 1
-        assert err == "error: distance table has no states at distance 14\n"
+        assert err == pin_error(no_fourteen_dir)
 
     def test_scramble_from_an_empty_middle_depth(self, no_seven_dir, capsys):
         code, _, err = run_cli_exit(capsys, "--tables", str(no_seven_dir), "scramble",
                                     "--distance", "7")
         assert code == 1
-        assert err == "error: distance table has no states at distance 7\n"
+        assert err == pin_error(no_seven_dir)
 
     def test_eval_on_an_empty_middle_depth(self, no_seven_dir, tmp_path, capsys):
         code, _, err = run_cli_exit(capsys, "--tables", str(no_seven_dir), "eval",
                                     "--trials", "1", "--quiet", "--out", str(tmp_path / "r.csv"))
         assert code == 1
-        assert err == "error: distance table has no states at distance 7\n"
+        assert err == pin_error(no_seven_dir)
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--planner", "oracle", "--state"),
+        ("simulate", "--state"),
+        ("scramble", "--distance", "14", "--count", "1000", "--seed", "1"),
+        ("eval", "--trials", "1", "--quiet", "--out", "r.csv"),
+    ], ids=lambda argv: argv[0])
+    def test_forged_table_prints_no_state(self, forged_dir, tmp_path, monkeypatch, capsys,
+                                          argv):
+        if argv[-1] == "--state":
+            argv += (facelets_to_string(to_facelets(unrank(FORGED_RANK))),)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli_exit(capsys, "--tables", str(forged_dir), *argv)
+        assert code == 1
+        assert out == ""
+        assert err == pin_error(forged_dir)
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("count", [cli.MAX_DRAWS + 1, 10**12])
     @pytest.mark.parametrize("argv", [

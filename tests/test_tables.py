@@ -1,5 +1,6 @@
 import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ class TestRankKernel:
             assert base3(s.ori[:6]) == code
             assert rank(s) == code
 
+    def test_move_tables_are_shared_read_only_int32(self):
+        perm, ori = move_tables()
+        assert move_tables()[0] is perm and move_tables()[1] is ori
+        for table, shape in ((perm, (tables.N_PERM, 6)), (ori, (729, 6))):
+            assert table.dtype == np.int32 and table.shape == shape
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
     def test_successors_match_scalar_apply(self):
         # A generalized move permutes slots whatever the twists are and adds
         # twists whatever cubelets sit where, so checking every (perm code,
@@ -286,6 +295,13 @@ class TestPersistence:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in REFERENCE_SHA256}
         assert digests == REFERENCE_SHA256
+
+    def test_built_table_is_exact_and_has_the_pinned_payload(self, dist_table):
+        # the pin that the table-reading commands compare is the certified table
+        ok, detail = tables.check_exact_distances(dist_table)
+        assert ok, detail
+        assert zlib.crc32(dist_table.dist) == tables.EXACT_DIST_CRC == 0x30A4A9B2
+        assert dist_table.dist.size == tables.EXACT_DIST_LENGTH == N_STATES
 
     def test_save_is_deterministic(self, pdb, tmp_path):
         pdb.save(tmp_path / "a.bin", tmp_path / "ap.bin")
