@@ -479,9 +479,11 @@ def move_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def perm_parity() -> np.ndarray:
-    """Each perm code's permutation parity: its inversion count mod 2."""
+    """Each perm code's permutation parity, its inversion count mod 2, as
+    uint8: the byte tables it fills then take it with no cast."""
     rows = _perm_rows()
-    return sum(rows[:, i] > rows[:, j] for i, j in itertools.combinations(range(7), 2)) & 1
+    inversions = sum(rows[:, i] > rows[:, j] for i, j in itertools.combinations(range(7), 2))
+    return (inversions & 1).astype(np.uint8)
 
 
 def random_canonical(rng) -> CanonicalState:

@@ -5,10 +5,10 @@ IDA*'s heuristic has two parts (perimeter search, Dillenburg & Nelson
 1994; BIDA*, Manzini 1995): the exact distance within PERIMETER moves of
 solved, from a breadth-first search of that ball, and beyond it the least
 value above PERIMETER with the parity of the state's distance.  Every
-generalized move flips the parity of the perm code's depth in the perm
-quotient, so a rank's distance has the parity of its perm pattern-database
-entry; every state nearer than PERIMETER + 1 lies in the ball, so the
-bound is admissible.  It is also consistent, changing by exactly 1 along
+generalized move is a quarter turn, an odd corner permutation, so a rank's
+distance has its perm code's permutation parity (`cube.perm_parity`);
+every state nearer than PERIMETER + 1 lies in the ball, so the bound is
+admissible.  It is also consistent, changing by exactly 1 along
 every move, so IDA*'s bounds step by 2.
 
 The ball also stores its paths to solved, and so does the ring, the ranks
@@ -54,9 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cube import (DIAMETER, GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState,
-                   Move, canonicalize)
-from .tables import (N_ORI, DistanceTable, InconsistentTable, PatternDB, move_tables,
-                     rank_moves, rank_successors)
+                   Move, canonicalize, perm_parity)
+from .tables import (_INV, N_ORI, DistanceTable, InconsistentTable, PatternDB, _pull, _push,
+                     rank_moves)
 
 MAX_DEPTH = DIAMETER  # no optimal solution is longer
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
@@ -68,13 +68,6 @@ TAIL = 5
 RING = PERIMETER + 1
 # bits 4-6 of a rank outside the ball and the ring: no stored move
 _NO_MOVE = 7
-# the ring's pull reads its 2,520 perm rows in 8 blocks, each block's
-# temporaries under 2 MB
-_RING_BLOCKS = 8
-
-# index of the inverse of each generalized move, in child order
-_INV = (1, 0, 3, 2, 5, 4)
-
 # _ALLOWED[m1][m2]: the moves tried after last move m1 and the one before
 # it, m2 (-1 = none, which indexes the last entry), in child order: no
 # immediate undo, no third repeat of one move
@@ -111,68 +104,55 @@ def search_heuristic(pdb: PatternDB) -> bytearray:
     next is made.
     """
     if pdb.ida_heuristic is None:
-        h = _ball(pdb.perm_db)
-        _ring(h, pdb.perm_db)
+        parity = perm_parity()
+        h = _ball(parity)
+        _ring(h, parity)
         pdb.ida_heuristic, pdb.ida_tails = h, _ball_tails(h)
     return pdb.ida_heuristic
 
 
-def _ball(perm_db: np.ndarray) -> bytearray:
+def _ball(parity: np.ndarray) -> bytearray:
     """`search_heuristic`'s bytes, filled in one buffer in place.
 
     Each perm code's row of 729 ranks gets the least value above PERIMETER
-    with the parity of `perm_db`'s entry, the parity of every distance in
-    the row, and _NO_MOVE.  Then a push BFS over depths 1..PERIMETER reads
-    any low nibble above PERIMETER as not reached.  Each level pushes its
-    moves in `_INV` order, so the first push to reach a rank is the
-    inverse of its first descending move in child order, and writes
-    ``depth | _INV[m] << 4``.  The last level's ranks are no frontier, so
-    they are neither kept nor joined into one.  No level runs over the
-    whole grid, so the half-grid split is never built.
+    with the code's permutation parity (`parity`, `cube.perm_parity`), the
+    parity of every distance in the row, and _NO_MOVE.  Then `tables._push`
+    over depths 1..PERIMETER records each rank's first move one closer,
+    reading any low nibble above the depth as not reached.  The last
+    level's ranks are no frontier, so they are dropped move by move.  No
+    level runs over the whole grid, so the half-grid split is never built.
     """
     h = bytearray(N_STATES)
     dist = np.frombuffer(h, dtype=np.uint8)
     grid = dist.reshape(N_PERM, N_ORI)
-    grid[:] = (RING + ((perm_db + RING) & 1) | _NO_MOVE << 4)[:, None]
+    grid[:] = (RING + ((parity + RING) & 1) | _NO_MOVE << 4)[:, None]
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
-    for depth in range(1, PERIMETER + 1):
-        last = depth == PERIMETER
-        found = []
-        for m, succ in zip(_INV, rank_successors(frontier, _INV)):
-            succ = succ[(dist.take(succ) & 15) > PERIMETER]
-            dist[succ] = depth | _INV[m] << 4
-            if not last:
-                found.append(succ)
-        if not last:
-            frontier = np.concatenate(found)
+    for depth in range(1, PERIMETER):
+        frontier = np.concatenate([*_push(dist, frontier, depth, record=True)])
+    for _ in _push(dist, frontier, PERIMETER, record=True):
+        pass
     return h
 
 
-def _ring(h: bytearray, perm_db: np.ndarray) -> None:
+def _ring(h: bytearray, parity: np.ndarray) -> None:
     """Store in `h`, the ball `_ball` built, the ring's first moves into
     the ball.
 
-    A pull over the perm rows whose ranks have h = RING (those whose
-    `perm_db` entry has RING's parity), a block of rows at a time: per
-    move, one row and one column gather of the byte grid give each rank's
-    child, and a rank at RING with a child at PERIMETER, one at distance
-    exactly RING, takes ``RING | m << 4``.  The moves run from last to
-    first, so the first move in child order is the one that stays.
+    `tables._pull` over the perm rows whose ranks have h = RING, those of
+    RING's `parity`: a rank at RING with a child at PERIMETER, one at
+    distance exactly RING, takes ``RING | m << 4``.  The moves run from
+    last to first, so the first move in child order is the one that stays.
     """
     grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
-    perm, ori = move_tables()
-    cols = np.ascontiguousarray(ori.T, dtype=np.intp)
-    codes = np.flatnonzero((perm_db & 1) == RING % 2)
-    for block in np.array_split(codes, _RING_BLOCKS):
-        # (729, rows) arrays: the layout a fancy column gather writes, which
-        # takes half the time of np.take along axis 1
+    codes = np.flatnonzero(parity == RING % 2)
+    moves = range(5, -1, -1)
+    for block, children in _pull(grid, codes, moves):
         byte = grid[block].T.copy()
         # masks as uint8 0/1, which multiply a uint8 without a cast
         ring = ((byte & 15) == RING).view(np.uint8)
         hit = np.empty_like(byte)
-        for m in reversed(range(6)):
-            child = grid[perm[block, m]][:, cols[m]].T
+        for m, child in zip(moves, children):
             child &= 15
             np.equal(child, PERIMETER, out=hit.view(bool))
             hit &= ring
@@ -243,9 +223,8 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     the same way.  A child at h = RING whose bound admits only ball ranks
     past it counts the one node the search would expand there and is left
     when it stores no move; when its stored move passes the move filters,
-    that move is taken and the ball walked.  `pdb` supplies the
-    heuristic's parity beyond the perimeter (its perm distances) and
-    holds the heuristic's cache.
+    that move is taken and the ball walked.  `pdb` holds the
+    heuristic's cache.
     """
     root = _root(state)
     if root == 0:

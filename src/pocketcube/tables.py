@@ -4,8 +4,8 @@ The full table holds the exact quarter-turn distance to solved for every
 canonical state, filled by breadth-first search from the solved rank under
 the six generalized moves.  The two pattern databases are exact distances
 in the orientation-only (3^6 states) and permutation-only (7! states)
-quotients.  IDA* reads only the parity of `perm_db`; both files are kept
-for the table-file format and certified on load.
+quotients.  IDA* reads neither; both files are kept for the table-file
+format and certified on load.
 
 A rank is perm code * 729 + twist code, the coordinates `cube` defines,
 and a generalized move acts on each coordinate on its own.  So two small
@@ -19,12 +19,14 @@ as `rank_moves()`.  The one BFS, over the ranks, runs each depth as the
 cheapest of three levels: a push from the frontier, a pull over the ranks
 left (a rank takes the depth if a successor is one less, exact because the
 moves are closed under inverse) or, when both are a large share of the
-space, a pull over the whole grid in memory order, one row and one column
-gather per move.  Every move is a quarter turn, an odd corner permutation,
-so a rank's depth parity is its perm code's permutation parity, which
-`cube` gives (checked on the move table): the 5040 perm rows split into
-two (2520, 729) half-grids, and a depth's grid level reads only the half
-of the previous depth's parity and writes only its own.
+space, a pull over the whole grid.  That pull runs a block of perm rows at
+a time, and per move one row gather and one fancy column gather give the
+children's bytes as a (729, rows) array, the layout they are combined in;
+`nearest_successor` and IDA*'s ring read the same pull.  Every
+move is a quarter turn, an odd corner permutation, so a rank's depth
+parity is its perm code's permutation parity, which `cube` gives (checked
+on the move table): a depth's grid level pulls only the 2520 perm rows of
+its own parity, whose children all lie in the other 2520.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -142,39 +144,36 @@ def rank_successors(ranks: np.ndarray, moves=range(6)):
 
 # The cost of a push or pull per node it expands, over that of a whole-grid
 # level per rank of the whole grid.  Measured in the first BFS of a fresh
-# interpreter (2-core Xeon VM): a grid level, which reads one parity's half
-# of the grid and writes the other's, costs ~2.4 ns per rank of the whole
-# grid, a push 50-150 ns per frontier node, a pull ~60 ns per node left.
-# Any ratio from 11 to 32 picks the same levels for the rank graph: push
-# at depths 1-9, whole grid at 10-12, pull at 13-14 (no depth 15 runs once
-# every rank is reached).  A ratio of 40 also runs depth 9 whole grid,
-# which measured 1-2 ms slower.
+# interpreter (2-core Xeon VM): a grid level, the blocked pull over one
+# parity's half of the grid, costs ~2.4 ns per rank of the whole grid
+# (8-9 ms), a push ~70 ns per frontier node, a pull ~80 ns per node left,
+# its scan included.  Any ratio from 11 to 32 picks the same levels for the
+# rank graph: push at depths 1-9, whole grid at 10-12, pull at 13-14 (no
+# depth 15 runs once every rank is reached).  A ratio of 41 also runs
+# depths 9 and 13 whole grid, which measured 2-7 ms slower in all.
 _GRID_COST_RATIO = 24
 
+# perm rows per block of the blocked pull: a block's (729, rows) arrays are
+# 230 kB each, so its temporaries stay in cache
+_BLOCK_ROWS = 315
 
 # a BFS's mark for a rank not reached yet, above every depth of the rank graph
 _UNREACHED = 0xFF
 
+# index of the inverse of each generalized move, in child order
+_INV = (1, 0, 3, 2, 5, 4)
 
-def _colour_split(perm: np.ndarray, colour: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The perm codes split by `colour`, 0 or 1 per code, and where each
-    move takes them.
 
-    Returns (rows, src): rows[c], the sorted codes of colour c, and
-    src[c][mi], the position inside rows[1 - c] of each code's successor
-    under move mi (intp).  Raises RuntimeError unless code 0 has colour 0
-    and every move flips the colour of every code: only then is a rank's
-    depth parity its perm code's colour, and a BFS level reads one colour
-    and writes the other.
+def _colour_split(perm: np.ndarray, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The perm codes split by `colour`, 0 or 1 per code: the sorted codes
+    of colour 0, then those of colour 1.  Raises RuntimeError unless code 0
+    has colour 0 and every move of `perm` flips the colour of every code:
+    only then is a rank's depth parity its perm code's colour, and a BFS
+    level reads one colour and writes the other.
     """
     if colour[0] or (colour[perm] == colour[:, None]).any():
         raise RuntimeError("a perm move keeps the parity of a code's depth")
-    rows = tuple(np.flatnonzero(colour == c) for c in (0, 1))
-    position = np.empty(perm.shape[0], dtype=np.intp)
-    for codes in rows:
-        position[codes] = np.arange(codes.size)
-    src = tuple(position.take(perm[codes].T) for codes in rows)
-    return rows, src
+    return np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
 
 
 @lru_cache(maxsize=1)
@@ -184,21 +183,46 @@ def _rank_colours():
     return _colour_split(move_tables()[0], perm_parity())
 
 
-def _grid_gather(grid: np.ndarray, perm_col: np.ndarray, ori_col: np.ndarray,
-                 rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`out[i, o] = grid[perm_col[i], ori_col[o]]`: rows, then columns.
+def _push(dist: np.ndarray, frontier: np.ndarray, depth: int, record: bool = False):
+    """One push level: each successor of the ranks `frontier` not reached
+    in `dist` takes `depth`, move by move, so none is reached twice.
 
-    Rows into `rows`, then columns into `out` (both of out's shape and
-    grid's dtype): about 4x faster than one np.ix_ gather.  The indices are
-    in range; mode="clip" writes `out` in place, where "raise" buffers a copy.
+    A byte is not reached while its low nibble is above `depth`: true of
+    _UNREACHED and of any mark above every depth pushed, false of a rank
+    this level has reached.  The moves are pushed in `_INV` order, so with
+    `record` the first push to reach a rank is the inverse of its first
+    move in child order one move closer, and the rank takes
+    ``depth | _INV[m] << 4``.  Returns the ranks reached, one array per
+    move, each made as it is read (a lazy map, as `rank_successors`): a
+    caller that drops each keeps no frontier.
     """
-    np.take(grid, perm_col, axis=0, out=rows, mode="clip")
-    return np.take(rows, ori_col, axis=1, out=out, mode="clip")
+    def store(m: int, succ: np.ndarray) -> np.ndarray:
+        succ = succ[(dist.take(succ) & 15) > depth]
+        dist[succ] = depth | _INV[m] << 4 if record else depth
+        return succ
+
+    return map(store, _INV, rank_successors(frontier, _INV))
 
 
-def _colour_rows(dist: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The rank rows of perm codes `codes` in `dist`, as uint8 in bool `out`."""
-    return dist.reshape(N_PERM, N_ORI).take(codes, axis=0, out=out.view(np.uint8), mode="clip")
+def _pull(grid: np.ndarray, codes: np.ndarray, moves=range(6)):
+    """The blocked pull, the one kernel of every pass that reads each
+    rank's children from the (N_PERM, 729) byte grid `grid`.
+
+    Yields, for each block of _BLOCK_ROWS codes of `codes` in turn (the
+    last block holds the rest), the block and its children's bytes under
+    each move of the sequence `moves`, made as they are read: each a
+    (729, rows) array, one row gather and then one fancy column gather.
+    That gather writes its result F-ordered, so read transposed it is
+    C-ordered with no copy, and takes half the time of np.take along axis
+    1.  Callers combine the children in that layout, and each child array
+    is theirs to write into.
+    """
+    perm, ori = move_tables()
+    cols = ori.T.astype(np.intp)
+    for lo in range(0, codes.size, _BLOCK_ROWS):
+        block = codes[lo:lo + _BLOCK_ROWS]
+        rows = perm[block].T
+        yield block, (grid[rows[m]][:, cols[m]].T for m in moves)
 
 
 def _grid_level(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> int:
@@ -207,39 +231,26 @@ def _grid_level(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> i
     `depth`.  Returns how many did.
 
     A rank's depth parity is its perm code's colour (`colours`, the
-    `_rank_colours` split), so the level reads only the rows of colour
-    (depth - 1) % 2 and writes only those of colour depth % 2.  `scratch`
-    is four bool (2520, 729) grids, kept for the whole BFS: fresh ones
-    would fault their pages in again on every level.
+    `_rank_colours` split), so the level pulls only the rows of colour
+    depth % 2.  `scratch`, N_STATES bools, holds each block's mask.
     """
-    rows, src = colours
-    ori = move_tables()[1]
-    prev, gathered, succ, hit = scratch
-    np.equal(_colour_rows(dist, rows[1 - depth % 2], prev), depth - 1, out=prev)
-    hit.fill(False)
-    for mi, perm_col in enumerate(src[depth % 2]):
-        hit |= _grid_gather(prev, perm_col, ori[:, mi], gathered, succ)
-    now = _colour_rows(dist, rows[depth % 2], gathered)
-    hit &= np.equal(now, _UNREACHED, out=prev)
-    # now -= hit * (now - depth), the gap in the spent column buffer; a
-    # boolean-mask store costs ~15x more
-    gap = np.subtract(now, depth, out=succ.view(np.uint8))
-    gap *= hit
-    now -= gap
-    dist.reshape(N_PERM, N_ORI)[rows[depth % 2]] = now
-    return int(np.count_nonzero(hit))
-
-
-def _grid_unreached(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> np.ndarray:
-    """The ranks of `dist` not reached whose parity is that of `depth`,
-    sorted, as int32: the rows of one colour of `colours`, scanned in
-    `scratch`."""
-    codes = colours[0][depth % 2]
-    found = np.flatnonzero(np.equal(_colour_rows(dist, codes, scratch[0]), _UNREACHED,
-                                    out=scratch[1]))
-    # half-grid position i * 729 + o is rank codes[i] * 729 + o
-    shift = (codes - np.arange(codes.size)) * N_ORI
-    return (found + shift.take(found // N_ORI)).astype(np.int32)
+    grid = dist.reshape(N_PERM, N_ORI)
+    count = 0
+    for block, children in _pull(grid, colours[depth % 2]):
+        hit = scratch[:N_ORI * block.size].reshape(N_ORI, block.size)
+        hit.fill(False)
+        for child in children:
+            hit |= np.equal(child, depth - 1, out=child.view(bool))
+        # the block's own bytes in row order: one transposed mask costs
+        # less than a transposed copy in and out
+        rows = grid[block]
+        new = hit.T & (rows == _UNREACHED)
+        # rows -= new * (_UNREACHED - depth): a boolean-mask store costs
+        # ~35x more
+        rows -= np.multiply(new.view(np.uint8), _UNREACHED - depth)
+        grid[block] = rows
+        count += int(np.count_nonzero(new))
+    return count
 
 
 def _bfs_fill(dist: np.ndarray) -> list[int]:
@@ -247,23 +258,23 @@ def _bfs_fill(dist: np.ndarray) -> list[int]:
     entries, all _UNREACHED) in place.  Returns the count of ranks at each
     depth reached, from 0.  A depth runs one of three levels:
 
-    - push: the successors of the frontier not yet reached get the depth,
-      move by move, so they hold no duplicates and are the next frontier;
-    - pull: every rank not reached of the depth's parity (`_grid_unreached`)
-      takes the depth if one of its successors is at depth - 1, sound
-      because the moves are closed under inverse, so a rank's predecessors
-      are its successors (Beamer et al., SC 2012);
-    - whole grid: `_grid_level`, the pull over every rank of the depth's
-      parity in memory order.
+    - push: `_push`, the successors of the frontier not yet reached;
+    - pull: every rank not reached takes the depth if one of its
+      successors is at depth - 1, sound because the moves are closed under
+      inverse, so a rank's predecessors are its successors (Beamer et al.,
+      SC 2012);
+    - whole grid: `_grid_level`, the blocked pull over every rank of the
+      depth's parity.
 
     A depth runs whole grid once the smaller of the frontier and the ranks
     left, times _GRID_COST_RATIO, exceeds N_STATES; otherwise it pulls when
-    the frontier outnumbers the ranks left and pushes if not.  The four
-    half-grid buffers of `_grid_level` are mapped here; np.empty touches no
-    page of them until a grid level runs.
+    the frontier outnumbers the ranks left and pushes if not.  A pull's
+    scan for the ranks not reached and a grid level's masks share one
+    bool `scratch` of N_STATES, mapped once: fresh ones would fault their
+    pages in on every level.
     """
     colours = _rank_colours()
-    scratch = np.empty((4, N_PERM // 2, N_ORI), dtype=bool)
+    scratch = np.empty(dist.size, dtype=bool)
     dist[0] = 0
     frontier, counts = np.zeros(1, dtype=np.int32), [1]
     reached, depth = 1, 0
@@ -274,7 +285,7 @@ def _bfs_fill(dist: np.ndarray) -> list[int]:
             size = _grid_level(dist, depth, colours, scratch)
             frontier = None
         elif size > left:
-            unreached = _grid_unreached(dist, depth, colours, scratch)
+            unreached = np.flatnonzero(np.equal(dist, _UNREACHED, out=scratch))
             hit = np.zeros(unreached.size, dtype=bool)
             for succ in rank_successors(unreached):
                 hit |= dist.take(succ) == depth - 1
@@ -284,12 +295,7 @@ def _bfs_fill(dist: np.ndarray) -> list[int]:
         else:
             if frontier is None:
                 frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
-            found = []
-            for succ in rank_successors(frontier):
-                succ = succ[dist.take(succ) == _UNREACHED]
-                dist[succ] = depth
-                found.append(succ)
-            frontier = np.concatenate(found)
+            frontier = np.concatenate([*_push(dist, frontier, depth)])
             size = frontier.size
         reached += size
         counts.append(size)
@@ -377,7 +383,7 @@ class DistanceTable:
 
 
 def build_distance_table() -> DistanceTable:
-    """BFS over the whole canonical space; about 0.05 s on one core.  The
+    """BFS over the whole canonical space; 45-55 ms on one core.  The
     table's histogram is the BFS's level counts once every rank is reached."""
     dist = np.full(N_STATES, _UNREACHED, dtype=np.uint8)
     counts = _bfs_fill(dist)
@@ -502,15 +508,15 @@ def check_rank_roundtrip() -> tuple[bool, str]:
     return not bad, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
 def nearest_successor(table: DistanceTable) -> np.ndarray:
-    """The least distance among each rank's six successors, one gather per move."""
+    """The least distance among each rank's six successors: the BFS's
+    blocked pull, `_BLOCK_ROWS` perm rows at a time."""
     grid = table.dist.reshape(N_PERM, N_ORI)
-    perm, ori = move_tables()
-    rows, succ = np.empty_like(grid), np.empty_like(grid)
-    nearest = np.full(N_STATES, 0xFF, dtype=np.uint8)
-    for mi in range(6):
-        # the BFS's whole-grid gather, here over distances
-        np.minimum(nearest, _grid_gather(grid, perm[:, mi], ori[:, mi], rows, succ).ravel(),
-                   out=nearest)
+    nearest = np.empty(N_STATES, dtype=np.uint8)
+    for block, children in _pull(grid, np.arange(N_PERM)):
+        least = next(children)
+        for child in children:
+            np.minimum(least, child, out=least)
+        nearest.reshape(N_PERM, N_ORI)[block] = least.T
     return nearest
 
 def _bellman_violations(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:

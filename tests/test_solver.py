@@ -38,6 +38,11 @@ REFERENCE_SOLUTIONS_SHA256 = "264bd7683a39c50c285dec2c2eed0ec96a5957ba2078472836
 REFERENCE_NODES, REFERENCE_ITERATIONS = 48_119, 4_974
 REFERENCE_ANTIPODES_SHA256 = "488b6e5adb887de4551166c97e3f21ddf5fee14b5942c5e04803f6df7a9d2446"
 
+# sha256 of search_heuristic's 3,674,160 bytes as first built by its own
+# push and ring: a change of the kernels that build them must leave every
+# byte, h and stored move alike, as it is
+REFERENCE_HEURISTIC_SHA256 = "0d10a6173db4456bea72be4694464baa35e37fb2d14dfa12a822ab08c3d6888d"
+
 
 class TestIdaStar:
     def test_solved_needs_nothing(self, pdb):
@@ -130,6 +135,9 @@ class TestIdaStar:
 
 
 class TestSearchHeuristic:
+    def test_bytes_are_the_reference(self, pdb):
+        assert hashlib.sha256(search_heuristic(pdb)).hexdigest() == REFERENCE_HEURISTIC_SHA256
+
     def test_exact_in_perimeter_parity_bound_beyond(self, dist_table, pdb):
         h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
         dist = dist_table.dist

@@ -84,8 +84,8 @@ class TestBuild:
 
     def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
         # solve's set-up, IDA*'s heuristic on a fresh PatternDB, takes its
-        # parity from the perm PDB: it builds neither the half-grid split
-        # nor the 7.3 MB of scratch a whole-grid level needs
+        # parity from cube.perm_parity: it builds neither the half-grid
+        # split nor a whole-grid level
         calls = []
         monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
         tables._rank_colours.cache_clear()
@@ -93,6 +93,69 @@ class TestBuild:
         assert fresh.ida_heuristic is None
         solver.search_heuristic(fresh)
         assert calls == []
+        assert tables._rank_colours.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
+    def test_grid_level_reproduces_depths_10_to_12(self, monkeypatch, dist_table, block_rows):
+        # 400 rows do not divide a parity's 2,520, so the last block is short
+        monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
+        exact = dist_table.dist
+        scratch = np.ones(N_STATES, dtype=bool)
+        for depth in (10, 11, 12):
+            dist = exact.copy()
+            dist[dist >= depth] = tables._UNREACHED
+            count = tables._grid_level(dist, depth, tables._rank_colours(), scratch)
+            assert count == EXPECTED_HISTOGRAM[depth]
+            assert np.array_equal(dist, np.where(exact <= depth, exact, tables._UNREACHED))
+
+    @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
+    def test_nearest_successor_is_the_least_successor_distance(self, monkeypatch, dist_table,
+                                                               block_rows):
+        # a plain reference, one whole-table gather per move, on the exact
+        # table and on one with a few entries changed; 400 rows do not
+        # divide 5,040
+        monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
+        changed = dist_table.dist.copy()
+        changed[[0, 5, 70_000, 2_000_000, N_STATES - 1]] = [3, 0xFF, 0, 9, 1]
+        for dist in (dist_table.dist, changed):
+            want = np.full(N_STATES, 0xFF, dtype=np.uint8)
+            for succ in tables.rank_successors(np.arange(N_STATES)):
+                np.minimum(want, dist.take(succ), out=want)
+            assert np.array_equal(tables.nearest_successor(DistanceTable(dist)), want)
+
+    def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, pdb):
+        # the table's grid levels, verify's nearest successors and IDA*'s
+        # ring all read the one blocked pull, and the table and the ball
+        # the one push; the heuristic still builds no half-grid split and
+        # runs no grid level
+        calls = []
+
+        def counting(name, kernel):
+            def wrapper(*args, **kw):
+                calls.append(name)
+                return kernel(*args, **kw)
+            return wrapper
+
+        for name in ("_pull", "_push"):
+            wrapper = counting(name, getattr(tables, name))
+            monkeypatch.setattr(tables, name, wrapper)
+            monkeypatch.setattr(solver, name, wrapper)
+        grid_levels = []
+        grid_level = tables._grid_level
+        monkeypatch.setattr(tables, "_grid_level",
+                            lambda *args: grid_levels.append(args[1]) or grid_level(*args))
+
+        table = tables.build_distance_table()
+        assert table.histogram == EXPECTED_HISTOGRAM
+        assert calls == ["_push"] * 9 + ["_pull"] * 3 and grid_levels == [10, 11, 12]
+        calls.clear()
+        tables.nearest_successor(table)
+        assert calls == ["_pull"]
+        calls.clear()
+        tables._rank_colours.cache_clear()
+        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
+        solver.search_heuristic(fresh)
+        assert calls == ["_push"] * 9 + ["_pull"] and grid_levels == [10, 11, 12]
         assert tables._rank_colours.cache_info().currsize == 0
 
     def test_half_grid_split_is_the_corner_permutation_parity(self):
@@ -103,12 +166,12 @@ class TestBuild:
 
         for m in GENERALIZED_MOVES:
             assert parity(apply_generalized(SOLVED, m).perm) == 1
-        rows, src = tables._rank_colours()
+        rows = tables._rank_colours()
         perm = move_tables()[0]
         for c in (0, 1):
             assert rows[c].size == tables.N_PERM // 2
             assert {parity(unrank(int(code) * 729).perm) for code in rows[c]} == {c}
-            assert np.array_equal(rows[1 - c][src[c]], perm[rows[c]].T)
+            assert np.isin(perm[rows[c]], rows[1 - c]).all()
 
     def test_perm_move_table_that_is_not_bipartite_raises(self):
         # three codes on a cycle, which no colouring flips along every
