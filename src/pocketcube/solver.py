@@ -11,12 +11,13 @@ every state nearer than PERIMETER + 1 lies in the ball, so the bound is
 admissible.  It is also consistent, changing by exactly 1 along
 every move, so IDA*'s bounds step by 2.
 
-The ball also stores its paths to solved, and so does the ring, the ranks
-at distance exactly PERIMETER + 1, one move outside it.  Each rank's
-heuristic byte holds h in its low nibble and in bits 4-6 a move: for
-every ball or ring rank but solved, the first move in child order whose
-successor is one move closer; for solved 0; for every other rank 7, no
-stored move.  Once the search reaches a ball rank within its bound, it
+The ball also stores its paths to solved, and so do two rings around it:
+the ring, the ranks at distance exactly RING = PERIMETER + 1, and the
+outer ring, those at OUTER = RING + 1.  Each rank's heuristic byte holds
+h in its low nibble and in bits 4-6 a move: for every rank at distance
+1..OUTER, the first move in child order whose successor is one move
+closer; for solved 0; for every other rank 7, no stored move.  h is exact
+on all of them.  Once the search reaches a ball rank within its bound, it
 appends the stored moves instead of searching on.  That walk cannot fail,
 and it is the path the search would have taken: a bound below the root's
 distance d admits no ball rank, as g + exact distance >= d there; at
@@ -29,14 +30,25 @@ takes stored steps only down to that radius and then appends the tuple.
 The moves appended are the same stored moves, so solutions and node
 counts are unchanged.
 
-A node with h = PERIMETER + 1 whose bound admits only ball ranks one move
-on is settled without scanning its children: each child has h PERIMETER
-or PERIMETER + 2, so the node is a one-node dead end unless it is a ring
-rank, and then the search would take its stored move and walk the ball
-from there (were the move filters to drop that move, the node would be
-searched as before; on no rank do they).  The heuristic is consistent and
-parity-tight, so every f has the root's parity and grows by 0 or 2 per
-move: an iteration that fails always prunes at bound + 2, the next bound.
+A child at h = RING or OUTER whose bound admits only its own children at
+h - 1 is settled without a scan.  At RING those are ball ranks and the
+rest are past the bound: the child costs 1 node, or, if it stores a move,
+1 + PERIMETER and a walk.  At OUTER they are all ring ranks, a one-node
+dead end unless one stores a move: the child costs 1 node plus 1 per
+allowed move, or, if it stores move s, 1 plus 1 per allowed move before s
+plus the ring's 1 + PERIMETER, and a walk; a root at OUTER, all six moves
+allowed, costs OUTER + s.  Were the move filters to drop a stored move,
+the child would be searched as before; they never do.  In the iteration
+at bound B, every rank within OUTER moves that the search enters has
+f = B (its h is exact, so a smaller f would have ended an earlier
+iteration); so the node above a settled OUTER child, at g = B - 12, lies
+at 12, and its parent at 13.  The path descends, and both filters lead
+back up: the undo to the node, a third repeat X X X = X' next to the
+parent.
+
+The heuristic is consistent and parity-tight, so every f has the root's
+parity and grows by 0 or 2 per move: an iteration that fails always
+prunes at bound + 2, the next bound.
 
 Both planners operate on canonical ranks through the scalar coordinate
 move tables, `tables.rank_moves()` (a child's rank is the sum of a perm
@@ -66,7 +78,10 @@ TAIL = 5
 # distance of the ring, the 930,588 ranks one move outside the ball, each
 # storing its first move into it
 RING = PERIMETER + 1
-# bits 4-6 of a rank outside the ball and the ring: no stored move
+# distance of the outer ring, the 1,350,852 ranks one move outside the
+# ring, each storing its first move into it
+OUTER = RING + 1
+# bits 4-6 of a rank beyond the outer ring: no stored move
 _NO_MOVE = 7
 # _ALLOWED[m1][m2]: the moves tried after last move m1 and the one before
 # it, m2 (-1 = none, which indexes the last entry), in child order: no
@@ -95,8 +110,9 @@ _new_result = tuple.__new__
 def search_heuristic(pdb: PatternDB) -> bytearray:
     """IDA*'s heuristic, one byte per rank, built on first use and cached
     on `pdb`: h in the low nibble, and in bits 4-6, for every rank of the
-    ball and the ring but solved, its first move in child order one move
-    closer; solved holds 0 there and every other rank _NO_MOVE.
+    ball and both rings but solved (distance 1..OUTER), its first move in
+    child order one move closer; solved holds 0 there and every other rank
+    _NO_MOVE.
 
     The same call caches `pdb.ida_tails`, the stored moves to solved of
     each of the 2,944 ranks within TAIL moves of it.  Each part is built
@@ -106,7 +122,8 @@ def search_heuristic(pdb: PatternDB) -> bytearray:
     if pdb.ida_heuristic is None:
         parity = perm_parity()
         h = _ball(parity)
-        _ring(h, parity)
+        _ring(h, parity, RING)
+        _ring(h, parity, OUTER)
         pdb.ida_heuristic, pdb.ida_tails = h, _ball_tails(h)
     return pdb.ida_heuristic
 
@@ -135,30 +152,31 @@ def _ball(parity: np.ndarray) -> bytearray:
     return h
 
 
-def _ring(h: bytearray, parity: np.ndarray) -> None:
-    """Store in `h`, the ball `_ball` built, the ring's first moves into
-    the ball.
+def _ring(h: bytearray, parity: np.ndarray, k: int) -> None:
+    """Store in `h` the first move of every rank at distance exactly `k`
+    into a rank one closer: into the ball at RING, the ring at OUTER.
 
-    `tables._pull` over the perm rows whose ranks have h = RING, those of
-    RING's `parity`: a rank at RING with a child at PERIMETER, one at
-    distance exactly RING, takes ``RING | m << 4``.  The moves run from
-    last to first, so the first move in child order is the one that stays.
+    `tables._pull` over the perm rows of k's `parity`, moves last to first,
+    so the first move in child order is the one that stays: a byte that
+    still reads ``k | _NO_MOVE << 4`` and has a child that stores a move
+    takes ``k | m << 4``.  Those children are the ranks at k - 1 as long as
+    every rank beyond k - 1 reads _NO_MOVE, so the ring, whose ranks have
+    children at OUTER too, is built before the outer ring.
     """
     grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
-    codes = np.flatnonzero(parity == RING % 2)
+    codes = np.flatnonzero(parity == k % 2)
     moves = range(5, -1, -1)
     for block, children in _pull(grid, codes, moves):
         byte = grid[block].T.copy()
         # masks as uint8 0/1, which multiply a uint8 without a cast
-        ring = ((byte & 15) == RING).view(np.uint8)
+        ring = (byte == (k | _NO_MOVE << 4)).view(np.uint8)
         hit = np.empty_like(byte)
         for m, child in zip(moves, children):
-            child &= 15
-            np.equal(child, PERIMETER, out=hit.view(bool))
+            np.less(child, _NO_MOVE << 4, out=hit.view(bool))
             hit &= ring
             # byte -= hit * (byte - value): a boolean-mask store of this
             # dense, random mask costs ~10x more
-            gap = np.subtract(byte, RING | m << 4, out=child)
+            gap = np.subtract(byte, k | m << 4, out=child)
             gap *= hit
             byte -= gap
         grid[block] = byte.T
@@ -219,12 +237,10 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     as the search would have expanded it.  That walk takes stored steps
     down to TAIL moves from solved and then appends the memoized rest,
     `pdb.ida_tails`, which is the same stored moves: path and node count
-    are unchanged.  A root inside the perimeter or on the ring is walked
-    the same way.  A child at h = RING whose bound admits only ball ranks
-    past it counts the one node the search would expand there and is left
-    when it stores no move; when its stored move passes the move filters,
-    that move is taken and the ball walked.  `pdb` holds the
-    heuristic's cache.
+    are unchanged.  A root within OUTER moves is walked the same way, and
+    a child at h = RING or OUTER whose bound admits only its own children
+    one move closer counts the nodes the search would expand there and is
+    left, or walked by its stored move.  `pdb` holds the heuristic's cache.
     """
     root = _root(state)
     if root == 0:
@@ -232,8 +248,10 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
 
     h = search_heuristic(pdb)
     first = h[root] & 15
-    if h[root] >> 4 != _NO_MOVE:  # a ball or ring rank
-        return _new_result(SolveResult, (_walk(pdb, root, first), first, 1, (first,)))
+    stored = h[root] >> 4
+    if stored != _NO_MOVE:  # a rank within OUTER moves
+        nodes = first + stored if first == OUTER else first
+        return _new_result(SolveResult, (_walk(pdb, root, first), nodes, 1, (first,)))
 
     perm_parts, ori_parts = rank_moves()
     moves = GENERALIZED_MOVES
@@ -255,21 +273,26 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
             hc = byte & 15
             if hc > left:
                 continue
-            if left == RING and byte >> 4 == _NO_MOVE:
-                # every child of `child` is at RING + 1: a one-node dead end
-                nodes += 1
-                continue
-            path.append(moves[mi])
             if hc <= PERIMETER:
                 # the stored moves from `child`, one node per rank they leave
                 nodes += hc
+                path.append(moves[mi])
                 path.extend(_walk(pdb, child, hc))
                 return True
-            if left == RING and byte >> 4 in allowed[mi][m1]:
-                # a ring rank: its first child in the ball is its stored move
-                nodes += 1 + PERIMETER
-                path.extend(_walk(pdb, child, RING))
-                return True
+            if hc == left:
+                # `child` is at RING or OUTER and admits only its children
+                # one move closer: the children it tries before them are
+                # pruned at RING and one-node dead ends at OUTER
+                s = byte >> 4
+                if s == _NO_MOVE:
+                    nodes += 1 if hc == RING else 1 + len(allowed[mi][m1])
+                    continue
+                if s in allowed[mi][m1]:
+                    nodes += hc if hc == RING else hc + allowed[mi][m1].index(s)
+                    path.append(moves[mi])
+                    path.extend(_walk(pdb, child, hc))
+                    return True
+            path.append(moves[mi])
             if dfs(child, left - 1, mi, m1):
                 return True
             path.pop()

@@ -22,7 +22,7 @@ moves are closed under inverse) or, when both are a large share of the
 space, a pull over the whole grid.  That pull runs a block of perm rows at
 a time, and per move one row gather and one fancy column gather give the
 children's bytes as a (729, rows) array, the layout they are combined in;
-`nearest_successor` and IDA*'s ring read the same pull.  Every
+`nearest_successor` and IDA*'s two rings read the same pull.  Every
 move is a quarter turn, an odd corner permutation, so a rank's depth
 parity is its perm code's permutation parity, which `cube` gives (checked
 on the move table): a depth's grid level pulls only the 2520 perm rows of
@@ -524,11 +524,17 @@ def _bellman_violations(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     distances from index 0: dist[0] == 0, every other dist == 1 + its
     `nearest` successor's.  With moves closed under inverse, a `dist` with
     none is exact: a nearest-successor walk reaches 0 in dist steps, and
-    induction from 0 bounds every dist by the distance."""
-    want = nearest.astype(np.int16)
+    induction from 0 bounds every dist by the distance.
+
+    Computed in `nearest`'s own uint8 bytes, which it overwrites: `nearest`
+    is capped at 0xFE first, so 1 + 0xFF never wraps to 0.  The cap is
+    sound: by that induction, a passing `dist` holds no entry above its
+    exact distance, at most 14 < 0xFE, so no successor it reads is capped.
+    """
+    want = np.minimum(nearest, 0xFE, out=nearest)
     want += 1
     want[0] = 0
-    return np.flatnonzero(dist != want)
+    return np.flatnonzero(np.not_equal(dist, want, out=want.view(bool)))
 
 
 def check_exact_distances(table: DistanceTable) -> tuple[bool, str]:

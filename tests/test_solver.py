@@ -18,8 +18,8 @@ from pocketcube.cube import (
     random_canonical,
     unrank,
 )
-from pocketcube.solver import (PERIMETER, RING, TAIL, SolveResult, ida_star, oracle_descent,
-                               oracle_solve, search_heuristic)
+from pocketcube.solver import (OUTER, PERIMETER, RING, TAIL, SolveResult, ida_star,
+                               oracle_descent, oracle_solve, search_heuristic)
 from pocketcube.tables import move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse, plain_ida_star
@@ -39,9 +39,11 @@ REFERENCE_NODES, REFERENCE_ITERATIONS = 48_119, 4_974
 REFERENCE_ANTIPODES_SHA256 = "488b6e5adb887de4551166c97e3f21ddf5fee14b5942c5e04803f6df7a9d2446"
 
 # sha256 of search_heuristic's 3,674,160 bytes as first built by its own
-# push and ring: a change of the kernels that build them must leave every
-# byte, h and stored move alike, as it is
+# push and ring, and with the outer ring's moves as well: a change of the
+# kernels that build them must leave every byte, h and stored move alike,
+# as it is
 REFERENCE_HEURISTIC_SHA256 = "0d10a6173db4456bea72be4694464baa35e37fb2d14dfa12a822ab08c3d6888d"
+OUTER_HEURISTIC_SHA256 = "1439e592f7f30523a74b96510e213bb5665ce40eab184cb18af311817d09968d"
 
 
 class TestIdaStar:
@@ -136,7 +138,13 @@ class TestIdaStar:
 
 class TestSearchHeuristic:
     def test_bytes_are_the_reference(self, pdb):
-        assert hashlib.sha256(search_heuristic(pdb)).hexdigest() == REFERENCE_HEURISTIC_SHA256
+        # the outer ring only adds moves: with them masked back to no move,
+        # the bytes are those from before it
+        byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        assert hashlib.sha256(byte).hexdigest() == OUTER_HEURISTIC_SHA256
+        masked = byte.copy()
+        masked[(masked & 15) == OUTER] |= 0x70
+        assert hashlib.sha256(masked).hexdigest() == REFERENCE_HEURISTIC_SHA256
 
     def test_exact_in_perimeter_parity_bound_beyond(self, dist_table, pdb):
         h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
@@ -161,9 +169,9 @@ class TestSearchHeuristic:
         assert np.all(colour[perm] != colour[:, None])
 
     def test_ball_stores_its_first_move_one_closer(self, dist_table, pdb):
-        # bits 4-6 of every rank at distance 1..RING, the ball and the ring,
-        # hold the first move in child order whose successor is one move
-        # closer; solved holds 0 and every rank beyond the ring 7, no move
+        # bits 4-6 of every rank at distance 1..OUTER, the ball and both
+        # rings, hold the first move in child order whose successor is one
+        # move closer; solved holds 0 and every rank beyond 7, no move
         byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
         dist = dist_table.dist.astype(np.int16)
         grid = dist.reshape(N_PERM, N_ORI)
@@ -172,10 +180,10 @@ class TestSearchHeuristic:
         for mi in reversed(range(6)):
             succ = grid[np.ix_(perm[:, mi], ori[:, mi])].reshape(N_STATES)
             first[succ == dist - 1] = mi
-        stored = (dist >= 1) & (dist <= RING)
+        stored = (dist >= 1) & (dist <= OUTER)
         assert np.array_equal(byte[stored] >> 4, first[stored])
         assert byte[0] >> 4 == 0
-        assert np.all(byte[dist > RING] >> 4 == 7)
+        assert np.all(byte[dist > OUTER] >> 4 == 7)
 
     def test_cached_per_pattern_db(self, pdb):
         assert search_heuristic(pdb) is search_heuristic(pdb)
@@ -214,6 +222,18 @@ class TestSearchHeuristic:
                 res = ida_star(unrank(int(at_d[i])), pdb)
                 assert res.bounds == (d,)
                 assert res.nodes_expanded == d
+
+    def test_one_iteration_on_the_outer_ring(self, dist_table, pdb):
+        # a root at OUTER is walked: each child before its stored move is at
+        # OUTER + 1, a one-node dead end, and then the ring walks the rest
+        h = search_heuristic(pdb)
+        at_outer = bucket(dist_table, OUTER)
+        rng = np.random.default_rng(37)
+        for r in at_outer[rng.choice(at_outer.size, size=300, replace=False)].tolist():
+            res = ida_star(unrank(r), pdb)
+            assert res.bounds == (OUTER,)
+            assert res.nodes_expanded == OUTER + (h[r] >> 4)
+            assert len(res.solution) == OUTER
 
 
 class TestOracle:

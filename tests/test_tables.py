@@ -125,7 +125,7 @@ class TestBuild:
 
     def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, pdb):
         # the table's grid levels, verify's nearest successors and IDA*'s
-        # ring all read the one blocked pull, and the table and the ball
+        # two rings all read the one blocked pull, and the table and the ball
         # the one push; the heuristic still builds no half-grid split and
         # runs no grid level
         calls = []
@@ -155,7 +155,7 @@ class TestBuild:
         tables._rank_colours.cache_clear()
         fresh = PatternDB(pdb.ori_db, pdb.perm_db)
         solver.search_heuristic(fresh)
-        assert calls == ["_push"] * 9 + ["_pull"] and grid_levels == [10, 11, 12]
+        assert calls == ["_push"] * 9 + ["_pull"] * 2 and grid_levels == [10, 11, 12]
         assert tables._rank_colours.cache_info().currsize == 0
 
     def test_half_grid_split_is_the_corner_permutation_parity(self):
@@ -216,6 +216,27 @@ class TestDistance:
         dist[r] = 10
         assert {int(dist[tables.successor(r, mi)]) for mi in range(6)} == {13}
         assert not tables.check_exact_distances(DistanceTable(dist))[0]
+
+    def test_bellman_violations_cap_the_nearest_distance(self):
+        # index 1's successors are all unreached (0xFF) and its dist is 0:
+        # 0xFF + 1 must not wrap to 0 and pass; index 3, unreached beside
+        # unreached successors, passes the capped comparison
+        dist = np.array([0, 0, 2, 0xFF, 4], dtype=np.uint8)
+        nearest = np.array([1, 0xFF, 1, 0xFF, 2], dtype=np.uint8)
+        assert tables._bellman_violations(dist, nearest).tolist() == [1, 4]
+
+    def test_unreached_rank_and_successors_fail_exact_check(self, dist_table):
+        # a rank and its six successors all marked unreached: the rank
+        # passes the capped comparison, but each successor has a reached
+        # successor of its own and is reported
+        dist = dist_table.dist.copy()
+        r = 1_234_567
+        succ = [tables.successor(r, mi) for mi in range(6)]
+        dist[[r, *succ]] = 0xFF
+        table = DistanceTable(dist)
+        assert not tables.check_exact_distances(table)[0]
+        bad = tables._bellman_violations(dist, tables.nearest_successor(table)).tolist()
+        assert set(succ) <= set(bad) and r not in bad
 
     def test_buckets_partition_the_space(self, dist_table):
         total = sum(dist_table.count_at(d) for d in range(1, 15))
