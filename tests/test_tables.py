@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pocketcube import solver, tables
+from pocketcube import cube, solver, tables
 from pocketcube.cube import (
     GENERALIZED_MOVES,
     N_STATES,
@@ -283,6 +283,16 @@ class TestRankKernel:
             assert table.dtype == np.int32 and table.shape == shape
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
+
+    def test_move_tables_reject_a_transform_that_is_no_permutation(self, monkeypatch):
+        # a slot map that sends two slots to one cubelet maps two perm codes
+        # to one key; argsort would still re-code it, so the sorted-key check
+        # must fail loudly instead
+        move = GENERALIZED_MOVES[0]
+        src, dori = cube._MOVE_TABLE[move]
+        monkeypatch.setitem(cube._MOVE_TABLE, move, ((src[1], *src[1:]), dori))
+        with pytest.raises(RuntimeError, match="does not permute the enumeration"):
+            cube.move_tables.__wrapped__()
 
     def test_successors_match_scalar_apply(self):
         # A generalized move permutes slots whatever the twists are and adds
