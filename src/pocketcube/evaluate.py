@@ -58,6 +58,11 @@ class ExperimentConfig:
         bad = [d for d in self.distances if not MIN_DISTANCE <= d <= MAX_DISTANCE]
         if bad:
             raise ValueError(f"distances outside {MIN_DISTANCE}..{MAX_DISTANCE}: {bad}")
+        # a repeat would run its cell twice and overall_sr would count it twice
+        for name in ("distances", "modes"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be non-empty without repeats, got {values}")
 
 
 @dataclass(frozen=True)
@@ -201,9 +206,11 @@ def _streams(key: tuple[int, ...], lasts: Sequence[int]) -> Iterator[np.random.G
     below 2^32), in order, with the same draws.
 
     One Generator is moved from stream to stream through its bit
-    generator's state, so each yield holds only until the next.  The states
-    are built _STREAM_CHUNK at a time by _pcg64_states.  A negative int
-    in `key` raises ValueError, as numpy does.
+    generator's state, so each yield holds only until the next.  Setting
+    the state writes into the same C struct, which the executor's draws
+    point to.  The states are built _STREAM_CHUNK at a time by
+    _pcg64_states.  A negative int in `key` raises ValueError, as numpy
+    does.
     """
     head = [w for n in key for w in _seed_words(n)]
     rng = np.random.default_rng(0)  # seeded only to skip reading OS entropy

@@ -46,11 +46,13 @@ too short to normalize is still redrawn at once (see _normal_draw).  The
 goal check and the up face at each twist are proven from the draws while
 delta_q is small enough (see _DrawnPose), and the computed pose has the
 same bits as an eager one.  Failure and randomized poses are computed at
-once.
+once.  Uniforms come from the bit generator's `next_double`, the function
+Generator.random calls, so the draws are the same (see _Draws).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -197,7 +199,7 @@ class EpisodeReport:
     trace: list[TraceEntry]  # empty unless the episode was asked for a trace
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActionLog:
     budget: int
     trace: bool = False
@@ -322,6 +324,19 @@ def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: f
     drawn = cube._drawn
     return ((drawn is not None and drawn.proven_reached(goal, delta_x, delta_q))
             or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
+
+
+class _Draws:
+    """A Generator's draws for an episode on one thread: `random` is the bit
+    generator's C `next_double` on its state (numpy's ctypes interface), as
+    Generator.random calls it, without that method's dispatch or lock."""
+
+    __slots__ = ("random", "standard_normal")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator.ctypes
+        self.random = functools.partial(bitgen.next_double, bitgen.state)
+        self.standard_normal = rng.standard_normal
 
 
 def _normal_draw(rng) -> np.ndarray:
@@ -515,10 +530,10 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     per atomic action; without, it only counts them.
     """
     checked = mode is ExecutionMode.ROLLBACK
+    rng = _Draws(rng) if isinstance(rng, np.random.Generator) else rng
     cube = PhysicalCube.at_rest(scramble)
     log = _ActionLog(config.action_budget, trace)
-    moves_attempted = 0
-    replans = 0
+    moves_attempted = replans = 0
 
     while cube.logical != 0 and log.count < log.budget:
         steps = planner(cube.logical)

@@ -118,11 +118,14 @@ def rank_moves() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ..
             tuple(map(tuple, ori.tolist())))
 
 
+_RANK_MOVES: tuple = ()  # rank_moves(), bound by successor's first call
+
+
 def successor(r: int, mi: int) -> int:
     """Rank after generalized move GENERALIZED_MOVES[mi] from rank `r`."""
-    perm, ori = rank_moves()
-    p, o = divmod(r, N_ORI)
-    return perm[p][mi] + ori[o][mi]
+    global _RANK_MOVES
+    perm, ori = _RANK_MOVES or (_RANK_MOVES := rank_moves())
+    return perm[r // N_ORI][mi] + ori[r % N_ORI][mi]
 
 
 def rank_successors(ranks: np.ndarray, moves=range(6)):

@@ -18,6 +18,7 @@ from pocketcube import evaluate
 from pocketcube.evaluate import (
     CSV_HEADER,
     ExperimentConfig,
+    ExperimentResult,
     export_csv,
     oracle_planner,
     run_experiment,
@@ -159,6 +160,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(trials_per_distance=0)
 
+    @pytest.mark.parametrize("name, values", [
+        ("distances", (2, 2)),
+        ("distances", ()),
+        ("modes", ()),
+        ("modes", (ExecutionMode.OPEN_LOOP, ExecutionMode.OPEN_LOOP)),
+    ])
+    def test_rejects_empty_or_repeated_cells(self, name, values):
+        # a repeated cell would be counted twice by overall_sr; none would
+        # leave overall_sr a bare KeyError
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: values})
+
     def test_open_loop_success_declines_with_distance(self, dist_table):
         # negative rank correlation between distance and open-loop SR
         config = ExperimentConfig(trials_per_distance=1000,
@@ -231,9 +244,9 @@ class TestCsv:
             whole, frac = cell.split(".")
             assert len(frac) == 4
 
-    def test_empty_distances_writes_header_only(self, dist_table, tmp_path):
-        config = ExperimentConfig(distances=(), trials_per_distance=1)
-        export_csv(run_experiment(config, dist_table), tmp_path / "empty.csv")
+    def test_empty_result_writes_header_only(self, tmp_path):
+        # an ExperimentConfig with no distances is rejected; a result with no rows is not
+        export_csv(ExperimentResult([]), tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_text().splitlines() == [",".join(CSV_HEADER)]
 
     def test_same_seed_identical_bytes(self, dist_table, tmp_path):

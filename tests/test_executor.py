@@ -30,7 +30,7 @@ from pocketcube.cube import (
     reduce_move,
     unrank,
 )
-from pocketcube.evaluate import oracle_planner
+from pocketcube.evaluate import _streams, oracle_planner
 from pocketcube.executor import (
     ActuationModel,
     ExecutionMode,
@@ -52,6 +52,7 @@ from pocketcube.executor import (
     _ANCHOR_FACES,
     _COMMITTED_MOVE_INDEX,
     _TWIST_ROTATION,
+    _Draws,
     _goal_reached,
 )
 from pocketcube.solver import oracle_solve
@@ -441,6 +442,60 @@ class TestMoveRollback:
         outcome = execute_move_rollback(cube, step(Move.U), model, cfg,
                                         np.random.default_rng(63))
         assert outcome is MoveOutcome.BUDGET_EXHAUSTED
+
+
+class TestDraws:
+    """_Draws reads the bit generator's C next_double: every draw must be
+    Generator.random's, bit for bit."""
+
+    def test_random_is_generator_random(self):
+        for seed in range(200):
+            draws = _Draws(np.random.default_rng(seed))
+            got = [draws.random() for _ in range(1000)]
+            assert got == np.random.default_rng(seed).random(1000).tolist()
+
+    def test_random_interleaves_with_normal_draws(self):
+        for seed in range(50):
+            draws, rng = _Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+            for n in (3, 4) * 100:
+                assert draws.random() == rng.random()
+                assert np.array_equal(draws.standard_normal(n), rng.standard_normal(n))
+
+    def test_random_follows_a_state_set_as_streams_set_it(self):
+        streams = _streams((5, 2, 1), range(40))
+        draws = _Draws(next(streams))  # one wrapper; _streams resets its state
+        for t in range(40):
+            if t:
+                next(streams)
+            rng = np.random.default_rng((5, 2, 1, t))
+            assert [draws.random() for _ in range(50)] == rng.random(50).tolist()
+
+    def test_episode_reads_a_stubs_own_draws(self, dist_table):
+        class StubRng:
+            """Generator.random and standard_normal, counted."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.uniforms = 0
+
+            def random(self):
+                self.uniforms += 1
+                return self.rng.random()
+
+            def standard_normal(self, n):
+                return self.rng.standard_normal(n)
+
+        planner = oracle_planner(dist_table)
+        for seed in range(20):
+            for mode in ExecutionMode:
+                stub = StubRng(seed)
+                rep = execute_episode(3_000_000, mode, planner, ActuationModel(),
+                                      ExecutorConfig(), stub, trace=True)
+                direct = execute_episode(3_000_000, mode, planner, ActuationModel(),
+                                         ExecutorConfig(), np.random.default_rng(seed),
+                                         trace=True)
+                assert stub.uniforms > 0 and rep.atomic_actions > 0
+                assert rep == direct
 
 
 class TestEpisode:
