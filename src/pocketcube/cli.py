@@ -199,6 +199,9 @@ def cmd_eval(args) -> int:
     from . import evaluate
     from .executor import ExecutionMode
     _check_draws("--trials", args.trials)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # found before any episode runs
+        raise SystemExit(f"error: --out {out}: not a file in an existing directory")
     table = _load_distance_table(args)
     if args.modes == "both":
         modes = (ExecutionMode.ROLLBACK, ExecutionMode.OPEN_LOOP)

@@ -12,22 +12,23 @@ cross-build PRNG stability is not promised).
 Each distance's scrambles come from `np.random.default_rng((master_seed,
 distance, 99))` and trial t of the m-th mode runs on
 `np.random.default_rng((master_seed, distance, m, t))`.  The episode
-generators are not built one by one: `_pcg64_states` hashes a block of keys
-in one numpy pass, and one Generator moves from stream to stream by setting
-its PCG64 state, with the same draws.
+generators are not built one by one: `_pcg64_states` hashes a block of keys,
+every mode's trials of one distance, in one numpy pass, and one Generator
+moves from stream to stream by setting its PCG64 state, with the same draws.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .actions import Step, compile_moves
+from .actions import STEPS, Step
 from .cube import DIAMETER
 from .executor import (
     ActuationModel,
@@ -36,7 +37,7 @@ from .executor import (
     Planner,
     execute_episode,
 )
-from .solver import oracle_descent
+from .solver import oracle_move_indices
 from .tables import DistanceTable, InconsistentTable
 
 MIN_DISTANCE = 1
@@ -106,12 +107,13 @@ def sample_at_distance(distance: int, n: int, table: DistanceTable, rng) -> list
 def oracle_planner(table: DistanceTable) -> Planner:
     """The executor's planner: greedy descent on the exact table, from a rank.
 
-    Plans are compiled and memoized per rank for the planner's lifetime:
-    both modes of `run_experiment` plan the same scrambles.
+    Plans are the shared Steps of the descent's move indices, memoized per
+    rank for the planner's lifetime: both modes of `run_experiment` plan the
+    same scrambles.
     """
     @functools.cache
     def plan(r: int) -> tuple[Step, ...]:
-        return compile_moves(oracle_descent(r, table))
+        return tuple([STEPS[mi] for mi in oracle_move_indices(r, table)])
     return plan
 
 
@@ -201,9 +203,9 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _streams(key: tuple[int, ...], lasts: Sequence[int]) -> Iterator[np.random.Generator]:
-    """`np.random.default_rng(key + (last,))` for each int in `lasts` (each
-    below 2^32), in order, with the same draws.
+def _streams(key: tuple[int, ...], *tails: Sequence[int]) -> Iterator[np.random.Generator]:
+    """`np.random.default_rng(key + tail)` for each tuple `tail` of the
+    product of `tails` (ints below 2^32), in order, with the same draws.
 
     One Generator is moved from stream to stream through its bit
     generator's state, so each yield holds only until the next.  Setting
@@ -215,11 +217,11 @@ def _streams(key: tuple[int, ...], lasts: Sequence[int]) -> Iterator[np.random.G
     head = [w for n in key for w in _seed_words(n)]
     rng = np.random.default_rng(0)  # seeded only to skip reading OS entropy
     bitgen = rng.bit_generator
-    for start in range(0, len(lasts), _STREAM_CHUNK):
-        tail = lasts[start:start + _STREAM_CHUNK]
-        entropy = np.empty((len(tail), len(head) + 1), dtype=np.uint32)
-        entropy[:, :-1] = head
-        entropy[:, -1] = tail
+    keys = itertools.product(*tails)
+    while block := list(itertools.islice(keys, _STREAM_CHUNK)):
+        entropy = np.empty((len(block), len(head) + len(tails)), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        entropy[:, len(head):] = block
         for state, inc in _pcg64_states(entropy):
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
@@ -236,11 +238,13 @@ def run_experiment(config: ExperimentConfig, table: DistanceTable,
         scramble_rng = np.random.default_rng((config.master_seed, distance, 99))
         scrambles = sample_at_distance(distance, config.trials_per_distance,
                                        table, scramble_rng)
-        for mode_index, mode in enumerate(config.modes):
+        # mode 1's trials, then mode 2's: one _pcg64_states pass for up to 1,024
+        streams = _streams((config.master_seed, distance), range(1, len(config.modes) + 1),
+                           range(config.trials_per_distance))
+        for mode in config.modes:
             successes = 0
             counts = np.empty(config.trials_per_distance, dtype=np.float64)
-            streams = _streams((config.master_seed, distance, mode_index + 1),
-                               range(config.trials_per_distance))
+            # zip ends at the last scramble before it takes the next mode's stream
             for trial, (scramble, rng) in enumerate(zip(scrambles, streams)):
                 report = execute_episode(scramble, mode, planner,
                                          config.model, config.executor, rng)

@@ -81,10 +81,10 @@ CHAMFER_TOLERANCE = math.radians(5.0)  # layer slack that still permits a twist
 
 HAND_UP: Vector3 = (0.0, 0.0, 1.0)
 
-# faces whose layer contains the DLB anchor piece
-_ANCHOR_FACES = frozenset("DLB")
-
 _TWIST_ROTATION = Quaternion.from_axis_angle(HAND_UP, math.pi / 2)
+
+# every episode starts here; a Pose is immutable, so all share this one
+_REST_POSE = Pose(PALM_CENTER, Quaternion.identity())
 
 # the invented failure shapes (modeling choices, not measurements)
 FAILURE_POS_RADIUS = 0.05  # m, uniform ball around the palm point
@@ -102,6 +102,11 @@ class MoveOutcome(Enum):
     NEEDS_REPLAN = "needs_replan"
     BUDGET_EXHAUSTED = "budget_exhausted"
     UNCHECKED = "unchecked"  # open loop: every action ran, result not checked
+
+
+# module names for the outcomes: an Enum member read costs ~70 ns (CPython 3.11)
+_COMPLETED, _NEEDS_REPLAN = MoveOutcome.COMPLETED, MoveOutcome.NEEDS_REPLAN
+_BUDGET_EXHAUSTED, _UNCHECKED = MoveOutcome.BUDGET_EXHAUSTED, MoveOutcome.UNCHECKED
 
 
 @dataclass
@@ -159,7 +164,7 @@ class PhysicalCube:
 
     @classmethod
     def at_rest(cls, logical: int) -> "PhysicalCube":
-        return cls(logical, Pose(PALM_CENTER, Quaternion.identity()))
+        return cls(logical, _REST_POSE)
 
     @property
     def pose(self) -> Pose:
@@ -219,9 +224,10 @@ class _ActionLog:
 # pose and commit mechanics
 # ---------------------------------------------------------------------------
 
-# a -90 degree top twist performs the prime move of the up face
-_COMMITTED_MOVE_INDEX = {face: GENERALIZED_MOVES.index(reduce_move(Move(face + "'")))
-                         for face in FACES}
+# up face -> (index of the move a -90 degree top twist performs, the face's
+# prime; whether its layer holds the DLB anchor piece and turns the body frame)
+_COMMITS = {face: (GENERALIZED_MOVES.index(reduce_move(Move(face + "'"))), face in "DLB")
+            for face in FACES}
 
 # Bounds of the two proofs on a drawn pose (see _DrawnPose).  Rounding in
 # the materialized floats is a few hundred ulp of 1 at most, far inside
@@ -232,8 +238,8 @@ _PROVEN_TURNS = 1024
 
 
 class _DrawnPose:
-    """A successful re-pose held as its step's goal and up face and its four
-    draws, plus the anchor-twist quarter turns queued since.
+    """A successful re-pose held as its step's goal and its four draws, plus
+    the anchor-twist quarter turns queued since.
 
     The draws are the position direction and the wobble axis, both raw
     normal 3-vectors, the radius draw and the angle draw.  `materialize`
@@ -243,14 +249,23 @@ class _DrawnPose:
     draws), then each queued turn.  Two readers skip that work where a
     proof gives their answer; outside its bounds they read the
     materialized pose.
+
+    `up` is up_face of the materialized orientation where proven, else
+    None.  The wobble angle t is at most delta_q < pi/4.  It tilts the goal
+    face's normal at most t from the hand's up axis, so that face's height
+    is at least cos t; every other face's normal is at right angles to it
+    or opposite, so its height is at most sin t < cos t.  A quarter turn
+    about the hand's up axis changes no height; the proof stops at
+    _PROVEN_TURNS queued turns.
     """
 
-    __slots__ = ("goal", "face", "direction", "radius_draw", "axis", "angle_draw",
+    __slots__ = ("goal", "up", "direction", "radius_draw", "axis", "angle_draw",
                  "delta_x", "delta_q", "turns")
 
     def __init__(self, step: Step, direction: np.ndarray, radius_draw: float,
                  axis: np.ndarray, angle_draw: float, delta_x: float, delta_q: float):
-        self.goal, self.face = step.goal, step.face
+        self.goal = step.goal
+        self.up = step.face if delta_q <= _PROVEN_UP_DELTA_Q else None
         self.direction, self.radius_draw = direction, radius_draw
         self.axis, self.angle_draw = axis, angle_draw
         self.delta_x, self.delta_q = delta_x, delta_q
@@ -266,19 +281,6 @@ class _DrawnPose:
         for _ in range(self.turns):
             orientation = (_TWIST_ROTATION * orientation).normalized()
         return Pose(position, orientation)
-
-    def proven_up_face(self) -> str | None:
-        """up_face of the materialized orientation, or None where unproven.
-
-        The wobble angle t is at most delta_q < pi/4.  It tilts the goal
-        face's normal at most t from the hand's up axis, so that face's
-        height is at least cos t; every other face's normal is at right
-        angles to it or opposite, so its height is at most sin t < cos t.
-        A quarter turn about the hand's up axis changes no height.
-        """
-        if self.delta_q > _PROVEN_UP_DELTA_Q or self.turns >= _PROVEN_TURNS:
-            return None
-        return self.face
 
     def proven_reached(self, goal: PoseGoal, delta_x: float, delta_q: float) -> bool:
         """True where pose_goal_reached(self.materialize(), goal, delta_x,
@@ -307,13 +309,16 @@ class _DrawnPose:
 
 def _commit_twist(cube: PhysicalCube) -> None:
     drawn = cube._drawn
-    face = (drawn.proven_up_face() if drawn else None) or up_face(cube.pose.orientation)
-    cube.logical = successor(cube.logical, _COMMITTED_MOVE_INDEX[face])
+    mi, anchored = _COMMITS[drawn and drawn.up or up_face(cube.pose.orientation)]
+    cube.logical = successor(cube.logical, mi)
     cube.layer_misalignment = 0.0
-    if face in _ANCHOR_FACES:
+    if anchored:
         # anchor piece rides the twisted layer: the body frame turns with it
-        if cube._drawn:
-            cube._drawn.turns += 1  # materialize replays the turns in order
+        drawn = cube._drawn  # None once the up face read the pose
+        if drawn:
+            drawn.turns += 1  # materialize replays the turns in order
+            if drawn.turns == _PROVEN_TURNS:
+                drawn.up = None
         else:
             cube.pose = Pose(cube.pose.position,
                              (_TWIST_ROTATION * cube.pose.orientation).normalized())
@@ -388,10 +393,9 @@ def attempt_rotate(cube: PhysicalCube, step: Step, model: ActuationModel, rng,
     """
     success = rng.random() < model.p_rot
     if success:
-        # the draws of the pose, in order: direction, radius, axis, angle
-        direction, radius_draw = _normal_draw(rng), rng.random()
-        axis, angle_draw = _normal_draw(rng), rng.random()
-        cube._drawn = _DrawnPose(step, direction, radius_draw, axis, angle_draw, delta_x, delta_q)
+        # the draws of the pose, in argument order: direction, radius, axis, angle
+        cube._drawn = _DrawnPose(step, _normal_draw(rng), rng.random(),
+                                 _normal_draw(rng), rng.random(), delta_x, delta_q)
     else:
         cube.pose = _sample_failure_pose(rng)
     return success
@@ -465,23 +469,24 @@ def execute_move_rollback(cube: PhysicalCube, step: Step,
         log = _ActionLog(config.action_budget)
     goal = step.goal
     budget, trace = log.budget, log.trace
+    delta_x, delta_q = config.delta_x, config.delta_q
     rotates = config.r1_max if checked else 1
 
     expected = successor(cube.logical, step.index) if checked else None
     posed = False
     for attempt in range(rotates):
         if log.count >= budget:
-            return MoveOutcome.BUDGET_EXHAUSTED
-        ok = attempt_rotate(cube, step, model, rng, config.delta_x, config.delta_q)
+            return _BUDGET_EXHAUSTED
+        ok = attempt_rotate(cube, step, model, rng, delta_x, delta_q)
         log.count += 1
         if trace:
             log.record("rotate", ok, cube, goal)
-        posed = not checked or _goal_reached(cube, goal, config.delta_x, config.delta_q)
+        posed = not checked or _goal_reached(cube, goal, delta_x, delta_q)
         if posed:
             break
         if attempt + 1 < rotates:
             if log.count >= budget:
-                return MoveOutcome.BUDGET_EXHAUSTED
+                return _BUDGET_EXHAUSTED
             randomize_pose(cube, rng)
             log.count += 1
             if trace:
@@ -490,7 +495,7 @@ def execute_move_rollback(cube: PhysicalCube, step: Step,
     if posed:
         for _ in range(step.twists):
             if log.count >= budget:
-                return MoveOutcome.BUDGET_EXHAUSTED
+                return _BUDGET_EXHAUSTED
             ok = attempt_twist(cube, model, rng)
             log.count += 1
             if trace:
@@ -500,7 +505,7 @@ def execute_move_rollback(cube: PhysicalCube, step: Step,
             restores = 0
             while cube.layer_misalignment != 0.0 and restores < config.r2_max:
                 if log.count >= budget:
-                    return MoveOutcome.BUDGET_EXHAUSTED
+                    return _BUDGET_EXHAUSTED
                 rok = attempt_restore(cube, model, rng)
                 log.count += 1
                 if trace:
@@ -510,9 +515,8 @@ def execute_move_rollback(cube: PhysicalCube, step: Step,
                 break  # layer stuck beyond the restore budget; give up on this move
 
     if not checked:
-        return MoveOutcome.UNCHECKED
-    return (MoveOutcome.COMPLETED if cube.logical == expected
-            else MoveOutcome.NEEDS_REPLAN)
+        return _UNCHECKED
+    return _COMPLETED if cube.logical == expected else _NEEDS_REPLAN
 
 
 Planner = Callable[[int], Sequence[Step]]
@@ -542,7 +546,7 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
                 break
             moves_attempted += 1
             outcome = execute_move_rollback(cube, step, model, config, rng, log, checked)
-            if outcome is MoveOutcome.NEEDS_REPLAN:
+            if outcome is _NEEDS_REPLAN:
                 replans += 1
                 break
         if not checked or not steps:

@@ -314,17 +314,23 @@ def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> 
     """Greedy descent on the exact table: always optimal, trivially correct.
 
     Independent of ida_star's search; serves as its oracle.  The
-    executor's planner calls the rank-level `oracle_descent` directly.
+    executor's planner calls the rank-level `oracle_move_indices` directly.
     """
     return oracle_descent(_root(state), table)
 
 
 def oracle_descent(r: int, table: DistanceTable) -> list[Move]:
-    """`oracle_solve` from canonical rank `r`.  Raises InconsistentTable
-    when some state on the way has no neighbour one move closer."""
+    """`oracle_solve` from canonical rank `r`."""
+    return [GENERALIZED_MOVES[mi] for mi in oracle_move_indices(r, table)]
+
+
+def oracle_move_indices(r: int, table: DistanceTable) -> list[int]:
+    """`oracle_descent` as indices into GENERALIZED_MOVES.  Raises
+    InconsistentTable when some state on the way has no neighbour one move
+    closer."""
     perm_parts, ori_parts = rank_moves()
     dist = memoryview(table.dist)
-    moves: list[Move] = []
+    moves: list[int] = []
     while r != 0:
         d = dist[r] - 1
         p, o = divmod(r, N_ORI)
@@ -332,7 +338,7 @@ def oracle_descent(r: int, table: DistanceTable) -> list[Move]:
         for mi in range(6):
             child = prow[mi] + orow[mi]
             if dist[child] == d:
-                moves.append(GENERALIZED_MOVES[mi])
+                moves.append(mi)
                 r = child
                 break
         else:

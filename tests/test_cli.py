@@ -271,6 +271,19 @@ class TestEval:
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
             "3cbbbb5c3132420938b6681cba2de4c7362612c7c21b595dde62d1b802123e36"
 
+    @pytest.mark.parametrize("out", ["no/such/dir/r.csv", "."])
+    def test_unwritable_out_fails_before_the_run(self, tdir, capsys, tmp_path,
+                                                 monkeypatch, out):
+        # a missing directory, or a directory itself: found before any episode
+        def forbidden(*_, **__):
+            raise AssertionError("eval must check --out before it runs the experiment")
+        monkeypatch.setattr(evaluate, "run_experiment", forbidden)
+        code, _, err = run_cli_exit(capsys, "--tables", tdir, "eval", "--trials", "1000000",
+                                    "--out", str(tmp_path / out), "--quiet")
+        assert code == 1
+        assert err.startswith("error: --out ")
+        assert "Traceback" not in err
+
     def test_single_mode(self, tdir, capsys, tmp_path):
         out_csv = tmp_path / "r.csv"
         code, out, _ = run_cli(capsys, "--tables", tdir, "eval", "--trials", "1",

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from pocketcube.evaluate import (
     run_experiment,
     sample_at_distance,
 )
-from pocketcube.executor import ActuationModel, ExecutionMode, ExecutorConfig
-from pocketcube.solver import oracle_descent, oracle_solve
+from pocketcube.executor import (ActuationModel, ExecutionMode, ExecutorConfig,
+                                 execute_episode)
+from pocketcube.solver import oracle_descent, oracle_move_indices, oracle_solve
 from pocketcube.tables import DistanceTable
 
 from conftest import apply_generalized, bucket, result_row
@@ -103,6 +107,15 @@ class TestStreams:
                 assert rng.random() == want.random()
             n += 1
         assert n == trials
+        # both modes of a distance in one block: mode 1's trials, then mode 2's
+        n = 0
+        for i, rng in enumerate(evaluate._streams((master, distance), (1, 2), range(trials))):
+            mode, trial = divmod(i, trials)
+            if trial in checked:
+                want = np.random.default_rng((master, distance, mode + 1, trial))
+                assert rng.bit_generator.state == want.bit_generator.state
+            n += 1
+        assert n == 2 * trials
         # the scramble stream's key has no trial
         scramble_rng = next(evaluate._streams((master, distance), (99,)))
         want = np.random.default_rng((master, distance, 99))
@@ -197,9 +210,9 @@ class TestOraclePlanner:
 
         def counting(r, table):
             calls[r] += 1
-            return oracle_descent(r, table)
+            return oracle_move_indices(r, table)
 
-        monkeypatch.setattr(evaluate, "oracle_descent", counting)
+        monkeypatch.setattr(evaluate, "oracle_move_indices", counting)
         config = ExperimentConfig(distances=(2, 7, 12), trials_per_distance=30, master_seed=13)
         run_experiment(config, dist_table)
         scrambles = {r for d in config.distances for r in sample_at_distance(
@@ -207,6 +220,44 @@ class TestOraclePlanner:
         assert scrambles <= set(calls)
         assert len(calls) > len(scrambles)  # re-plans from mid-episode ranks
         assert set(calls.values()) == {1}
+
+
+class TestDefaultRound:
+    """The default round (`ExperimentConfig()`, master seed 0, 100 trials)
+    pinned twice: by its CSV, and by every episode's report, which the CSV
+    only aggregates."""
+
+    CSV_SHA256 = "2fbc2b65cc7c79fb7255fd780f8153307cd03538cda3cac6483f33c6fa8c89bf"
+    REPORTS_SHA256 = "b2430ecb9856f315e44a800088b484d845d45a6f7560e4dc4c109e4ea5fdb274"
+
+    @pytest.fixture(scope="class")
+    def default_round(self, dist_table, tmp_path_factory):
+        """(CSV bytes, one line per episode in run order) of the default round."""
+        reports = []
+
+        def recording(*args, **kwargs):
+            report = execute_episode(*args, **kwargs)
+            reports.append(report)
+            return report
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "execute_episode", recording)
+            result = run_experiment(ExperimentConfig(), dist_table)
+        path = tmp_path_factory.mktemp("default_round") / "eval.csv"
+        export_csv(result, path)
+        lines = [f"{int(r.success)} {r.atomic_actions} {r.moves_attempted} "
+                 f"{r.replans} {r.final_rank}\n" for r in reports]
+        return path.read_bytes(), lines
+
+    def test_csv_is_the_benchmark_reference(self, default_round):
+        reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
+        assert json.loads(reference.read_text())["eval_csv_sha256"] == self.CSV_SHA256
+        assert hashlib.sha256(default_round[0]).hexdigest() == self.CSV_SHA256
+
+    def test_episode_reports_are_pinned(self, default_round):
+        lines = default_round[1]
+        assert len(lines) == 14 * 2 * 100
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.REPORTS_SHA256
 
 
 class TestCsv:

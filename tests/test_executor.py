@@ -49,8 +49,8 @@ from pocketcube.executor import (
     CHAMFER_TOLERANCE,
     FAILURE_ANGLE_HIGH,
     FAILURE_ANGLE_LOW,
-    _ANCHOR_FACES,
-    _COMMITTED_MOVE_INDEX,
+    _COMMITS,
+    _PROVEN_TURNS,
     _TWIST_ROTATION,
     _Draws,
     _goal_reached,
@@ -140,12 +140,12 @@ class TestCompiledSteps:
         perm, ori = move_tables()
         for s in compile_moves(GENERALIZED_MOVES):
             assert s.face == up_face(s.goal.q_target)
-            committed = _COMMITTED_MOVE_INDEX[s.face]
+            committed, anchored = _COMMITS[s.face]
             p, o = np.arange(len(perm)), np.arange(len(ori))
             q = s.goal.q_target
             for _ in range(s.twists):
                 p, o = perm[p, committed], ori[o, committed]
-                if s.face in _ANCHOR_FACES:  # the B-up steps turn the body frame
+                if anchored:  # the B-up steps turn the body frame
                     q = (_TWIST_ROTATION * q).normalized()
                     assert up_face(q) == s.face
             assert np.array_equal(p, perm[:, s.index])
@@ -219,7 +219,7 @@ class TestDrawnPose:
                 # 0-3 committed twists; the F goals put B up and queue anchor turns
                 logical = 0
                 for _ in range(i % 4):
-                    proven = cube._drawn.proven_up_face() if cube._drawn else None
+                    proven = cube._drawn.up if cube._drawn else None
                     face = up_face(pose.orientation)
                     assert proven in (None, face)
                     # below pi/4 by the margin, every twist of a drawn pose is proven
@@ -233,6 +233,19 @@ class TestDrawnPose:
                 assert bits(cube.pose) == bits(pose)
         # a tiny delta_q leaves no room for the margin: always the exact check
         assert goal_proofs == 0 if delta_q == 1e-12 else goal_proofs >= 0.99 * 200 * 50
+
+    def test_up_face_proof_stops_at_the_turn_bound(self):
+        # an F step puts B up, so every commit queues one more anchor turn
+        cube = PhysicalCube.at_rest(0)
+        assert attempt_rotate(cube, step(Move.F), PERFECT, np.random.default_rng(3))
+        twist_rng = np.random.default_rng(4)
+        for turns in range(1, _PROVEN_TURNS + 1):
+            assert cube._drawn.up == "B"
+            assert attempt_twist(cube, PERFECT, twist_rng)
+            assert cube._drawn.turns == turns
+        assert cube._drawn.up is None  # the next commit reads the materialized pose
+        assert attempt_twist(cube, PERFECT, twist_rng)
+        assert cube._drawn is None
 
     @pytest.mark.parametrize("uniforms", [(0.0, 1.0 - 2.0 ** -53, 0.5),
                                           (0.0, 0.5, 1.0 - 2.0 ** -53)])
