@@ -4,7 +4,7 @@ Each move becomes one `Step`: re-pose the whole cube so a twistable layer
 faces up (a goal pose from a fixed three-row orientation table), then twist
 the top layer by -90 degrees, three times for the clockwise variant.  The
 six Steps are built once at import, as `STEPS` by move index, and shared by
-every compiled plan.
+every plan.
 
 Frames.  The hand frame is z-up.  The cube's body frame is the canonical
 frame of the anchored bottom piece: body +x is the canonical R-face
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cube import GENERALIZED_MOVES, CubeError, Move
 
@@ -161,12 +161,3 @@ def _step(index: int, move: Move) -> Step:
 
 # the shared Step of each generalized move, by its index
 STEPS = tuple(_step(i, move) for i, move in enumerate(GENERALIZED_MOVES))
-_STEP_OF = dict(zip(GENERALIZED_MOVES, STEPS))
-
-
-def compile_moves(seq: Sequence[Move]) -> tuple[Step, ...]:
-    """Generalized move sequence -> the shared Step of each move."""
-    try:
-        return tuple([_STEP_OF[move] for move in seq])
-    except KeyError as err:
-        raise CubeError(f"{err.args[0].value} is not in the generalized move set") from None

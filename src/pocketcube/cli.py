@@ -145,7 +145,7 @@ def cmd_build_tables(args) -> int:
     print(f"max depth: {table.max_depth}")
     print("histogram:", " ".join(f"{d}:{n}" for d, n in enumerate(histogram)))
     print(f"wrote {out / DIST_FILE}, {out / ORI_PDB_FILE}, {out / PERM_PDB_FILE} "
-          f"in {time.perf_counter() - t0:.1f}s")
+          f"in {(time.perf_counter() - t0) * 1e3:.0f} ms")
     return 0
 
 

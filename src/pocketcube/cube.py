@@ -467,17 +467,17 @@ def move_tables() -> tuple[np.ndarray, np.ndarray]:
     where, so the successor of a rank is
     ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Each move's transform
     is applied to the whole enumeration at once and re-coded: a perm code
-    is the position of the permutation's base-8 key among those of
-    `_PERMS`, which rise with its order, a twist code a base-3 sum.  A
-    move permutes the enumeration, so each column's positions are the
-    inverse of its keys' argsort; a transform whose sorted keys are not
-    the enumeration's raises RuntimeError.
+    is the position of the permutation's key (a zero byte and its seven,
+    a big-endian u8) among those of `_PERMS`, which rise with its order, a
+    twist code a base-3 sum.  A move permutes the enumeration, so each
+    column's positions are the inverse of its keys' argsort; a transform
+    whose sorted keys are not the enumeration's raises RuntimeError.
     """
     src, dori = np.array([_MOVE_TABLE[move] for move in GENERALIZED_MOVES]).swapaxes(0, 1)
-    rows, weights = _perm_rows(), 8 ** np.arange(6, -1, -1)
-    keys = rows[:, src[:, :7]] @ weights
+    rows = np.pad(_perm_rows(), ((0, 0), (1, 0)))  # a zero byte, then the permutation
+    keys = rows.take(np.pad(src[:, :7] + 1, ((0, 0), (1, 0))), axis=1).view(">u8")[..., 0]
     order = np.argsort(keys, axis=0)
-    if not (np.take_along_axis(keys, order, axis=0) == (rows @ weights)[:, None]).all():
+    if not (np.take_along_axis(keys, order, axis=0) == rows.view(">u8")).all():
         raise RuntimeError("a generalized move does not permute the enumeration")
     perm = np.empty(keys.shape, dtype=np.int32)
     np.put_along_axis(perm, order, np.arange(N_PERM, dtype=np.int32)[:, None], axis=0)

@@ -15,18 +15,16 @@ ori index = rank % 729, perm index = rank // 729.  Each pattern database
 is thus the table's projection, a code's least distance over its ranks,
 and a loaded one is certified on its quotient's move table.  Everything
 heavy is vectorized with numpy over those tables; per-rank loops read them
-as `rank_moves()`.  The one BFS, over the ranks, runs each depth as the
-cheapest of three levels: a push from the frontier, a pull over the ranks
-left (a rank takes the depth if a successor is one less, exact because the
-moves are closed under inverse) or, when both are a large share of the
-space, a pull over the whole grid.  That pull runs a block of perm rows at
-a time, and per move one row gather and one fancy column gather give the
-children's bytes as a (729, rows) array, the layout they are combined in;
-`nearest_successor` and IDA*'s two rings read the same pull.  Every
-move is a quarter turn, an odd corner permutation, so a rank's depth
-parity is its perm code's permutation parity, which `cube` gives (checked
-on the move table): a depth's grid level pulls only the 2520 perm rows of
-its own parity, whose children all lie in the other 2520.
+as `rank_moves()`.  The one BFS runs each depth as the cheapest of a
+push from the frontier, a pull over the ranks left or a pull over the
+whole grid (`_bfs_fill`).  Every pass over the whole table runs one block
+of perm rows at a time, so none allocates anything of the table's size:
+the blocked pull, `_pull`, gives a block's children's bytes as (729, rows)
+arrays, read by the grid levels, the exact-distance check and IDA*'s two
+rings.  Every move is a quarter turn, an odd corner permutation, so a
+rank's depth parity is its perm code's permutation parity (`cube`'s,
+checked on the move table): a level reads only the 2520 perm rows of its
+depth's parity, whose children all lie in the other 2520.
 
 Binary format (one file per table):
   magic "CUBE2DT\\0" | version u32 LE = 1 | metric byte (0 = QTM)
@@ -135,7 +133,7 @@ def rank_successors(ranks: np.ndarray, moves=range(6)):
     held by the caller alone (a generator function would keep the last one
     alive), so a BFS level keeps the fewest temporaries."""
     perm, ori = move_tables()
-    p, o = np.divmod(ranks.astype(np.intp), N_ORI)
+    p, o = np.divmod(ranks, N_ORI, dtype=np.intp)
 
     def successors(mi: int) -> np.ndarray:
         succ = (perm[:, mi] * N_ORI).take(p)
@@ -228,78 +226,87 @@ def _pull(grid: np.ndarray, codes: np.ndarray, moves=range(6)):
         yield block, (grid[rows[m]][:, cols[m]].T for m in moves)
 
 
-def _grid_level(dist: np.ndarray, depth: int, colours, scratch: np.ndarray) -> int:
-    """One BFS level over the half of the rank grid that can take `depth`:
-    every rank of `dist` not reached with a successor at depth - 1 takes
-    `depth`.  Returns how many did.
-
-    A rank's depth parity is its perm code's colour (`colours`, the
-    `_rank_colours` split), so the level pulls only the rows of colour
-    depth % 2.  `scratch`, N_STATES bools, holds each block's mask.
-    """
-    grid = dist.reshape(N_PERM, N_ORI)
-    count = 0
-    for block, children in _pull(grid, colours[depth % 2]):
-        hit = scratch[:N_ORI * block.size].reshape(N_ORI, block.size)
-        hit.fill(False)
+def nearest_successor(dist: np.ndarray, codes: np.ndarray):
+    """The least byte of `dist` (any N_STATES bytes, one per rank) among the
+    six successors of each rank of the perm rows `codes`, by `_pull`: yields
+    each block and its (729, rows) least bytes, the caller's to write into."""
+    for block, children in _pull(dist.reshape(N_PERM, N_ORI), codes):
+        least = next(children)
         for child in children:
-            hit |= np.equal(child, depth - 1, out=child.view(bool))
-        # the block's own bytes in row order: one transposed mask costs
-        # less than a transposed copy in and out
+            np.minimum(least, child, out=least)
+        yield block, least
+
+
+def _grid_level(dist: np.ndarray, depth: int, colours) -> int:
+    """One BFS level over the rows of colour depth % 2 (`colours`, the
+    `_rank_colours` split), the half of the rank grid that can take
+    `depth`: every rank of `dist` not reached whose nearest successor is
+    at depth - 1 takes it.  Returns how many did.  A rank not reached is
+    at least `depth` away, so a successor that is reached is at exactly
+    depth - 1: the least successor byte is depth - 1 just when one is.
+    """
+    grid, count = dist.reshape(N_PERM, N_ORI), 0
+    for block, least in nearest_successor(dist, colours[depth % 2]):
+        # own bytes in row order: one transposed mask costs less than two transposed copies
         rows = grid[block]
-        new = hit.T & (rows == _UNREACHED)
-        # rows -= new * (_UNREACHED - depth): a boolean-mask store costs
-        # ~35x more
+        new = np.equal(least, depth - 1, out=least.view(bool)).T & (rows == _UNREACHED)
+        # rows -= new * (_UNREACHED - depth): a boolean-mask store costs ~35x more
         rows -= np.multiply(new.view(np.uint8), _UNREACHED - depth)
         grid[block] = rows
         count += int(np.count_nonzero(new))
     return count
 
 
+def _pull_level(dist: np.ndarray, depth: int, colours) -> int:
+    """One sparse BFS level: each rank of colour depth % 2 not reached in
+    `dist` takes `depth` if a successor is at depth - 1; returns how many
+    did.  Found and pulled a block of perm rows at a time: the successors
+    lie in rows of the other colour, so no block reads another's writes."""
+    grid, codes, count = dist.reshape(N_PERM, N_ORI), colours[depth % 2], 0
+    for lo in range(0, codes.size, _BLOCK_ROWS):
+        block = codes[lo:lo + _BLOCK_ROWS]
+        left = np.flatnonzero(grid[block] == _UNREACHED)
+        left = block[left // N_ORI] * N_ORI + left % N_ORI
+        hit = np.zeros(left.size, dtype=bool)
+        for succ in rank_successors(left):
+            hit |= dist.take(succ) == depth - 1
+        dist[left[hit]] = depth
+        count += int(np.count_nonzero(hit))
+    return count
+
+
 def _bfs_fill(dist: np.ndarray) -> list[int]:
     """Exact distances from the solved rank, written into `dist` (N_STATES
     entries, all _UNREACHED) in place.  Returns the count of ranks at each
-    depth reached, from 0.  A depth runs one of three levels:
-
-    - push: `_push`, the successors of the frontier not yet reached;
-    - pull: every rank not reached takes the depth if one of its
-      successors is at depth - 1, sound because the moves are closed under
-      inverse, so a rank's predecessors are its successors (Beamer et al.,
-      SC 2012);
-    - whole grid: `_grid_level`, the blocked pull over every rank of the
-      depth's parity.
+    depth reached, from 0.  A depth runs one of three levels: a push
+    (`_push`) from the frontier; a pull (`_pull_level`) over the ranks
+    left, sound because the moves are closed under inverse, so a rank's
+    predecessors are its successors (Beamer et al., SC 2012); or a grid
+    level (`_grid_level`) over every rank of the depth's parity.
 
     A depth runs whole grid once the smaller of the frontier and the ranks
     left, times _GRID_COST_RATIO, exceeds N_STATES; otherwise it pulls when
-    the frontier outnumbers the ranks left and pushes if not.  A pull's
-    scan for the ranks not reached and a grid level's masks share one
-    bool `scratch` of N_STATES, mapped once: fresh ones would fault their
-    pages in on every level.
+    the frontier outnumbers the ranks left and pushes if not.  Only a push
+    keeps a frontier, its per-move arrays, which the next push joins: no
+    push follows another level, whatever _GRID_COST_RATIO, as the frontier
+    grows through depth 11 and from there on outnumbers the ranks left.
     """
     colours = _rank_colours()
-    scratch = np.empty(dist.size, dtype=bool)
     dist[0] = 0
-    frontier, counts = np.zeros(1, dtype=np.int32), [1]
+    frontier, counts = [np.zeros(1, dtype=np.int32)], [1]
     reached, depth = 1, 0
     while counts[-1] and reached < dist.size:
         depth += 1
         size, left = counts[-1], dist.size - reached
         if min(size, left) * _GRID_COST_RATIO > dist.size:
-            size = _grid_level(dist, depth, colours, scratch)
-            frontier = None
+            frontier = None  # freed before the level runs
+            size = _grid_level(dist, depth, colours)
         elif size > left:
-            unreached = np.flatnonzero(np.equal(dist, _UNREACHED, out=scratch))
-            hit = np.zeros(unreached.size, dtype=bool)
-            for succ in rank_successors(unreached):
-                hit |= dist.take(succ) == depth - 1
-            frontier = unreached[hit]
-            dist[frontier] = depth
-            size = frontier.size
+            frontier = None
+            size = _pull_level(dist, depth, colours)
         else:
-            if frontier is None:
-                frontier = np.flatnonzero(dist == depth - 1).astype(np.int32)
-            frontier = np.concatenate([*_push(dist, frontier, depth)])
-            size = frontier.size
+            frontier = [*_push(dist, np.concatenate(frontier), depth)]
+            size = sum(map(len, frontier))
         reached += size
         counts.append(size)
     return counts if counts[-1] else counts[:-1]
@@ -510,52 +517,54 @@ def check_rank_roundtrip() -> tuple[bool, str]:
     bad = [r for r in (*range(0, N_STATES, N_ORI), *range(N_ORI)) if rank(unrank(r)) != r]
     return not bad, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
-def nearest_successor(table: DistanceTable) -> np.ndarray:
-    """The least distance among each rank's six successors: the BFS's
-    blocked pull, `_BLOCK_ROWS` perm rows at a time."""
-    grid = table.dist.reshape(N_PERM, N_ORI)
-    nearest = np.empty(N_STATES, dtype=np.uint8)
-    for block, children in _pull(grid, np.arange(N_PERM)):
-        least = next(children)
-        for child in children:
-            np.minimum(least, child, out=least)
-        nearest.reshape(N_PERM, N_ORI)[block] = least.T
-    return nearest
-
-def _bellman_violations(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """The sorted indices where `dist` fails the Bellman certificate of
-    distances from index 0: dist[0] == 0, every other dist == 1 + its
-    `nearest` successor's.  With moves closed under inverse, a `dist` with
-    none is exact: a nearest-successor walk reaches 0 in dist steps, and
-    induction from 0 bounds every dist by the distance.
+def _bellman_violations(dist: np.ndarray, nearest: np.ndarray, solved: bool = True) -> np.ndarray:
+    """The sorted flat indices where `dist` fails the Bellman certificate
+    of distances from the solved entry: the solved entry (the first, if
+    `solved`) is 0, every other is 1 + its `nearest` successor's.  With
+    moves closed under inverse, a table with none is exact: a
+    nearest-successor walk reaches solved in dist steps, and induction
+    from solved bounds every dist by the distance.
 
     Computed in `nearest`'s own uint8 bytes, which it overwrites: `nearest`
     is capped at 0xFE first, so 1 + 0xFF never wraps to 0.  The cap is
-    sound: by that induction, a passing `dist` holds no entry above its
+    sound: by that induction, a passing table holds no entry above its
     exact distance, at most 14 < 0xFE, so no successor it reads is capped.
+    The cap is a row of 0xFE: a Python scalar operand gets no fast loop
+    (~1.7 against ~0.2 ms on the whole table, timeit, numpy 2.4.6).
     """
-    # capped row by row against one uint8 row of 0xFE, as a Python scalar
-    # operand gets no fast loop: ~0.2 against ~1.7 ms on the whole table
-    # (timeit, numpy 2.4.6)
-    want = nearest.reshape(-1, N_ORI if nearest.size % N_ORI == 0 else nearest.size)
-    np.minimum(want, np.full(want.shape[1], 0xFE, dtype=np.uint8), out=want)
-    want = want.reshape(-1)
-    want += 1
-    want[0] = 0
-    return np.flatnonzero(np.not_equal(dist, want, out=want.view(bool)))
+    np.minimum(nearest, np.full(nearest.shape[-1], 0xFE, dtype=np.uint8), out=nearest)
+    nearest += 1
+    if solved:
+        nearest.flat[0] = 0
+    return np.flatnonzero(np.not_equal(dist, nearest, out=nearest.view(bool)))
+
+
+def _count_misses(dist: np.ndarray) -> tuple[int, int]:
+    """How many ranks of `dist` (N_STATES bytes, rank 0 solved) fail
+    `_bellman_violations`, and the least of them (-1 if none), one block
+    of perm rows at a time."""
+    grid = dist.reshape(N_PERM, N_ORI)
+    count, first = 0, -1
+    for block, least in nearest_successor(dist, np.arange(N_PERM)):
+        # the block's own bytes, compared transposed in `least`'s layout
+        bad = _bellman_violations(grid[block].T, least, block[0] == 0)
+        if bad.size and not count:
+            twist, row = np.divmod(bad, block.size)
+            first = int((block[row] * N_ORI + twist).min())
+        count += bad.size
+    return count, first
 
 
 def check_exact_distances(table: DistanceTable) -> tuple[bool, str]:
-    """`_bellman_violations` over every rank: any table that passes holds
-    the exact distance of every state.  Two checks follow and need no code
-    of their own: exact distances are all <= 14, so no entry is 0xFF and
+    """`_count_misses` over every rank: any table that passes holds the
+    exact distance of every state.  Two checks follow and need no code of
+    their own: exact distances are all <= 14, so no entry is 0xFF and
     exactly one is 0 (the state count); and as the moves are closed under
     inverse, exact distances differ by at most 1 along every move
     (neighbour consistency)."""
     if table.dist[0] != 0:
         return False, f"solved state at distance {int(table.dist[0])}"
-    bad = _bellman_violations(table.dist, nearest_successor(table))
-    if bad.size:
-        return False, (f"{bad.size} states not 1 + their nearest successor, "
-                       f"first rank {int(bad[0])}")
+    count, first = _count_misses(table.dist)
+    if count:
+        return False, f"{count} states not 1 + their nearest successor, first rank {first}"
     return True, "dist = 1 + nearest successor's on every state but solved (0)"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pocketcube.cube import GENERALIZED_MOVES, N_ORI, CanonicalState, Move, apply
+from pocketcube.actions import STEPS
+from pocketcube.cube import GENERALIZED_MOVES, N_ORI, CanonicalState, CubeError, Move, apply
 from pocketcube.tables import build_distance_table, build_pattern_dbs, rank_moves
 
 # Every property test draws the same examples on every run, and none are
@@ -22,6 +23,19 @@ def apply_generalized(state, move) -> CanonicalState:
 def inverse(move: Move) -> Move:
     """The move that undoes `move`: R for R', R' for R."""
     return Move(move.face if move.is_prime else move.face + "'")
+
+
+_STEP_OF = dict(zip(GENERALIZED_MOVES, STEPS))
+
+
+def compile_moves(seq) -> tuple:
+    """Generalized move sequence -> the shared `actions.STEPS` entry of
+    each move, as the planner hands them over; a move outside the set
+    raises CubeError."""
+    try:
+        return tuple([_STEP_OF[move] for move in seq])
+    except KeyError as err:
+        raise CubeError(f"{err.args[0].value} is not in the generalized move set") from None
 
 
 def result_row(result, distance: int, mode):

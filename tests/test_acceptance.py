@@ -11,7 +11,6 @@ import numpy as np
 from scipy import stats
 
 from pocketcube import tables
-from pocketcube.actions import compile_moves
 from pocketcube.cube import (
     GENERALIZED_MOVES,
     N_STATES,
@@ -41,7 +40,7 @@ from pocketcube.executor import (
 )
 from pocketcube.solver import ida_star, oracle_solve
 
-from conftest import apply_generalized, bucket, result_row
+from conftest import apply_generalized, bucket, compile_moves, result_row
 
 P_ROT = 0.952   # measured re-pose success rate, used as a parameter
 P_OP = 0.923    # measured twist success rate, used as a parameter

@@ -13,13 +13,14 @@ from pocketcube.actions import (
     PoseGoal,
     Quaternion,
     Step,
-    compile_moves,
     goal_orientation,
     orientation_distance,
     pose_goal_reached,
     up_face,
 )
 from pocketcube.cube import GENERALIZED_MOVES, CubeError, Move
+
+from conftest import compile_moves
 
 
 def atomic_count(plan):

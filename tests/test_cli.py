@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -394,6 +395,8 @@ class TestBuildTables:
         assert code == 0
         assert "states: 3674160" in out
         assert "max depth: 14" in out
+        # the build takes tens of milliseconds: its time is printed in ms
+        assert re.fullmatch(r"wrote .* in \d+ ms", out.splitlines()[-1])
         for name in ("distance_qtm.bin", "pdb_ori.bin", "pdb_perm.bin"):
             assert out_dir.joinpath(name).read_bytes() == \
                 table_dir.joinpath(name).read_bytes()

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from pocketcube.actions import compile_moves
 from pocketcube.cube import (
     GENERALIZED_MOVES,
     N_STATES,
@@ -32,7 +31,7 @@ from pocketcube.executor import (ActuationModel, ExecutionMode, ExecutorConfig,
 from pocketcube.solver import oracle_descent, oracle_move_indices, oracle_solve
 from pocketcube.tables import DistanceTable
 
-from conftest import apply_generalized, bucket, result_row
+from conftest import apply_generalized, bucket, compile_moves, result_row
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 

@@ -13,7 +13,6 @@ from pocketcube.actions import (
     Pose,
     PoseGoal,
     Quaternion,
-    compile_moves,
     goal_orientation,
     pose_goal_reached,
 )
@@ -58,7 +57,7 @@ from pocketcube.executor import (
 from pocketcube.solver import oracle_solve
 from pocketcube.tables import move_tables, successor
 
-from conftest import apply_generalized, bucket, inverse
+from conftest import apply_generalized, bucket, compile_moves, inverse
 
 PERFECT = ActuationModel(p_rot=1.0, p_op=1.0)
 

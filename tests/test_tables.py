@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -47,6 +48,15 @@ REFERENCE_SHA256 = {
 }
 
 
+def least_successor(dist: np.ndarray) -> np.ndarray:
+    """The least byte of `dist` among each rank's six successors: the plain
+    reference, one whole-table gather per move."""
+    least = np.full(N_STATES, 0xFF, dtype=np.uint8)
+    for succ in tables.rank_successors(np.arange(N_STATES)):
+        np.minimum(least, dist.take(succ), out=least)
+    return least
+
+
 class TestBuild:
     def test_every_state_reached(self, dist_table):
         assert int(np.count_nonzero(dist_table.dist != 0xFF)) == N_STATES
@@ -74,9 +84,9 @@ class TestBuild:
         depths = []
         grid_level = tables._grid_level
 
-        def counting(dist, depth, limit, scratch):
+        def counting(dist, depth, colours):
             depths.append(depth)
-            return grid_level(dist, depth, limit, scratch)
+            return grid_level(dist, depth, colours)
 
         monkeypatch.setattr(tables, "_grid_level", counting)
         assert tables.build_distance_table().histogram == EXPECTED_HISTOGRAM
@@ -100,28 +110,42 @@ class TestBuild:
         # 400 rows do not divide a parity's 2,520, so the last block is short
         monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
         exact = dist_table.dist
-        scratch = np.ones(N_STATES, dtype=bool)
         for depth in (10, 11, 12):
             dist = exact.copy()
             dist[dist >= depth] = tables._UNREACHED
-            count = tables._grid_level(dist, depth, tables._rank_colours(), scratch)
+            count = tables._grid_level(dist, depth, tables._rank_colours())
+            assert count == EXPECTED_HISTOGRAM[depth]
+            assert np.array_equal(dist, np.where(exact <= depth, exact, tables._UNREACHED))
+
+    @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
+    def test_pull_level_reproduces_depths_13_and_14(self, monkeypatch, dist_table, block_rows):
+        # the sparse pull finds the ranks left block by block; 400 rows do
+        # not divide a parity's 2,520
+        monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
+        exact = dist_table.dist
+        for depth in (13, 14):
+            dist = exact.copy()
+            dist[dist >= depth] = tables._UNREACHED
+            count = tables._pull_level(dist, depth, tables._rank_colours())
             assert count == EXPECTED_HISTOGRAM[depth]
             assert np.array_equal(dist, np.where(exact <= depth, exact, tables._UNREACHED))
 
     @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
     def test_nearest_successor_is_the_least_successor_distance(self, monkeypatch, dist_table,
                                                                block_rows):
-        # a plain reference, one whole-table gather per move, on the exact
-        # table and on one with a few entries changed; 400 rows do not
-        # divide 5,040
+        # the plain reference, one whole-table gather per move, on the exact
+        # table and on one with a few entries changed, over every perm row
+        # and over one parity's; 400 rows do not divide 5,040
         monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
         changed = dist_table.dist.copy()
         changed[[0, 5, 70_000, 2_000_000, N_STATES - 1]] = [3, 0xFF, 0, 9, 1]
         for dist in (dist_table.dist, changed):
-            want = np.full(N_STATES, 0xFF, dtype=np.uint8)
-            for succ in tables.rank_successors(np.arange(N_STATES)):
-                np.minimum(want, dist.take(succ), out=want)
-            assert np.array_equal(tables.nearest_successor(DistanceTable(dist)), want)
+            want = least_successor(dist).reshape(tables.N_PERM, tables.N_ORI)
+            for codes in (np.arange(tables.N_PERM), tables._rank_colours()[1]):
+                blocks = list(tables.nearest_successor(dist, codes))
+                assert np.array_equal(np.concatenate([block for block, _ in blocks]), codes)
+                got = np.concatenate([least.T for _, least in blocks])
+                assert np.array_equal(got, want[codes])
 
     def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, pdb):
         # the table's grid levels, verify's nearest successors and IDA*'s
@@ -149,7 +173,7 @@ class TestBuild:
         assert table.histogram == EXPECTED_HISTOGRAM
         assert calls == ["_push"] * 9 + ["_pull"] * 3 and grid_levels == [10, 11, 12]
         calls.clear()
-        tables.nearest_successor(table)
+        assert tables.check_exact_distances(table)[0]
         assert calls == ["_pull"]
         calls.clear()
         tables._rank_colours.cache_clear()
@@ -233,10 +257,39 @@ class TestDistance:
         r = 1_234_567
         succ = [tables.successor(r, mi) for mi in range(6)]
         dist[[r, *succ]] = 0xFF
-        table = DistanceTable(dist)
-        assert not tables.check_exact_distances(table)[0]
-        bad = tables._bellman_violations(dist, tables.nearest_successor(table)).tolist()
+        assert not tables.check_exact_distances(DistanceTable(dist))[0]
+        bad = tables._bellman_violations(dist, least_successor(dist)).tolist()
         assert set(succ) <= set(bad) and r not in bad
+
+    @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
+    def test_blocked_certificate_matches_the_whole_table_reference(self, monkeypatch, dist_table,
+                                                                   block_rows):
+        # count and least rank of the misses, block by block, against the
+        # whole-table least successor and `_bellman_violations`; 400 rows do
+        # not divide 5,040
+        monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
+        exact = dist_table.dist
+        r = 1_234_567
+        # a depth-13 local maximum, every successor at 12: lowered to 11, it
+        # leaves each successor 1 + its nearest, so only its own descent fails
+        peak = next(int(q) for q in bucket(dist_table, 13)
+                    if all(exact[tables.successor(int(q), mi)] == 12 for mi in range(6)))
+        edits = [([], []), ([123_456], [exact[123_456] ^ 1]), ([5, 70_000, 2_000_000], [0xFF] * 3),
+                 ([0], [3]), ([r, *(tables.successor(r, mi) for mi in range(6))], [0xFF] * 7),
+                 ([peak], [11])]
+        for ranks, values in edits:
+            dist = exact.copy()
+            dist[ranks] = values
+            bad = tables._bellman_violations(dist, least_successor(dist))
+            assert tables._count_misses(dist) == (bad.size, int(bad[0]) if bad.size else -1)
+            assert bool(bad.size) == bool(ranks)  # every edit is caught
+            if ranks == [peak]:
+                assert bad.tolist() == [peak]
+            if ranks != [0]:
+                ok, detail = tables.check_exact_distances(DistanceTable(dist))
+                assert ok == (not bad.size)
+                assert not bad.size or detail == (f"{bad.size} states not 1 + their nearest "
+                                                  f"successor, first rank {int(bad[0])}")
 
     def test_buckets_partition_the_space(self, dist_table):
         total = sum(dist_table.count_at(d) for d in range(1, 15))
@@ -250,6 +303,53 @@ class TestDistance:
             at_d, count = bucket(table, d), table.count_at(d)
             ks = np.arange(count) if d <= 6 else np.r_[0:100, count - 100:count]
             assert np.array_equal(table.select_at(d, ks), at_d[ks])
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the peak traced memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # A table-sized temporary, one more N_STATES byte or bool array, adds
+    # 3.67 MB to a peak.  Measured with numpy 2.4.6, the build peaks
+    # 5.06 MB above its table (at the depth-9 push's per-move arrays), a
+    # blocked BFS level 1.66 MB above its start and the exact-distance
+    # check 1.24 MB: each bound lies between its measure and the measure
+    # plus one such array.
+    MB = 10 ** 6
+
+    def test_build_allocates_no_table_sized_temporary(self, monkeypatch):
+        move_tables()
+        tables._rank_colours()
+        levels = []
+
+        def traced(level):
+            def wrapper(dist, depth, colours):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                count = level(dist, depth, colours)
+                levels.append(tracemalloc.get_traced_memory()[1] - start)
+                return count
+            return wrapper
+
+        table, peak = traced_peak(tables.build_distance_table)
+        assert peak - table.dist.nbytes < 6.5 * self.MB
+        for name in ("_grid_level", "_pull_level"):
+            monkeypatch.setattr(tables, name, traced(getattr(tables, name)))
+        table, _ = traced_peak(tables.build_distance_table)
+        assert table.histogram == EXPECTED_HISTOGRAM
+        assert len(levels) == 5 and max(levels) < 2.5 * self.MB
+
+    def test_exact_distance_check_allocates_no_table_sized_temporary(self, table_dir):
+        table = DistanceTable.load(table_dir / "distance_qtm.bin")
+        move_tables()
+        (ok, _), peak = traced_peak(tables.check_exact_distances, table)
+        assert ok and peak < 2.5 * self.MB
 
 
 class TestRankKernel:
