@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .cube import GENERALIZED_MOVES, CubeError, Move
 
 # goal-check thresholds: 0.01 m position, 0.1 rad orientation
@@ -59,8 +61,10 @@ class Quaternion(NamedTuple):
 
     @classmethod
     def random_uniform(cls, rng) -> "Quaternion":
+        """A normal 4-vector normalized; the norm is numpy's float64 dot,
+        whose bits can differ from a Python sum of squares."""
         while True:
-            q = rng.standard_normal(4)
+            q = np.array(rng.standard_normal(4))
             n = math.sqrt(q.dot(q))
             if n > 1e-9:
                 w, x, y, z = q.tolist()

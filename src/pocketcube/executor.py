@@ -46,12 +46,15 @@ too short to normalize is still redrawn at once (see _normal_draw).  The
 goal check and the up face at each twist are proven from the draws while
 delta_q is small enough (see _DrawnPose), and the computed pose has the
 same bits as an eager one.  Failure and randomized poses are computed at
-once.  Uniforms come from the bit generator's `next_double`, the function
-Generator.random calls, so the draws are the same (see _Draws).
+once.  Uniforms and normals come from the C functions that Generator.random
+and Generator.standard_normal call, `next_double` and
+`random_standard_normal_fill`, on the same bit generator state, so the
+draws are the same (see _Draws).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
@@ -262,8 +265,8 @@ class _DrawnPose:
     __slots__ = ("goal", "up", "direction", "radius_draw", "axis", "angle_draw",
                  "delta_x", "delta_q", "turns")
 
-    def __init__(self, step: Step, direction: np.ndarray, radius_draw: float,
-                 axis: np.ndarray, angle_draw: float, delta_x: float, delta_q: float):
+    def __init__(self, step: Step, direction: Sequence[float], radius_draw: float,
+                 axis: Sequence[float], angle_draw: float, delta_x: float, delta_q: float):
         self.goal = step.goal
         self.up = step.face if delta_q <= _PROVEN_UP_DELTA_Q else None
         self.direction, self.radius_draw = direction, radius_draw
@@ -331,20 +334,48 @@ def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: f
             or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
 
 
-class _Draws:
-    """A Generator's draws for an episode on one thread: `random` is the bit
-    generator's C `next_double` on its state (numpy's ctypes interface), as
-    Generator.random calls it, without that method's dispatch or lock."""
+@functools.cache
+def _normal_fill():
+    """numpy's C `random_standard_normal_fill(bitgen_t *, npy_intp, double *)`,
+    which Generator.standard_normal fills its array with.  Resolved on first
+    use: importing the executor must not load numpy.random.  A PyDLL call
+    keeps the GIL, which the short fill need not drop.  Without argtypes
+    (about 0.15 us a call) callers pass ctypes objects as they are: the
+    bitgen_t pointer, a count from _NORMAL_COUNTS and a buffer that long."""
+    from numpy.random import _generator
 
-    __slots__ = ("random", "standard_normal")
+    fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+    fill.restype = None
+    return fill
+
+
+# the counts the executor draws, as npy_intp arguments; any other count is a KeyError
+_NORMAL_COUNTS = {n: ctypes.c_ssize_t(n) for n in (3, 4)}
+
+
+class _Draws:
+    """A Generator's draws for an episode on one thread, through the C
+    functions its methods call, without their dispatch or lock: `random` is
+    `next_double` on the bit generator's state, and `standard_normal(n)`
+    returns the n floats `random_standard_normal_fill` puts in a buffer.
+    Both point into C state that the Generator owns, so the wrapper keeps
+    the Generator alive."""
+
+    __slots__ = ("random", "_rng", "_fill", "_bitgen", "_buf")
 
     def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator.ctypes
-        self.random = functools.partial(bitgen.next_double, bitgen.state)
-        self.standard_normal = rng.standard_normal
+        interface = rng.bit_generator.ctypes
+        self._rng = rng
+        self.random = functools.partial(interface.next_double, interface.state)
+        self._fill, self._bitgen = _normal_fill(), interface.bit_generator
+        self._buf = (ctypes.c_double * max(_NORMAL_COUNTS))()
+
+    def standard_normal(self, n: int) -> list[float]:
+        self._fill(self._bitgen, _NORMAL_COUNTS[n], self._buf)
+        return self._buf[:n]
 
 
-def _normal_draw(rng) -> np.ndarray:
+def _normal_draw(rng) -> Sequence[float]:
     """A standard normal 3-vector, redrawn while its computed norm is below
     1e-12, as _unit needs.
 
@@ -356,16 +387,18 @@ def _normal_draw(rng) -> np.ndarray:
     """
     while True:
         v = rng.standard_normal(3)
-        x, y, z = v.tolist()
+        x, y, z = v
         if (abs(x) >= 2e-12 or abs(y) >= 2e-12 or abs(z) >= 2e-12
-                or math.sqrt(v.dot(v)) >= 1e-12):
+                or math.sqrt(np.dot(v, v)) >= 1e-12):
             return v
 
 
-def _unit(v: np.ndarray) -> Vector3:
-    """v / |v|, for a draw of _normal_draw."""
-    n = math.sqrt(v.dot(v))
-    x, y, z = v.tolist()
+def _unit(v: Sequence[float]) -> Vector3:
+    """v / |v|, for a draw of _normal_draw.  The norm is numpy's float64 dot,
+    whose bits can differ from a Python sum of squares."""
+    a = np.array(v)
+    n = math.sqrt(a.dot(a))
+    x, y, z = a.tolist()
     return (x / n, y / n, z / n)
 
 

@@ -378,14 +378,27 @@ print(sorted({"pocketcube.executor", "pocketcube.evaluate"} & set(sys.modules)))
 """
 
 
-def test_solve_verify_and_build_tables_import_neither_executor_nor_evaluate(tmp_path):
+def run_python(code: str, *args: str) -> list[str]:
+    """Stdout lines of `python -c code args` in a fresh interpreter on this source tree."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()
+
+
+def test_solve_verify_and_build_tables_import_neither_executor_nor_evaluate(tmp_path):
+    assert run_python(LAZY_IMPORTS, str(tmp_path))[-1] == "[]"
+
+
+def test_importing_the_episode_modules_leaves_numpy_random_unloaded():
+    # numpy.random costs 6 ms and 6 MB to load, and only an episode's draws need it
+    code = ("import sys\n"
+            "import pocketcube.cli, pocketcube.evaluate, pocketcube.executor\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    assert run_python(code)[-1] == "[]"
 
 
 class TestBuildTables:

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import struct
 
@@ -457,8 +459,9 @@ class TestMoveRollback:
 
 
 class TestDraws:
-    """_Draws reads the bit generator's C next_double: every draw must be
-    Generator.random's, bit for bit."""
+    """_Draws reads the bit generator's C next_double and fills its normals
+    with random_standard_normal_fill: every draw must be Generator.random's
+    or Generator.standard_normal's, bit for bit."""
 
     def test_random_is_generator_random(self):
         for seed in range(200):
@@ -471,7 +474,7 @@ class TestDraws:
             draws, rng = _Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
             for n in (3, 4) * 100:
                 assert draws.random() == rng.random()
-                assert np.array_equal(draws.standard_normal(n), rng.standard_normal(n))
+                assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
 
     def test_random_follows_a_state_set_as_streams_set_it(self):
         streams = _streams((5, 2, 1), range(40))
@@ -481,6 +484,39 @@ class TestDraws:
                 next(streams)
             rng = np.random.default_rng((5, 2, 1, t))
             assert [draws.random() for _ in range(50)] == rng.random(50).tolist()
+            for n in (3, 4) * 10:
+                assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
+                assert draws.random() == rng.random()
+
+    def test_draws_keep_their_generator_alive(self):
+        for seed in range(20):
+            draws = _Draws(np.random.default_rng(seed))  # the only reference to it
+            gc.collect()
+            # new generators may take the memory of one that was freed
+            others = [np.random.default_rng(seed + 1000 + k) for k in range(8)]
+            rng = np.random.default_rng(seed)
+            assert [draws.random() for _ in range(1000)] == rng.random(1000).tolist()
+            for n in (3, 4) * 150:
+                assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
+
+    # sha256 of every TraceEntry of 200 traced episodes per mode, pose errors
+    # as float.hex: the simulate --trace pin prints only 4 decimals
+    POSE_BITS_SHA256 = "b23f7db6c59ee37c958f16948455e0ce6d274e4fe59650713ebfedc9f9c284f3"
+
+    def test_traced_pose_bits_are_pinned(self, dist_table):
+        model = ActuationModel(p_rot=0.6, p_op=0.5, p_restore=0.6)
+        planner = oracle_planner(dist_table)
+        digest = hashlib.sha256()
+        for mode in ExecutionMode:
+            for seed in range(200):
+                scramble = int(np.random.default_rng((75, seed)).integers(N_STATES))
+                rep = execute_episode(scramble, mode, planner, model, ExecutorConfig(),
+                                      np.random.default_rng((76, seed)), trace=True)
+                for e in rep.trace:
+                    pos = "-" if e.pos_err is None else e.pos_err.hex()
+                    digest.update(f"{e.index} {e.kind} {int(e.success)} {pos} "
+                                  f"{e.ang_err.hex()} {e.rank}\n".encode())
+        assert digest.hexdigest() == self.POSE_BITS_SHA256
 
     def test_episode_reads_a_stubs_own_draws(self, dist_table):
         class StubRng:
