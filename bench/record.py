@@ -1,14 +1,12 @@
 """Record the benchmark's end-to-end metrics into one JSON file.
 
-    python3 bench/record.py --out BENCH_<n>.json [--seeds 1 2 3 4 5]
-        [--compare BENCH_<m>.json]
+    python3 bench/record.py --out BENCH_<n>.json [--compare BENCH_<m>.json]
     python3 bench/record.py --read BENCH_<n>.json --compare BENCH_<m>.json
 
-Run from anywhere in a pocketcube checkout.  For each seed, and each
-workload in turn, it runs `perfbench/run.py --workload W --seed S --seconds
-15 --trace 0` unchanged, one run at a time, and reads the JSON object on the
-run's last stdout line and the host block of the result file the run writes
-to `perfbench/out/`.  The record holds, per workload, the median and
+Run from anywhere in a pocketcube checkout.  For each of seeds 1-5, and
+each workload in turn, it runs `perfbench/run.py --workload W --seed S
+--seconds 15 --trace 0` unchanged, one run at a time, and reads the result
+file the run writes to `perfbench/out/`: its verdict, metrics and host.  The record holds, per workload, the median and
 quartiles of each end-to-end metric over the seeds, every run's values, and
 whether every run was correct; plus the host, the git commit and the
 line count of each module under `src/`.  `--compare` prints, for each
@@ -30,15 +28,7 @@ RUNNER = ROOT / "perfbench" / "run.py"
 RESULTS = ROOT / "perfbench" / "out"
 WORKLOADS = ("tables", "solve", "eval")
 SECONDS = 15  # the run length BENCHMARK.json declares
-MIN_SEEDS = 5  # a median and quartiles need a few runs on this noisy host
-
-
-def last_json(stdout: str) -> dict:
-    """The JSON object a perfbench run prints as its last stdout line."""
-    lines = stdout.strip().splitlines()
-    if not lines:
-        raise ValueError("the run printed nothing")
-    return json.loads(lines[-1])
+SEEDS = (1, 2, 3, 4, 5)  # a median and quartiles need a few runs on a noisy host
 
 
 def quartiles(values: list[float]) -> dict:
@@ -51,7 +41,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """One workload's record from its runs' last-line JSON objects, in seed order."""
+    """One workload's record from its runs' result files, in seed order."""
     names = list(runs[0]["metrics"])
     metrics = {}
     for name in names:
@@ -94,29 +84,29 @@ def compare(new: dict, old: dict) -> list[str]:
     return lines
 
 
-def run_one(workload: str, seed: int) -> tuple[dict, dict]:
-    """(last-line JSON, host block) of one perfbench run."""
+def run_one(workload: str, seed: int) -> dict:
+    """The result file of one perfbench run."""
     argv = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}:\n"
                            f"{proc.stderr[-3000:]}")
-    result = json.loads((RESULTS / f"result-{workload}-s{seed}-t0.json").read_text())
-    return last_json(proc.stdout), result["host"]
+    return json.loads((RESULTS / f"result-{workload}-s{seed}-t0.json").read_text())
 
 
-def record(seeds: list[int]) -> dict:
+def record() -> dict:
     runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
     host = None
-    for seed in seeds:  # seed-major, so host drift spreads over every workload
+    for seed in SEEDS:  # seed-major, so host drift spreads over every workload
         for w in WORKLOADS:
-            final, host = run_one(w, seed)
-            runs[w].append(final)
+            result = run_one(w, seed)
+            runs[w].append(result)
+            host = result["host"]
             print(f"{w} seed {seed}: " + "  ".join(
-                f"{k}={v['value']:.4g}" for k, v in final["metrics"].items()), flush=True)
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
     return {"host": host, "commit": host["git_commit"], "src_lines": src_lines(),
-            "seconds": SECONDS, "seeds": seeds,
+            "seconds": SECONDS, "seeds": list(SEEDS),
             "workloads": {w: summarize(r) for w, r in runs.items()}}
 
 
@@ -125,15 +115,12 @@ def main(argv: list[str] | None = None) -> int:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--out", type=Path, help="run the benchmark and write the record here")
     source.add_argument("--read", type=Path, help="an earlier record, instead of running")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--compare", type=Path, help="an earlier record to print ratios against")
     args = p.parse_args(argv)
-    if args.out and len(set(args.seeds)) < MIN_SEEDS:
-        p.error(f"need at least {MIN_SEEDS} distinct seeds")
     if args.read:
         rec = json.loads(args.read.read_text())
     else:
-        rec = record(args.seeds)
+        rec = record()
         args.out.write_text(json.dumps(rec, indent=1) + "\n")
     if args.compare:
         print("\n".join(compare(rec, json.loads(args.compare.read_text()))))

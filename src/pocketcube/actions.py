@@ -64,10 +64,11 @@ class Quaternion(NamedTuple):
         """A normal 4-vector normalized; the norm is numpy's float64 dot,
         whose bits can differ from a Python sum of squares."""
         while True:
-            q = np.array(rng.standard_normal(4))
-            n = math.sqrt(q.dot(q))
+            q = rng.standard_normal(4)
+            a = np.array(q)
+            n = math.sqrt(a.dot(a))
             if n > 1e-9:
-                w, x, y, z = q.tolist()
+                w, x, y, z = q
                 return cls(w / n, x / n, y / n, z / n)
 
     def normalized(self) -> "Quaternion":

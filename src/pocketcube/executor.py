@@ -398,7 +398,7 @@ def _unit(v: Sequence[float]) -> Vector3:
     whose bits can differ from a Python sum of squares."""
     a = np.array(v)
     n = math.sqrt(a.dot(a))
-    x, y, z = a.tolist()
+    x, y, z = v
     return (x / n, y / n, z / n)
 
 

@@ -1,10 +1,7 @@
-"""bench/record.py's aggregation, on canned perfbench output (no subprocess)."""
+"""bench/record.py's aggregation, on canned perfbench results (no subprocess)."""
 
 import importlib.util
-import json
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).parents[1]
 _spec = importlib.util.spec_from_file_location("record", ROOT / "bench" / "record.py")
@@ -15,25 +12,16 @@ UNITS = {"setup_s": "s", "peak_rss_mb": "MB", "op_ms_p50": "ms", "op_ms_p90": "m
          "items_per_s": "1/s"}
 
 
-def canned_stdout(p50: float, failed: int = 0) -> str:
-    """What perfbench/run.py prints: human-readable lines, then one JSON object."""
+def canned_result(p50: float, failed: int = 0) -> dict:
+    """The verdict and metrics of a result file perfbench/run.py writes."""
     metrics = {name: {"value": p50 if name == "op_ms_p50" else 1.0, "unit": unit}
                for name, unit in UNITS.items()}
-    final = {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
-    return ("workload eval  seed 1  seconds 15  trace 0\n"
-            "host cpu=x nproc=2\n  experiment_ms_p50      250.0 ms\n"
-            + json.dumps(final) + "\n")
-
-
-def test_last_json_reads_the_final_line():
-    assert record.last_json(canned_stdout(250.0))["metrics"]["op_ms_p50"]["value"] == 250.0
-    with pytest.raises(ValueError):
-        record.last_json("\n")
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
 
 
 def test_summary_holds_median_quartiles_and_every_value():
     p50s = [260.0, 240.0, 250.0, 270.0, 230.0]
-    summary = record.summarize([record.last_json(canned_stdout(v)) for v in p50s])
+    summary = record.summarize([canned_result(v) for v in p50s])
     p50 = summary["metrics"]["op_ms_p50"]
     assert (p50["median"], p50["q1"], p50["q3"]) == (250.0, 240.0, 260.0)
     assert p50["values"] == p50s and p50["unit"] == "ms"
@@ -43,7 +31,7 @@ def test_summary_holds_median_quartiles_and_every_value():
 
 
 def test_one_failed_run_marks_the_workload_incorrect():
-    runs = [record.last_json(canned_stdout(250.0, failed=f)) for f in (0, 2, 0)]
+    runs = [canned_result(250.0, failed=f) for f in (0, 2, 0)]
     summary = record.summarize(runs)
     assert not summary["correct"] and summary["failed"] == 2
 
@@ -54,7 +42,7 @@ def test_one_run_is_its_own_median_and_quartiles():
 
 def test_compare_prints_ratio_and_marks_a_median_outside_the_quartiles():
     def rec(p50s):
-        summary = record.summarize([record.last_json(canned_stdout(v)) for v in p50s])
+        summary = record.summarize([canned_result(v) for v in p50s])
         return {"workloads": {"eval": summary}}
 
     old = rec([250.0, 254.0, 258.0, 262.0, 266.0])
@@ -73,8 +61,3 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
     (pkg / "a.py").write_text("x = 1\ny = 2\n")
     (pkg / "b.py").write_text("z = 3\n")
     assert record.src_lines(tmp_path) == {"pkg/a.py": 2, "pkg/b.py": 1, "total": 3}
-
-
-def test_fewer_seeds_than_the_minimum_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        record.main(["--out", str(tmp_path / "b.json"), "--seeds", "1", "2", "2", "3", "4"])
