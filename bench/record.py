@@ -6,21 +6,32 @@
 Run from anywhere in a pocketcube checkout.  For each of seeds 1-5, and
 each workload in turn, it runs `perfbench/run.py --workload W --seed S
 --seconds 15 --trace 0` unchanged, one run at a time, and reads the result
-file the run writes to `perfbench/out/`: its verdict, metrics and host.  The record holds, per workload, the median and
+file the run writes to `perfbench/out/`: its verdict, metrics and host.
+Then it times fresh CLI processes, each command CLI_RUNS times from source
+and from bytecode, with `python -c "import numpy"` as the floor, and the
+tier-1 test command once.  The record holds, per workload, the median and
 quartiles of each end-to-end metric over the seeds, every run's values, and
-whether every run was correct; plus the host, the git commit and the
-line count of each module under `src/`.  `--compare` prints, for each
-metric, the ratio of this record's median to an earlier record's, and marks
-a median that falls outside the earlier record's quartiles.
+whether every run was correct; the median, quartiles and runs of each CLI
+command's wall time; the tier-1 wall time and counts; plus the host, the
+git commit and the line count of each module under `src/`.  `--compare`
+prints, for each metric, the ratio of this record's median to an earlier
+record's, and marks a median that falls outside the earlier record's
+quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
+import os
+import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +40,25 @@ RESULTS = ROOT / "perfbench" / "out"
 WORKLOADS = ("tables", "solve", "eval")
 SECONDS = 15  # the run length BENCHMARK.json declares
 SEEDS = (1, 2, 3, 4, 5)  # a median and quartiles need a few runs on a noisy host
+
+# fresh processes per CLI command and form; {tables} is the run's table directory,
+# which build-tables rewrites with the same bytes
+CLI_RUNS = 9
+CLI = ["-m", "pocketcube.cli", "--tables", "{tables}"]
+CLI_COMMANDS = {
+    "import numpy": ["-c", "import numpy"],
+    "solve": CLI + ["solve", "--scramble", "R U F' L B' R"],
+    "solve --planner oracle": CLI + ["solve", "--scramble", "R U F' L B' R",
+                                     "--planner", "oracle"],
+    "verify": CLI + ["verify"],
+    "scramble": CLI + ["scramble", "--distance", "7", "--count", "5", "--seed", "1"],
+    "simulate": CLI + ["simulate", "--scramble", "R U F' L B' R", "--seed", "1"],
+    "build-tables": ["-m", "pocketcube.cli", "build-tables", "--out", "{tables}"],
+}
+# a copy of src/ run as it is, and one compiled first: PYTHONDONTWRITEBYTECODE
+# keeps the first from caching bytecode as it runs
+FORMS = ("source", "bytecode")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -64,10 +94,34 @@ def src_lines(root: Path = ROOT) -> dict[str, int]:
     return counts
 
 
+def summarize_cli(times: dict[str, dict[str, list[float]]]) -> dict:
+    """The CLI record from each command's wall times in ms, by form."""
+    return {"runs": CLI_RUNS, "unit": "ms",
+            "commands": {name: {form: {**quartiles(values), "values": values}
+                                for form, values in forms.items()}
+                         for name, forms in times.items()}}
+
+
+def summarize_tier1(output: str, seconds: float) -> dict:
+    """Wall seconds and the counts on pytest's closing line, such as
+    '345 passed, 2 failed in 38.72s'."""
+    closing = (output.strip().splitlines() or [""])[-1]
+    counts = re.findall(r"(\d+) (\w+)", closing)
+    return {"seconds": seconds, "passed": 0, **{word: int(n) for n, word in counts}}
+
+
+def _line(section: str, name: str, b: dict, m: dict, unit: str, mark: bool = True) -> str:
+    """Old and new medians, their ratio, and `*` where the new median lies
+    outside the old quartiles (never for a single run, `mark` False)."""
+    ratio = m["median"] / b["median"] if b["median"] else float("nan")
+    outside = "*" if mark and not b["q1"] <= m["median"] <= b["q3"] else " "
+    return (f"{section:<7} {name:<12} {b['median']:>12.4g} -> "
+            f"{m['median']:<12.4g} {unit:<4} x{ratio:.3f} {outside}")
+
+
 def compare(new: dict, old: dict) -> list[str]:
-    """One line per metric of each workload in both records: old and new
-    medians, their ratio, and `*` where the new median lies outside the
-    old record's quartiles."""
+    """One line per metric of each workload, per CLI command and form, and
+    per tier-1 figure that both records hold."""
     lines = []
     for workload, rec in new["workloads"].items():
         before = old["workloads"].get(workload)
@@ -75,12 +129,18 @@ def compare(new: dict, old: dict) -> list[str]:
             continue
         for name, m in rec["metrics"].items():
             b = before["metrics"].get(name)
-            if b is None:
-                continue
-            ratio = m["median"] / b["median"] if b["median"] else float("nan")
-            outside = "*" if not b["q1"] <= m["median"] <= b["q3"] else " "
-            lines.append(f"{workload:<7} {name:<12} {b['median']:>12.4g} -> "
-                         f"{m['median']:<12.4g} {m['unit']:<4} x{ratio:.3f} {outside}")
+            if b is not None:
+                lines.append(_line(workload, name, b, m, m["unit"]))
+    old_cli = old.get("cli", {}).get("commands", {})
+    for name, forms in new.get("cli", {}).get("commands", {}).items():
+        for form, m in forms.items():
+            b = old_cli.get(name, {}).get(form)
+            if b is not None:
+                lines.append(_line("cli", f"{name} ({form})", b, m, "ms"))
+    if "tier1" in new and "tier1" in old:
+        for key, unit in (("seconds", "s"), ("passed", "")):
+            b, m = quartiles([old["tier1"][key]]), quartiles([new["tier1"][key]])
+            lines.append(_line("tier1", key, b, m, unit, mark=False))
     return lines
 
 
@@ -95,6 +155,47 @@ def run_one(workload: str, seed: int) -> dict:
     return json.loads((RESULTS / f"result-{workload}-s{seed}-t0.json").read_text())
 
 
+def _wall_ms(argv: list[str], tree: Path, cwd: Path) -> float:
+    """Wall time of one fresh `python argv` with `tree` as its only
+    PYTHONPATH entry; a failed run raises."""
+    env = dict(os.environ, PYTHONPATH=str(tree), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+    ms = (time.perf_counter() - start) * 1e3
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
+    return ms
+
+
+def time_cli() -> dict:
+    """CLI_RUNS fresh processes of each command in each form, round-robin, so
+    host drift spreads over every command, on tables built for the run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for form in FORMS:
+            shutil.copytree(ROOT / "src", tmp / form,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        compileall.compile_dir(tmp / "bytecode", quiet=1)
+        argvs = {name: [a.format(tables=tmp / "tables") for a in argv]
+                 for name, argv in CLI_COMMANDS.items()}
+        _wall_ms(argvs["build-tables"], tmp / "source", tmp)
+        times = {name: {form: [] for form in FORMS} for name in CLI_COMMANDS}
+        for _ in range(CLI_RUNS):
+            for name, argv in argvs.items():
+                for form in FORMS:
+                    times[name][form].append(_wall_ms(argv, tmp / form, tmp))
+    return summarize_cli(times)
+
+
+def time_tier1() -> dict:
+    """One run of the tier-1 command on this checkout's src/."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    return summarize_tier1(proc.stdout, time.perf_counter() - start)
+
+
 def record() -> dict:
     runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
     host = None
@@ -105,9 +206,15 @@ def record() -> dict:
             host = result["host"]
             print(f"{w} seed {seed}: " + "  ".join(
                 f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
+    cli = time_cli()
+    print("cli: " + "  ".join(f"{name}={c['source']['median']:.0f}/{c['bytecode']['median']:.0f}"
+                              for name, c in cli["commands"].items()) + " ms", flush=True)
+    tier1 = time_tier1()
+    print(f"tier1: {tier1['passed']} passed in {tier1['seconds']:.1f} s", flush=True)
     return {"host": host, "commit": host["git_commit"], "src_lines": src_lines(),
             "seconds": SECONDS, "seeds": list(SEEDS),
-            "workloads": {w: summarize(r) for w, r in runs.items()}}
+            "workloads": {w: summarize(r) for w, r in runs.items()},
+            "cli": cli, "tier1": tier1}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,12 +14,15 @@ distance, 99))` and trial t of the m-th mode runs on
 `np.random.default_rng((master_seed, distance, m, t))`.  The episode
 generators are not built one by one: `_pcg64_states` hashes a block of keys,
 every mode's trials of one distance, in one numpy pass, and one Generator
-moves from stream to stream by setting its PCG64 state, with the same draws.
+moves from stream to stream by setting its PCG64 state.  The episodes draw
+from it through one `_Draws`, which calls the C functions behind the
+Generator's methods on that state, so the draws are the same.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 import itertools
 import sys
@@ -203,20 +206,61 @@ def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _streams(key: tuple[int, ...], *tails: Sequence[int]) -> Iterator[np.random.Generator]:
-    """`np.random.default_rng(key + tail)` for each tuple `tail` of the
-    product of `tails` (ints below 2^32), in order, with the same draws.
+@functools.cache
+def _normal_fill():
+    """numpy's C `random_standard_normal_fill(bitgen_t *, npy_intp, double *)`,
+    which Generator.standard_normal fills its array with.  Resolved on first
+    use: importing evaluate must not load numpy.random.  A PyDLL call
+    keeps the GIL, which the short fill need not drop.  Without argtypes
+    (about 0.15 us a call) callers pass ctypes objects as they are: the
+    bitgen_t pointer, a count from _NORMAL_COUNTS and a buffer that long."""
+    from numpy.random import _generator
 
-    One Generator is moved from stream to stream through its bit
-    generator's state, so each yield holds only until the next.  Setting
-    the state writes into the same C struct, which the executor's draws
-    point to.  The states are built _STREAM_CHUNK at a time by
+    fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+    fill.restype = None
+    return fill
+
+
+# the counts an episode draws, as npy_intp arguments; any other count is a KeyError
+_NORMAL_COUNTS = {n: ctypes.c_ssize_t(n) for n in (3, 4)}
+
+
+class _Draws:
+    """A Generator's draws, for episodes on one thread, through the C
+    functions its methods call, without their dispatch or lock: `random` is
+    `next_double` on the bit generator's state, and `standard_normal(n)`
+    returns the n floats `random_standard_normal_fill` puts in a buffer.
+    Both point into C state that the Generator owns, so the wrapper keeps
+    the Generator alive."""
+
+    __slots__ = ("random", "_rng", "_fill", "_bitgen", "_buf")
+
+    def __init__(self, rng: np.random.Generator):
+        interface = rng.bit_generator.ctypes
+        self._rng = rng
+        self.random = functools.partial(interface.next_double, interface.state)
+        self._fill, self._bitgen = _normal_fill(), interface.bit_generator
+        self._buf = (ctypes.c_double * max(_NORMAL_COUNTS))()
+
+    def standard_normal(self, n: int) -> list[float]:
+        self._fill(self._bitgen, _NORMAL_COUNTS[n], self._buf)
+        return self._buf[:n]
+
+
+def _streams(key: tuple[int, ...], *tails: Sequence[int]) -> Iterator[_Draws]:
+    """The draws of `np.random.default_rng(key + tail)` for each tuple `tail`
+    of the product of `tails` (ints below 2^32), in order, bit for bit.
+
+    Every yield is the same `_Draws`, built once per call on one Generator,
+    and holds its stream only until the next: each key sets the bit
+    generator's state, which writes into the C struct the wrapper's
+    pointers read.  The states are built _STREAM_CHUNK at a time by
     _pcg64_states.  A negative int in `key` raises ValueError, as numpy
     does.
     """
     head = [w for n in key for w in _seed_words(n)]
     rng = np.random.default_rng(0)  # seeded only to skip reading OS entropy
-    bitgen = rng.bit_generator
+    bitgen, draws = rng.bit_generator, _Draws(rng)
     keys = itertools.product(*tails)
     while block := list(itertools.islice(keys, _STREAM_CHUNK)):
         entropy = np.empty((len(block), len(head) + len(tails)), dtype=np.uint32)
@@ -225,7 +269,7 @@ def _streams(key: tuple[int, ...], *tails: Sequence[int]) -> Iterator[np.random.
         for state, inc in _pcg64_states(entropy):
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
-            yield rng
+            yield draws
 
 
 def run_experiment(config: ExperimentConfig, table: DistanceTable,

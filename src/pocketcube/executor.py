@@ -46,16 +46,16 @@ too short to normalize is still redrawn at once (see _normal_draw).  The
 goal check and the up face at each twist are proven from the draws while
 delta_q is small enough (see _DrawnPose), and the computed pose has the
 same bits as an eager one.  Failure and randomized poses are computed at
-once.  Uniforms and normals come from the C functions that Generator.random
-and Generator.standard_normal call, `next_double` and
-`random_standard_normal_fill`, on the same bit generator state, so the
-draws are the same (see _Draws).
+once.
+
+The rng is any object with numpy Generator's `random()` and
+`standard_normal(n)`: a Generator itself (`simulate`, direct calls) or
+the stream wrapper `eval` passes (evaluate._Draws), whose draws have the
+same bits.  Every episode draws through those two methods alone.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -334,47 +334,6 @@ def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: f
             or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
 
 
-@functools.cache
-def _normal_fill():
-    """numpy's C `random_standard_normal_fill(bitgen_t *, npy_intp, double *)`,
-    which Generator.standard_normal fills its array with.  Resolved on first
-    use: importing the executor must not load numpy.random.  A PyDLL call
-    keeps the GIL, which the short fill need not drop.  Without argtypes
-    (about 0.15 us a call) callers pass ctypes objects as they are: the
-    bitgen_t pointer, a count from _NORMAL_COUNTS and a buffer that long."""
-    from numpy.random import _generator
-
-    fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
-    fill.restype = None
-    return fill
-
-
-# the counts the executor draws, as npy_intp arguments; any other count is a KeyError
-_NORMAL_COUNTS = {n: ctypes.c_ssize_t(n) for n in (3, 4)}
-
-
-class _Draws:
-    """A Generator's draws for an episode on one thread, through the C
-    functions its methods call, without their dispatch or lock: `random` is
-    `next_double` on the bit generator's state, and `standard_normal(n)`
-    returns the n floats `random_standard_normal_fill` puts in a buffer.
-    Both point into C state that the Generator owns, so the wrapper keeps
-    the Generator alive."""
-
-    __slots__ = ("random", "_rng", "_fill", "_bitgen", "_buf")
-
-    def __init__(self, rng: np.random.Generator):
-        interface = rng.bit_generator.ctypes
-        self._rng = rng
-        self.random = functools.partial(interface.next_double, interface.state)
-        self._fill, self._bitgen = _normal_fill(), interface.bit_generator
-        self._buf = (ctypes.c_double * max(_NORMAL_COUNTS))()
-
-    def standard_normal(self, n: int) -> list[float]:
-        self._fill(self._bitgen, _NORMAL_COUNTS[n], self._buf)
-        return self._buf[:n]
-
-
 def _normal_draw(rng) -> Sequence[float]:
     """A standard normal 3-vector, redrawn while its computed norm is below
     1e-12, as _unit needs.
@@ -402,14 +361,13 @@ def _unit(v: Sequence[float]) -> Vector3:
     return (x / n, y / n, z / n)
 
 
-def _sample_in_ball(rng, center: Vector3, radius: float) -> Vector3:
-    u = _unit(_normal_draw(rng))
-    r = radius * rng.random() ** (1.0 / 3.0)
-    return (center[0] + u[0] * r, center[1] + u[1] * r, center[2] + u[2] * r)
-
-
 def _sample_failure_pose(rng) -> Pose:
-    return Pose(_sample_in_ball(rng, PALM_CENTER, FAILURE_POS_RADIUS),
+    """A failed or randomized re-pose: a position uniform in the ball of
+    FAILURE_POS_RADIUS about the palm point (direction, then a cube-root
+    radius), then a Haar-uniform orientation, drawn in that order."""
+    c, u = PALM_CENTER, _unit(_normal_draw(rng))
+    r = FAILURE_POS_RADIUS * rng.random() ** (1.0 / 3.0)
+    return Pose((c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r),
                 Quaternion.random_uniform(rng))
 
 
@@ -475,11 +433,6 @@ def attempt_restore(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     return False
 
 
-def randomize_pose(cube: PhysicalCube, rng) -> None:
-    """Shake the cube to a random pose to escape a bad re-pose basin."""
-    cube.pose = _sample_failure_pose(rng)
-
-
 def _pose_errors(cube: PhysicalCube, goal: PoseGoal) -> tuple[float, float]:
     return (math.dist(cube.pose.position, goal.x_target),
             orientation_distance(cube.pose.orientation, goal.q_target))
@@ -520,7 +473,7 @@ def execute_move_rollback(cube: PhysicalCube, step: Step,
         if attempt + 1 < rotates:
             if log.count >= budget:
                 return _BUDGET_EXHAUSTED
-            randomize_pose(cube, rng)
+            cube.pose = _sample_failure_pose(rng)  # shake out of a bad re-pose basin
             log.count += 1
             if trace:
                 log.record("randomize", True, cube, goal)
@@ -567,7 +520,6 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     per atomic action; without, it only counts them.
     """
     checked = mode is ExecutionMode.ROLLBACK
-    rng = _Draws(rng) if isinstance(rng, np.random.Generator) else rng
     cube = PhysicalCube.at_rest(scramble)
     log = _ActionLog(config.action_budget, trace)
     moves_attempted = replans = 0

@@ -316,18 +316,13 @@ def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> 
     Independent of ida_star's search; serves as its oracle.  The
     executor's planner calls the rank-level `oracle_move_indices` directly.
     """
-    return oracle_descent(_root(state), table)
-
-
-def oracle_descent(r: int, table: DistanceTable) -> list[Move]:
-    """`oracle_solve` from canonical rank `r`."""
-    return [GENERALIZED_MOVES[mi] for mi in oracle_move_indices(r, table)]
+    return [GENERALIZED_MOVES[mi] for mi in oracle_move_indices(_root(state), table)]
 
 
 def oracle_move_indices(r: int, table: DistanceTable) -> list[int]:
-    """`oracle_descent` as indices into GENERALIZED_MOVES.  Raises
-    InconsistentTable when some state on the way has no neighbour one move
-    closer."""
+    """`oracle_solve` from canonical rank `r`, as indices into
+    GENERALIZED_MOVES.  Raises InconsistentTable when some state on the way
+    has no neighbour one move closer."""
     perm_parts, ori_parts = rank_moves()
     dist = memoryview(table.dist)
     moves: list[int] = []

@@ -28,7 +28,7 @@ from pocketcube.evaluate import (
 )
 from pocketcube.executor import (ActuationModel, ExecutionMode, ExecutorConfig,
                                  execute_episode)
-from pocketcube.solver import oracle_descent, oracle_move_indices, oracle_solve
+from pocketcube.solver import oracle_move_indices, oracle_solve
 from pocketcube.tables import DistanceTable
 
 from conftest import apply_generalized, bucket, compile_moves, result_row
@@ -102,7 +102,7 @@ class TestStreams:
         for trial, rng in enumerate(evaluate._streams(key, range(trials))):
             if trial in checked:
                 want = np.random.default_rng(key + (trial,))
-                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng._rng.bit_generator.state == want.bit_generator.state
                 assert rng.random() == want.random()
             n += 1
         assert n == trials
@@ -112,20 +112,48 @@ class TestStreams:
             mode, trial = divmod(i, trials)
             if trial in checked:
                 want = np.random.default_rng((master, distance, mode + 1, trial))
-                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng._rng.bit_generator.state == want.bit_generator.state
             n += 1
         assert n == 2 * trials
         # the scramble stream's key has no trial
         scramble_rng = next(evaluate._streams((master, distance), (99,)))
         want = np.random.default_rng((master, distance, 99))
-        assert scramble_rng.bit_generator.state == want.bit_generator.state
+        assert scramble_rng._rng.bit_generator.state == want.bit_generator.state
 
     def test_every_state_across_the_chunks(self):
         for key in ((0, 1, 1), (2**32 - 1, 14, 2), (2**64 + 7, 9, 99)):
-            got = [rng.bit_generator.state
+            got = [rng._rng.bit_generator.state
                    for rng in evaluate._streams(key, range(2 * self.CHUNK + 5))]
             assert got == [np.random.default_rng(key + (t,)).bit_generator.state
                            for t in range(2 * self.CHUNK + 5)]
+
+    def test_one_wrapper_draws_every_keys_stream(self):
+        # uniforms and normal 3- and 4-vectors, across a chunk boundary
+        key, trials = (5, 2, 1), self.CHUNK + 40
+        streams = list(evaluate._streams(key, range(trials)))
+        assert len(streams) == trials
+        assert all(draws is streams[0] for draws in streams)
+        streams = evaluate._streams(key, range(trials))
+        for t, draws in enumerate(streams):
+            rng = np.random.default_rng(key + (t,))
+            assert [draws.random() for _ in range(5)] == rng.random(5).tolist()
+            for n in (3, 4) * 3:
+                assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
+                assert draws.random() == rng.random()
+
+    def test_a_round_builds_one_wrapper_per_distance(self, dist_table, monkeypatch):
+        built = []
+
+        class Counted(evaluate._Draws):
+            __slots__ = ()
+
+            def __init__(self, rng):
+                built.append(self)
+                super().__init__(rng)
+
+        monkeypatch.setattr(evaluate, "_Draws", Counted)
+        run_experiment(ExperimentConfig(trials_per_distance=2), dist_table)
+        assert len(built) == len(ExperimentConfig().distances) == 14
 
     def test_rejects_a_negative_int_as_numpy_does(self):
         with pytest.raises(ValueError):
@@ -201,7 +229,7 @@ class TestOraclePlanner:
         planner = oracle_planner(dist_table)
         for r in sample_at_distance(9, 20, dist_table, np.random.default_rng(12)):
             plan = planner(r)
-            assert plan == compile_moves(oracle_descent(r, dist_table))
+            assert plan == compile_moves(oracle_solve(unrank(r), dist_table))
             assert planner(r) is plan
 
     def test_run_experiment_plans_each_rank_once(self, dist_table, monkeypatch):

@@ -31,7 +31,7 @@ from pocketcube.cube import (
     reduce_move,
     unrank,
 )
-from pocketcube.evaluate import _streams, oracle_planner
+from pocketcube.evaluate import _Draws, _streams, oracle_planner
 from pocketcube.executor import (
     ActuationModel,
     ExecutionMode,
@@ -53,7 +53,6 @@ from pocketcube.executor import (
     _COMMITS,
     _PROVEN_TURNS,
     _TWIST_ROTATION,
-    _Draws,
     _goal_reached,
 )
 from pocketcube.solver import oracle_solve
@@ -459,9 +458,9 @@ class TestMoveRollback:
 
 
 class TestDraws:
-    """_Draws reads the bit generator's C next_double and fills its normals
-    with random_standard_normal_fill: every draw must be Generator.random's
-    or Generator.standard_normal's, bit for bit."""
+    """evaluate._Draws reads the bit generator's C next_double and fills its
+    normals with random_standard_normal_fill: every draw must be
+    Generator.random's or Generator.standard_normal's, bit for bit."""
 
     def test_random_is_generator_random(self):
         for seed in range(200):
@@ -475,18 +474,6 @@ class TestDraws:
             for n in (3, 4) * 100:
                 assert draws.random() == rng.random()
                 assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
-
-    def test_random_follows_a_state_set_as_streams_set_it(self):
-        streams = _streams((5, 2, 1), range(40))
-        draws = _Draws(next(streams))  # one wrapper; _streams resets its state
-        for t in range(40):
-            if t:
-                next(streams)
-            rng = np.random.default_rng((5, 2, 1, t))
-            assert [draws.random() for _ in range(50)] == rng.random(50).tolist()
-            for n in (3, 4) * 10:
-                assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
-                assert draws.random() == rng.random()
 
     def test_draws_keep_their_generator_alive(self):
         for seed in range(20):
@@ -533,17 +520,21 @@ class TestDraws:
             def standard_normal(self, n):
                 return self.rng.standard_normal(n)
 
+        # simulate draws from a Generator, eval from _streams' wrapper: same bits
         planner = oracle_planner(dist_table)
-        for seed in range(20):
-            for mode in ExecutionMode:
-                stub = StubRng(seed)
+        for m, mode in enumerate(ExecutionMode, 1):
+            for trial, draws in enumerate(_streams((77, 3, m), range(20))):
+                key = (77, 3, m, trial)
+                stub = StubRng(key)
                 rep = execute_episode(3_000_000, mode, planner, ActuationModel(),
                                       ExecutorConfig(), stub, trace=True)
                 direct = execute_episode(3_000_000, mode, planner, ActuationModel(),
-                                         ExecutorConfig(), np.random.default_rng(seed),
+                                         ExecutorConfig(), np.random.default_rng(key),
                                          trace=True)
+                streamed = execute_episode(3_000_000, mode, planner, ActuationModel(),
+                                           ExecutorConfig(), draws, trace=True)
                 assert stub.uniforms > 0 and rep.atomic_actions > 0
-                assert rep == direct
+                assert rep == direct == streamed
 
 
 class TestEpisode:

@@ -61,3 +61,29 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
     (pkg / "a.py").write_text("x = 1\ny = 2\n")
     (pkg / "b.py").write_text("z = 3\n")
     assert record.src_lines(tmp_path) == {"pkg/a.py": 2, "pkg/b.py": 1, "total": 3}
+
+
+def test_cli_and_tier1_timings_are_recorded_and_compared():
+    def rec(solve_ms, seconds, passed):
+        times = {"solve": {"source": solve_ms, "bytecode": [v - 20.0 for v in solve_ms]}}
+        closing = f"{passed} passed, 1 failed in {seconds:.2f}s"
+        return {"workloads": {}, "cli": record.summarize_cli(times),
+                "tier1": record.summarize_tier1(f"....F\n{closing}\n", seconds)}
+
+    old = rec([120.0, 118.0, 125.0, 121.0, 119.0, 122.0, 117.0, 130.0, 120.0], 38.0, 345)
+    solve = old["cli"]["commands"]["solve"]
+    assert (solve["source"]["median"], solve["bytecode"]["median"]) == (120.0, 100.0)
+    assert solve["source"]["values"][0] == 120.0 and old["cli"]["unit"] == "ms"
+    assert old["tier1"] == {"seconds": 38.0, "passed": 345, "failed": 1}
+    assert record.summarize_tier1("", 1.0) == {"seconds": 1.0, "passed": 0}
+
+    lines = record.compare(rec([110.0] * 9, 19.0, 347), old)
+    (source,) = [ln for ln in lines if "(source)" in ln]
+    assert source.startswith("cli") and "x0.917" in source and source.endswith("*")
+    (seconds,) = [ln for ln in lines if ln.startswith("tier1   seconds")]
+    assert "x0.500" in seconds and not seconds.endswith("*")
+    (passed,) = [ln for ln in lines if ln.startswith("tier1   passed")]
+    assert "345" in passed and "347" in passed
+    assert len(lines) == 4
+    # an earlier record without these sections compares workloads only
+    assert record.compare(rec([110.0] * 9, 19.0, 347), {"workloads": {}}) == []

@@ -20,7 +20,7 @@ from pocketcube.cube import (
     unrank,
 )
 from pocketcube.solver import (OUTER, PERIMETER, RING, TAIL, SolveResult, ida_star,
-                               oracle_descent, oracle_solve, search_heuristic)
+                               oracle_solve, search_heuristic)
 from pocketcube.tables import _INV, move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse, plain_ida_star
@@ -325,5 +325,5 @@ class TestStateInput:
             canon = canonicalize(raw)
             assert ida_star(raw, pdb) == ida_star(canon, pdb)
             assert (oracle_solve(raw, dist_table) == oracle_solve(canon, dist_table)
-                    == oracle_descent(canon.rank, dist_table))
+                    == oracle_solve(unrank(canon.rank), dist_table))
         assert raw_seen > 25
