@@ -145,8 +145,6 @@ class TestStreams:
         built = []
 
         class Counted(evaluate._Draws):
-            __slots__ = ()
-
             def __init__(self, rng):
                 built.append(self)
                 super().__init__(rng)
