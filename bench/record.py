@@ -15,8 +15,8 @@ whether every run was correct; the median, quartiles and runs of each CLI
 command's wall time; the tier-1 wall time and counts; plus the host, the
 git commit and the line count of each module under `src/`.  `--compare`
 prints, for each metric, the ratio of this record's median to an earlier
-record's, and marks a median that falls outside the earlier record's
-quartiles.
+record's, under a warning: two records taken apart in time measure the
+host's drift as well as the code, so no ratio is marked as a change.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ CLI_COMMANDS = {
 # keeps the first from caching bytecode as it runs
 FORMS = ("source", "bytecode")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+# records taken apart in time have differed by a quarter on a median whose
+# code did not change; only alternating runs of both trees tell a change
+# from the host's drift
+DRIFT_WARNING = ("warning: these records were not taken as alternating pairs; each ratio "
+                 "holds the host's drift between them as well as any change in the code")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -110,13 +116,11 @@ def summarize_tier1(output: str, seconds: float) -> dict:
     return {"seconds": seconds, "passed": 0, **{word: int(n) for n, word in counts}}
 
 
-def _line(section: str, name: str, b: dict, m: dict, unit: str, mark: bool = True) -> str:
-    """Old and new medians, their ratio, and `*` where the new median lies
-    outside the old quartiles (never for a single run, `mark` False)."""
+def _line(section: str, name: str, b: dict, m: dict, unit: str) -> str:
+    """Old and new medians and their ratio."""
     ratio = m["median"] / b["median"] if b["median"] else float("nan")
-    outside = "*" if mark and not b["q1"] <= m["median"] <= b["q3"] else " "
     return (f"{section:<7} {name:<12} {b['median']:>12.4g} -> "
-            f"{m['median']:<12.4g} {unit:<4} x{ratio:.3f} {outside}")
+            f"{m['median']:<12.4g} {unit:<4} x{ratio:.3f}")
 
 
 def compare(new: dict, old: dict) -> list[str]:
@@ -140,7 +144,7 @@ def compare(new: dict, old: dict) -> list[str]:
     if "tier1" in new and "tier1" in old:
         for key, unit in (("seconds", "s"), ("passed", "")):
             b, m = quartiles([old["tier1"][key]]), quartiles([new["tier1"][key]])
-            lines.append(_line("tier1", key, b, m, unit, mark=False))
+            lines.append(_line("tier1", key, b, m, unit))
     return lines
 
 
@@ -230,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         rec = record()
         args.out.write_text(json.dumps(rec, indent=1) + "\n")
     if args.compare:
-        print("\n".join(compare(rec, json.loads(args.compare.read_text()))))
+        print("\n".join([DRIFT_WARNING, *compare(rec, json.loads(args.compare.read_text()))]))
     return 0 if all(w["correct"] for w in rec["workloads"].values()) else 1
 
 

@@ -229,22 +229,29 @@ class _Draws:
     """A Generator's draws, for episodes on one thread, through the C
     functions its methods call, without their dispatch or lock: `random` is
     `next_double` on the bit generator's state, and `standard_normal(n)`
-    returns the n floats `random_standard_normal_fill` puts in a buffer.
-    Both point into C state that the Generator owns, so the wrapper keeps
-    the Generator alive."""
+    returns, as a new list, the n floats `random_standard_normal_fill` puts
+    in a buffer, through one call bound per count.  Both point into C state
+    that the Generator owns, so the wrapper keeps the Generator alive.  An
+    untraced open-loop episode stops at its first jam and makes none of the
+    later draws (see executor.execute_episode), which no output reads."""
 
-    __slots__ = ("random", "_rng", "_fill", "_bitgen", "_buf")
+    __slots__ = ("random", "_rng", "_normals")
 
     def __init__(self, rng: np.random.Generator):
         interface = rng.bit_generator.ctypes
         self._rng = rng
         self.random = functools.partial(interface.next_double, interface.state)
-        self._fill, self._bitgen = _normal_fill(), interface.bit_generator
-        self._buf = (ctypes.c_double * max(_NORMAL_COUNTS))()
+        buf = (ctypes.c_double * max(_NORMAL_COUNTS))()
+        # ctypes exports the format "<d", which tolist refuses; "d" is the same doubles
+        doubles = memoryview(buf).cast("B").cast("d")
+        fill, bitgen = _normal_fill(), interface.bit_generator
+        self._normals = {n: (functools.partial(fill, bitgen, count, buf), doubles[:n])
+                         for n, count in _NORMAL_COUNTS.items()}
 
     def standard_normal(self, n: int) -> list[float]:
-        self._fill(self._bitgen, _NORMAL_COUNTS[n], self._buf)
-        return self._buf[:n]
+        fill, doubles = self._normals[n]
+        fill()
+        return doubles.tolist()
 
 
 def _streams(key: tuple[int, ...], *tails: Sequence[int]) -> Iterator[_Draws]:

@@ -29,14 +29,17 @@ its own results.  Rollback (checked) per move:
   Finally  compare the logical state against the expected one; a
            mismatch asks the episode driver to re-plan.
 Open loop (unchecked) fires one rotate attempt and the twists, with no
-randomize, no restore and no completion check, and plans once.
+randomize, no restore and no completion check, and plans once.  Its first
+jam fixes the rank: every later twist fails before drawing, and a rotate
+never changes the rank.  Untraced, it stops there and counts each later
+step's 1 + twists actions, up to the budget; no output reads those draws.
 
 Every attempt of rotate, twist, randomize and restore counts one atomic
 action toward the episode budget and the reported action number.  A move
 counts as attempted once at least one of its actions ran.  Counting is
 inline and needs no trace; only `trace=True` (`simulate --trace`) builds
 a TraceEntry, with its pose errors, per action.  The draws are the same
-either way.
+either way, up to an open-loop episode's first jam.
 
 A successful re-pose makes its draws at once, keeping its two normal
 3-vectors raw, but computes its floats (the unit vectors, position,
@@ -525,7 +528,8 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
     moves_attempted = replans = 0
 
     while cube.logical != 0 and log.count < log.budget:
-        steps = planner(cube.logical)
+        plan = planner(cube.logical)
+        steps = iter(plan)
         for step in steps:
             if log.count >= log.budget:
                 break
@@ -534,7 +538,14 @@ def execute_episode(scramble: int, mode: ExecutionMode, planner: Planner,
             if outcome is _NEEDS_REPLAN:
                 replans += 1
                 break
-        if not checked or not steps:
+            if not (checked or trace) and abs(cube.layer_misalignment) > CHAMFER_TOLERANCE:
+                # jammed for good (attempt_twist's test): count the rest of the plan
+                for step in steps:
+                    if log.count >= log.budget:
+                        break
+                    moves_attempted += 1
+                    log.count = min(log.count + 1 + step.twists, log.budget)
+        if not checked or not plan:
             break
 
     return EpisodeReport(

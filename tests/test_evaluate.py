@@ -257,12 +257,15 @@ class TestDefaultRound:
 
     @pytest.fixture(scope="class")
     def default_round(self, dist_table, tmp_path_factory):
-        """(CSV bytes, one line per episode in run order) of the default round."""
-        reports = []
+        """(CSV bytes, one line per episode in run order, (plan, report) of
+        each open-loop episode) of the default round."""
+        reports, open_loop = [], []
 
-        def recording(*args, **kwargs):
-            report = execute_episode(*args, **kwargs)
+        def recording(scramble, mode, planner, *args, **kwargs):
+            report = execute_episode(scramble, mode, planner, *args, **kwargs)
             reports.append(report)
+            if mode is ExecutionMode.OPEN_LOOP:
+                open_loop.append((planner(scramble), report))  # the memoized plan it ran
             return report
 
         with pytest.MonkeyPatch.context() as mp:
@@ -272,7 +275,7 @@ class TestDefaultRound:
         export_csv(result, path)
         lines = [f"{int(r.success)} {r.atomic_actions} {r.moves_attempted} "
                  f"{r.replans} {r.final_rank}\n" for r in reports]
-        return path.read_bytes(), lines
+        return path.read_bytes(), lines, open_loop
 
     def test_csv_is_the_benchmark_reference(self, default_round):
         reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
@@ -283,6 +286,14 @@ class TestDefaultRound:
         lines = default_round[1]
         assert len(lines) == 14 * 2 * 100
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.REPORTS_SHA256
+
+    def test_open_loop_an_is_the_plans_action_count(self, default_round):
+        # one rotate and the twists per step; the budget of 200 never binds
+        open_loop = default_round[2]
+        assert len(open_loop) == 14 * 100
+        for plan, report in open_loop:
+            assert report.atomic_actions == sum(1 + step.twists for step in plan)
+            assert report.moves_attempted == len(plan)
 
 
 class TestCsv:

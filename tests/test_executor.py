@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -486,6 +487,19 @@ class TestDraws:
             for n in (3, 4) * 150:
                 assert draws.standard_normal(n) == rng.standard_normal(n).tolist()
 
+    def test_a_held_normal_vector_keeps_its_values(self):
+        # a _DrawnPose holds its raw normal 3-vectors while later draws refill the buffer
+        draws, rng = _Draws(np.random.default_rng(79)), np.random.default_rng(79)
+        held = [draws.standard_normal(3) for _ in range(50)]
+        held += [draws.standard_normal(4) for _ in range(50)]
+        assert held == ([rng.standard_normal(3).tolist() for _ in range(50)]
+                        + [rng.standard_normal(4).tolist() for _ in range(50)])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_an_unbound_count_raises_key_error(self, n):
+        with pytest.raises(KeyError):
+            _Draws(np.random.default_rng(0)).standard_normal(n)
+
     # sha256 of every TraceEntry of 200 traced episodes per mode, pose errors
     # as float.hex: the simulate --trace pin prints only 4 decimals
     POSE_BITS_SHA256 = "b23f7db6c59ee37c958f16948455e0ce6d274e4fe59650713ebfedc9f9c284f3"
@@ -696,3 +710,61 @@ class TestEpisode:
     def test_config_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExecutorConfig(**{field: value})
+
+
+class TestOpenLoopJam:
+    """An untraced open-loop episode stops at its first jam and counts the
+    rest of its plan; its report must equal the traced episode's, which
+    runs every action."""
+
+    # twists 3, 1, 3, 1, 3: 4 + 2 + 4 + 2 + 4 = 16 actions
+    MOVES = [Move.U, Move.R_PRIME, Move.F, Move.U_PRIME, Move.R]
+
+    @staticmethod
+    def run_both(moves, model, budget, seed):
+        """(untraced, traced) reports of one open-loop episode of `moves`,
+        from the rank they solve, and the trace index of the first jam (None
+        without one)."""
+        rank = canonicalize(apply_seq(SOLVED, [inverse(m) for m in reversed(moves)])).rank
+        plan = compile_moves(moves)
+        plain, traced = (execute_episode(rank, ExecutionMode.OPEN_LOOP, lambda _: plan, model,
+                                         ExecutorConfig(action_budget=budget),
+                                         np.random.default_rng((81, seed)), trace=trace)
+                         for trace in (False, True))
+        assert plain.trace == [] and len(traced.trace) == traced.atomic_actions
+        jams = [e.index for e in traced.trace
+                if e.kind == "twist" and e.ang_err > CHAMFER_TOLERANCE]
+        return plain, traced, jams[0] if jams else None
+
+    def test_jam_on_the_first_twist(self):
+        model = ActuationModel(p_rot=1.0, p_op=0.0)
+        jammed = 0
+        for seed in range(40):
+            plain, traced, jam = self.run_both(self.MOVES, model, 200, seed)
+            assert plain == dataclasses.replace(traced, trace=[])
+            if jam == 2:  # step 1's rotate is action 1
+                jammed += 1
+                assert plain.final_rank == traced.trace[0].rank
+                assert (plain.atomic_actions, plain.moves_attempted) == (16, 5)
+        assert jammed >= 20  # a failed twist jams unless it lands within 5 degrees of a detent
+
+    def test_jam_inside_a_three_twist_step(self):
+        model = ActuationModel(p_rot=0.9, p_op=0.6)
+        jammed = 0
+        for seed in range(80):
+            plain, traced, jam = self.run_both([Move.U, Move.R, Move.F], model, 200, seed)
+            assert plain == dataclasses.replace(traced, trace=[])
+            # each step's actions are its rotate, then twists at step offsets 1..3
+            jammed += jam is not None and (jam - 1) % 4 in (1, 2)
+        assert jammed >= 10
+
+    @pytest.mark.parametrize("budget", range(1, 13))
+    def test_jam_before_a_budget_that_binds_mid_plan(self, budget):
+        model = ActuationModel(p_rot=0.8, p_op=0.5)
+        jammed = 0
+        for seed in range(30):
+            plain, traced, jam = self.run_both(self.MOVES, model, budget, seed)
+            assert plain == dataclasses.replace(traced, trace=[])
+            assert plain.atomic_actions == budget
+            jammed += jam is not None and jam < budget
+        assert jammed >= 5 or budget <= 2  # a jam needs a rotate and a twist first

@@ -1,6 +1,7 @@
 """bench/record.py's aggregation, on canned perfbench results (no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -40,19 +41,29 @@ def test_one_run_is_its_own_median_and_quartiles():
     assert record.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 
 
-def test_compare_prints_ratio_and_marks_a_median_outside_the_quartiles():
-    def rec(p50s):
-        summary = record.summarize([canned_result(v) for v in p50s])
-        return {"workloads": {"eval": summary}}
+def eval_record(p50s):
+    return {"workloads": {"eval": record.summarize([canned_result(v) for v in p50s])}}
 
-    old = rec([250.0, 254.0, 258.0, 262.0, 266.0])
-    lines = record.compare(rec([236.0, 238.0, 240.0, 242.0, 244.0]), old)
+
+def test_compare_prints_each_ratio_and_marks_none():
+    old = eval_record([250.0, 254.0, 258.0, 262.0, 266.0])
+    lines = record.compare(eval_record([236.0, 238.0, 240.0, 242.0, 244.0]), old)
     (p50,) = [ln for ln in lines if "op_ms_p50" in ln]
-    assert "x0.930" in p50 and p50.endswith("*")
+    assert p50.endswith("x0.930")  # outside the old quartiles, and still not marked
     (rss,) = [ln for ln in lines if "peak_rss_mb" in ln]
-    assert "x1.000" in rss and not rss.endswith("*")
+    assert rss.endswith("x1.000")
     assert len(lines) == len(UNITS)
-    assert record.compare(rec([1.0]), {"workloads": {}}) == []
+    assert record.compare(eval_record([1.0]), {"workloads": {}}) == []
+
+
+def test_compare_of_two_records_warns_of_host_drift(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(json.dumps(eval_record([236.0, 238.0, 240.0, 242.0, 244.0])))
+    old.write_text(json.dumps(eval_record([250.0, 254.0, 258.0, 262.0, 266.0])))
+    assert record.main(["--read", str(new), "--compare", str(old)]) == 0
+    warning, *lines = capsys.readouterr().out.splitlines()
+    assert warning == record.DRIFT_WARNING and "drift" in warning
+    assert len(lines) == len(UNITS) and "*" not in "".join(lines)
 
 
 def test_src_lines_counts_each_module_and_the_total(tmp_path):
@@ -79,9 +90,9 @@ def test_cli_and_tier1_timings_are_recorded_and_compared():
 
     lines = record.compare(rec([110.0] * 9, 19.0, 347), old)
     (source,) = [ln for ln in lines if "(source)" in ln]
-    assert source.startswith("cli") and "x0.917" in source and source.endswith("*")
+    assert source.startswith("cli") and source.endswith("x0.917")
     (seconds,) = [ln for ln in lines if ln.startswith("tier1   seconds")]
-    assert "x0.500" in seconds and not seconds.endswith("*")
+    assert seconds.endswith("x0.500")
     (passed,) = [ln for ln in lines if ln.startswith("tier1   passed")]
     assert "345" in passed and "347" in passed
     assert len(lines) == 4
