@@ -30,21 +30,25 @@ takes stored steps only down to that radius and then appends the tuple.
 The moves appended are the same stored moves, so solutions and node
 counts are unchanged.
 
-Every rank beyond the rings lies at 12, 13 or 14, and no search there
-goes deeper than two levels.  A rank at 12 or 14 has h = RING, and its
-children lie at 11 or 13, h = OUTER.  At the bound that admits them but
-only their own children at RING, it is settled with one scan of its
-children (`_settle`).  A child at 13 stores no move, so its children are one-node
-dead ends: it costs 1 node plus 1 per allowed move.  A child at 11
-stores move s: it costs 1 plus 1 per allowed move before s plus the
-ring's 1 + PERIMETER, and is walked; a root at OUTER, all six moves
-allowed, costs OUTER + s.  The move filters never drop s.  In the
-iteration at bound B, every rank within OUTER moves that the search
-enters has f = B (its h is exact, so a smaller f would have ended an
-earlier iteration); so the node above a child at 11, at g = B - 12, lies
-at 12, and its parent at 13.  The path descends, and both filters lead
-back up: the undo to the node, a third repeat X X X = X' next to the
-parent.  Only ranks at 13 and 14 recurse (`_search`).
+Beyond the outer ring h is RING or OUTER by parity, and a move flips it:
+every child of a rank there with h = RING has h = OUTER, and every child
+of one with h = OUTER lies beyond it, at h = RING.  So a root's first
+bound, h, fails after 1 node at RING and 7 at OUTER (the root and six
+children, which prune all of theirs).  Each later bound runs one
+recursion (`_search`): `left`, the largest h the bound admits for a
+child, falls by 1 a level down to OUTER, where the children are counted,
+not searched.  One beyond the outer ring is a dead end of 1 node plus 1
+per allowed move.  One on it stores move s: it costs 1 plus 1 per
+allowed move before s plus the ring's walk of RING, and is walked; a
+root at OUTER, all six moves allowed, costs OUTER + s.  The move filters
+never drop s.  In the iteration at bound B, every rank within OUTER
+moves that the search enters has f = B (its h is exact, so a smaller f
+would have ended an earlier iteration); so none is admitted above
+left = OUTER, and the node above a child on the outer ring lies at
+OUTER + 1, its parent at OUTER + 2.  The path descends, and both
+filters lead back up: the undo to the node, a third repeat X X X = X'
+next to the parent.  At PERIMETER = 9 the recursion nests one level at
+12, two at 13 and three at 14.
 
 The heuristic is consistent and parity-tight, so every f has the root's
 parity and grows by 0 or 2 per move: an iteration that fails always
@@ -225,46 +229,37 @@ def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
     return path
 
 
-def _settle(pdb: PatternDB, r: int, m1: int, m2: int) -> tuple[int, list[Move] | None]:
-    """(nodes, moves from `r` or None) of rank `r` at 12 or 14, reached by
-    move m1 after m2, at the bound that admits its children at OUTER: a
-    child at 13 is a dead end of 1 + len(allowed) nodes, and the first at
-    11, storing move s, costs OUTER + s's index in allowed and is walked."""
+def _search(pdb: PatternDB, r: int, left: int, m1: int,
+            m2: int) -> tuple[int, list[Move] | None]:
+    """(nodes, moves from `r` or None) of rank `r`, reached by move m1 after
+    m2, in an iteration whose bound admits children up to h = `left`.
+
+    `r` lies beyond the outer ring, `left` is at least OUTER and has the
+    parity of h(r) + 1, and the bound is at most the root's distance, so
+    no child within OUTER is admitted above left = OUTER.  At OUTER the
+    children are counted, not searched: a child that stores move s costs
+    OUTER + s's index in allowed and is walked, any other is a dead end of
+    1 + len(allowed) nodes (module docstring).  Above it every child
+    recurses with left - 1."""
     h = pdb.ida_heuristic
     perm_parts, ori_parts = rank_moves()
     prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
     nodes = 1
     for mi in _ALLOWED[m1][m2]:
         child = prow[mi] + orow[mi]
-        allowed = _ALLOWED[mi][m1]
-        s = h[child] >> 4
-        if s != _NO_MOVE:
-            # s is in allowed: the filters never drop it (module docstring)
-            return (nodes + OUTER + allowed.index(s),
-                    [GENERALIZED_MOVES[mi], *_walk(pdb, child, OUTER)])
-        nodes += 1 + len(allowed)
-    return nodes, None
-
-
-def _search(pdb: PatternDB, r: int, left: int, m1: int,
-            m2: int) -> tuple[int, list[Move] | None]:
-    """(nodes, moves or None), as `_settle`'s, of rank `r` at 13 (`left`,
-    the largest h of a child the bound admits, 12) or at 14 (`left` 13),
-    reached by move m1 after m2.  The children of a rank at 13 lie at 12
-    or 14 and are settled; those of a rank at 14 lie at 13 and are
-    searched, so the recursion is at most two levels deep."""
-    perm_parts, ori_parts = rank_moves()
-    prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
-    nodes = 1
-    for mi in _ALLOWED[m1][m2]:
-        child = prow[mi] + orow[mi]
-        if left == RING + 2:
-            n, path = _settle(pdb, child, mi, m1)
+        if left == OUTER:
+            allowed = _ALLOWED[mi][m1]
+            s = h[child] >> 4
+            if s != _NO_MOVE:
+                # s is in allowed: the filters never drop it (module docstring)
+                return (nodes + OUTER + allowed.index(s),
+                        [GENERALIZED_MOVES[mi], *_walk(pdb, child, OUTER)])
+            nodes += 1 + len(allowed)
         else:
             n, path = _search(pdb, child, left - 1, mi, m1)
-        nodes += n
-        if path is not None:
-            return nodes, [GENERALIZED_MOVES[mi], *path]
+            nodes += n
+            if path is not None:
+                return nodes, [GENERALIZED_MOVES[mi], *path]
     return nodes, None
 
 
@@ -280,10 +275,12 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     down to TAIL moves from solved and then appends the memoized rest,
     `pdb.ida_tails`, which is the same stored moves: path and node count
     are unchanged.  A root within OUTER moves is walked the same way.  A
-    root at 12 is settled with one scan of its children (`_settle`), and
-    only roots at 13 and 14 recurse (`_search`, two levels at most); the
-    module docstring gives the nodes of each.  `pdb` holds the heuristic's
-    cache.
+    root beyond has h = RING or OUTER by parity: its first bound, h, fails
+    after 1 or 7 nodes, and every later bound, 2 more each, runs `_search`
+    until one finds a path.  At PERIMETER = 9 a root at 12 is settled with
+    one scan of its children, and roots at 13 and 14 recurse two and three
+    levels deep; the module docstring gives the nodes of each.  `pdb`
+    holds the heuristic's cache.
     """
     root = _root(state)
     if root == 0:
@@ -296,18 +293,15 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
         nodes = first + stored if first == OUTER else first
         return _new_result(SolveResult, (_walk(pdb, root, first), nodes, 1, (first,)))
 
-    # each failed bound prunes at bound + 2, the next one.  Bound RING fails
-    # after 1 node at 12 or 14; RING + 2 settles a root at 12 and fails at
-    # 14 after 37.  At 13 bound OUTER fails after 7 nodes: 6 dead ends.
-    if first == RING:
-        nodes, path = _settle(pdb, root, -1, -1)
-        if path is not None:
-            return _new_result(SolveResult, (path, 1 + nodes, 2, (RING, RING + 2)))
-        nodes, bounds = 1 + nodes, (RING, RING + 2, RING + 4)
-    else:
-        nodes, bounds = 7, (OUTER, OUTER + 2)
-    n, path = _search(pdb, root, bounds[-1] - 1, -1, -1)
-    return _new_result(SolveResult, (path, nodes + n, len(bounds), bounds))
+    # bound h fails after 1 node at RING and 7 at OUTER (module docstring);
+    # each failed bound prunes at bound + 2, the next one
+    nodes, bound, path = (1 if first == RING else 7), first, None
+    while path is None:
+        bound += 2
+        n, path = _search(pdb, root, bound - 1, -1, -1)
+        nodes += n
+    bounds = tuple(range(first, bound + 1, 2))
+    return _new_result(SolveResult, (path, nodes, len(bounds), bounds))
 
 
 def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> list[Move]:

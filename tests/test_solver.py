@@ -21,7 +21,7 @@ from pocketcube.cube import (
 )
 from pocketcube.solver import (OUTER, PERIMETER, RING, TAIL, SolveResult, ida_star,
                                oracle_solve, search_heuristic)
-from pocketcube.tables import _INV, move_tables, successor
+from pocketcube.tables import _INV, PatternDB, move_tables, successor
 
 from conftest import apply_generalized, bucket, inverse, plain_ida_star
 
@@ -128,6 +128,29 @@ class TestIdaStar:
             ranks += at_d[rng.choice(at_d.size, size=300, replace=False)].tolist()
         for r in ranks:
             assert ida_star(unrank(r), pdb) == plain_ida_star(r, h)
+
+    def test_equals_a_plain_search_at_smaller_perimeters(self, dist_table, pdb, monkeypatch):
+        # the search counts by parity, not by the default's depths: at
+        # PERIMETER 6, 7 and 8, on a fresh PatternDB so that `pdb` keeps its
+        # heuristic, ida_star equals a plain IDA* on that P's heuristic nibble
+        # and returns the default's solution, on 20 seeded ranks at each
+        # distance 1..14
+        rng = np.random.default_rng(40)
+        ranks = []
+        for d in range(1, 15):
+            at_d = bucket(dist_table, d)
+            ranks += at_d[rng.choice(at_d.size, size=min(20, at_d.size), replace=False)].tolist()
+        default = [ida_star(unrank(r), pdb).solution for r in ranks]
+        for p in (6, 7, 8):
+            monkeypatch.setattr(solver, "PERIMETER", p)
+            monkeypatch.setattr(solver, "RING", p + 1)
+            monkeypatch.setattr(solver, "OUTER", p + 2)
+            small = PatternDB(pdb.ori_db, pdb.perm_db)
+            h = bytes(np.frombuffer(search_heuristic(small), dtype=np.uint8) & 0x0F)
+            for r, solution in zip(ranks, default):
+                res = ida_star(unrank(r), small)
+                assert res == plain_ida_star(r, h)
+                assert res.solution == solution
 
     def test_antipodes_are_byte_identical_to_reference(self, dist_table, pdb):
         lines = ""
@@ -254,10 +277,11 @@ class TestSearchHeuristic:
             assert res.nodes_expanded == 2 + 6 * m + OUTER + index
             assert len(res.solution) == 12
 
-    def test_search_recurses_only_from_13_and_14(self, dist_table, pdb, monkeypatch):
-        # `_search` is entered only for roots at 13 (one level) and 14 (two
-        # levels); at 13 the failed first iteration costs the root and its
-        # six ring dead ends, 7 nodes
+    def test_search_nests_once_per_move_beyond_the_outer_ring(self, dist_table, pdb,
+                                                              monkeypatch):
+        # `_search` is entered only for roots beyond OUTER, and nests one
+        # level at 12, two at 13 and three at 14; at 13 the failed first
+        # iteration costs the root and its six ring dead ends, 7 nodes
         depth, calls = [0], []
         search = solver._search
 
@@ -280,7 +304,7 @@ class TestSearchHeuristic:
             d = int(dist_table.dist[r])
             calls.clear()
             res = ida_star(unrank(r), pdb)
-            assert max((level for level, _ in calls), default=0) == {13: 1, 14: 2}.get(d, 0)
+            assert max((level for level, _ in calls), default=0) == {12: 1, 13: 2, 14: 3}.get(d, 0)
             if d == 13:
                 assert res.bounds == (OUTER, OUTER + 2)
                 assert res.nodes_expanded == 7 + calls[-1][1]
