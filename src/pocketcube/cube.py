@@ -348,6 +348,19 @@ class CanonicalState(CubeletState):
 SOLVED = CubeletState(tuple(range(8)), (0,) * 8)
 
 
+def _valid(cls: type, perm: tuple[int, ...], ori: tuple[int, ...]):
+    """A `cls` holding `perm` and `ori`, without `__post_init__`: for states
+    valid by construction, which a move or a whole-cube rotation of a valid
+    state is, as is an enumeration entry.  `CubeletState(...)` and
+    `CanonicalState(...)` still check theirs.  The fields are stored one by
+    one, in `__init__`'s order, which keeps the instance dict as compact
+    and as quick to read as `__init__`'s."""
+    state = object.__new__(cls)
+    fields = state.__dict__
+    fields["perm"], fields["ori"] = perm, ori
+    return state
+
+
 def _apply_transform(state: CubeletState, tr: Transform) -> tuple[tuple[int, ...], tuple[int, ...]]:
     src, dori = tr
     perm = tuple(state.perm[src[i]] for i in range(8))
@@ -356,9 +369,9 @@ def _apply_transform(state: CubeletState, tr: Transform) -> tuple[tuple[int, ...
 
 
 def apply(state: CubeletState, move: Move) -> CubeletState:
-    """Quarter-turn `move` applied to `state` (pure; total on valid states)."""
-    perm, ori = _apply_transform(state, _MOVE_TABLE[move])
-    return CubeletState(perm, ori)
+    """Quarter-turn `move` applied to `state` (pure; total on valid states).
+    The result is not re-validated: a move of a valid state is valid."""
+    return _valid(CubeletState, *_apply_transform(state, _MOVE_TABLE[move]))
 
 
 def apply_seq(state: CubeletState, seq: Sequence[Move]) -> CubeletState:
@@ -368,10 +381,16 @@ def apply_seq(state: CubeletState, seq: Sequence[Move]) -> CubeletState:
 
 
 def canonicalize(state: CubeletState) -> CanonicalState:
-    """Rotate the whole cube so the anchor sits home; idempotent."""
+    """Rotate the whole cube so the anchor sits home; idempotent.
+
+    A CanonicalState is returned unchanged, with its cached rank.  Any
+    other state is rotated by the one rotation that pins its anchor, and
+    the result is not re-validated: a rotation of a valid state is valid.
+    """
+    if isinstance(state, CanonicalState):
+        return state
     slot = state.perm.index(ANCHOR)
-    perm, ori = _apply_transform(state, _ANCHOR_FIX[(slot, state.ori[slot])])
-    return CanonicalState(perm, ori)
+    return _valid(CanonicalState, *_apply_transform(state, _ANCHOR_FIX[(slot, state.ori[slot])]))
 
 
 def is_solved(state: CubeletState) -> bool:
@@ -446,8 +465,8 @@ def unrank(index: int) -> CanonicalState:
     if not 0 <= index < N_STATES:
         raise CubeError(f"rank {index} out of range [0, {N_STATES})")
     perm_code, twist_code = divmod(index, N_ORI)
-    state = object.__new__(CanonicalState)  # valid by construction: no __post_init__
-    state.__dict__.update(perm=_PERMS[perm_code] + (ANCHOR,), ori=_ORIS[twist_code], rank=index)
+    state = _valid(CanonicalState, _PERMS[perm_code] + (ANCHOR,), _ORIS[twist_code])
+    state.__dict__["rank"] = index  # the cached property's value: never ranked again
     return state
 
 

@@ -210,11 +210,6 @@ def _ball_tails(h: bytearray) -> dict[int, tuple[Move, ...]]:
     return tails
 
 
-def _root(state: CubeletState | CanonicalState) -> int:
-    """The canonical rank of `state`; a CanonicalState is ranked as it is."""
-    return (state if isinstance(state, CanonicalState) else canonicalize(state)).rank
-
-
 def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
     """The moves that the heuristic bytes of `pdb` store from rank `r`, d
     moves from solved: stored steps down to TAIL moves, then the memo."""
@@ -282,7 +277,7 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     levels deep; the module docstring gives the nodes of each.  `pdb`
     holds the heuristic's cache.
     """
-    root = _root(state)
+    root = canonicalize(state).rank
     if root == 0:
         return SolveResult([], 0, 0)
 
@@ -310,7 +305,8 @@ def oracle_solve(state: CubeletState | CanonicalState, table: DistanceTable) -> 
     Independent of ida_star's search; serves as its oracle.  The
     executor's planner calls the rank-level `oracle_move_indices` directly.
     """
-    return [GENERALIZED_MOVES[mi] for mi in oracle_move_indices(_root(state), table)]
+    moves = oracle_move_indices(canonicalize(state).rank, table)
+    return [GENERALIZED_MOVES[mi] for mi in moves]
 
 
 def oracle_move_indices(r: int, table: DistanceTable) -> list[int]:

@@ -110,10 +110,16 @@ class InconsistentTable(TableFormatError):
 def rank_moves() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """`move_tables()` as tuples of ints, the perm part already times 729:
     a child's rank is ``perm[r // 729][m] + ori[r % 729][m]``.  The
-    per-rank loops index these ~3x faster than numpy scalars."""
+    per-rank loops index these ~3x faster than numpy scalars.
+
+    Each distinct part is one int object, shared by every row that holds
+    it: 5,040 perm parts and 729 twist parts, not one object per entry.
+    The walks that follow these tables then read about 1 MB less scattered
+    heap, a working set that stays in cache between their calls."""
     perm, ori = move_tables()
-    return (tuple(map(tuple, (perm * N_ORI).tolist())),
-            tuple(map(tuple, ori.tolist())))
+    perm_parts = np.array(range(0, N_STATES, N_ORI), dtype=object)[perm]
+    ori_parts = np.array(range(N_ORI), dtype=object)[ori]
+    return tuple(map(tuple, perm_parts.tolist())), tuple(map(tuple, ori_parts.tolist()))
 
 
 _RANK_MOVES: tuple = ()  # rank_moves(), bound by successor's first call
@@ -345,7 +351,9 @@ class DistanceTable:
         return int(self.dist.max())
 
     def distance(self, state: CubeletState | CanonicalState) -> int:
-        """Exact optimal move count for `state` (canonicalized if raw)."""
+        """Exact optimal move count for `state`: a CanonicalState costs a
+        read of its cached rank and one table lookup, a raw state one
+        rotation to canonical form first."""
         return int(self.dist[canonicalize(state).rank])
 
     def _starts(self, depth: int) -> np.ndarray:

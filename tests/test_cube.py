@@ -367,6 +367,29 @@ class TestStateValidation:
         assert hash(canonical) == hash(SOLVED)
 
 
+class TestDerivedStates:
+    """apply, apply_seq and canonicalize build their results without
+    re-validating them; the validating constructors must accept each one."""
+
+    def test_validating_constructor_accepts_every_result(self):
+        rng = np.random.default_rng(10)
+        states = random_states(10, 40) + [random_canonical(rng) for _ in range(40)]
+        for s in states:
+            moved = [apply(s, m) for m in Move] + [apply_seq(s, list(Move))]
+            assert all(type(t) is CubeletState for t in moved)
+            for t in moved:
+                assert CubeletState(t.perm, t.ori) == t
+                c = canonicalize(t)
+                assert type(c) is CanonicalState
+                assert CanonicalState(c.perm, c.ori) == c
+
+    def test_canonical_state_is_returned_unchanged(self):
+        rng = np.random.default_rng(11)
+        for s in [random_canonical(rng) for _ in range(20)] + random_states(11, 20):
+            c = canonicalize(s)
+            assert canonicalize(c) is c and c.rank == rank(c)
+
+
 def _raw_state(perm, twists):
     return CubeletState(tuple(perm), twists + ((-sum(twists)) % 3,))
 

@@ -384,6 +384,16 @@ class TestRankKernel:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
 
+    def test_rank_moves_share_one_int_per_part(self):
+        # the per-rank walks read these rows; one object per distinct part
+        # keeps them to a small, cache-resident set of ints
+        perm, ori = move_tables()
+        perm_rows, ori_rows = tables.rank_moves()
+        assert perm_rows == tuple(map(tuple, (perm * 729).tolist()))
+        assert ori_rows == tuple(map(tuple, ori.tolist()))
+        assert len({id(x) for row in perm_rows for x in row}) == tables.N_PERM
+        assert len({id(x) for row in ori_rows for x in row}) == 729
+
     def test_move_tables_reject_a_transform_that_is_no_permutation(self, monkeypatch):
         # a slot map that sends two slots to one cubelet maps two perm codes
         # to one key; argsort would still re-code it, so the sorted-key check
