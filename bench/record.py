@@ -15,8 +15,9 @@ whether every run was correct; the median, quartiles and runs of each CLI
 command's wall time; the tier-1 wall time and counts; plus the host, the
 git commit and the line count of each module under `src/`.  `--compare`
 prints, for each metric, the ratio of this record's median to an earlier
-record's, under a warning: two records taken apart in time measure the
-host's drift as well as the code, so no ratio is marked as a change.
+record's, and each module's line count in both records, under a warning:
+two records taken apart in time measure the host's drift as well as the
+code, so no ratio is marked as a change.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def _line(section: str, name: str, b: dict, m: dict, unit: str) -> str:
 
 
 def compare(new: dict, old: dict) -> list[str]:
-    """One line per metric of each workload, per CLI command and form, and
-    per tier-1 figure that both records hold."""
+    """One line per metric of each workload, per CLI command and form, per
+    tier-1 figure and per module line count that both records hold."""
     lines = []
     for workload, rec in new["workloads"].items():
         before = old["workloads"].get(workload)
@@ -145,6 +146,10 @@ def compare(new: dict, old: dict) -> list[str]:
         for key, unit in (("seconds", "s"), ("passed", "")):
             b, m = quartiles([old["tier1"][key]]), quartiles([new["tier1"][key]])
             lines.append(_line("tier1", key, b, m, unit))
+    old_src = old.get("src_lines", {})
+    for name, n in new.get("src_lines", {}).items():
+        if name in old_src:
+            lines.append(_line("src", name, quartiles([old_src[name]]), quartiles([n]), ""))
     return lines
 
 

@@ -23,7 +23,6 @@ move of that class, so primes cost one twist and non-primes three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -122,16 +121,12 @@ class Pose(NamedTuple):
     orientation: Quaternion
 
 
-@dataclass(frozen=True)
-class PoseGoal:
-    x_target: Vector3
-    q_target: Quaternion
-
-
-def pose_goal_reached(pose: Pose, goal: PoseGoal,
+def pose_goal_reached(pose: Pose, goal: Quaternion,
                       delta_x: float = DELTA_X, delta_q: float = DELTA_Q) -> bool:
-    dx = math.dist(pose.position, goal.x_target)
-    return dx < delta_x and orientation_distance(pose.orientation, goal.q_target) < delta_q
+    """Whether `pose` sits within delta_x of PALM_CENTER, where every re-pose
+    aims, and within delta_q of the goal orientation."""
+    dx = math.dist(pose.position, PALM_CENTER)
+    return dx < delta_x and orientation_distance(pose.orientation, goal) < delta_q
 
 
 def up_face(orientation: Quaternion) -> str:
@@ -147,21 +142,22 @@ def up_face(orientation: Quaternion) -> str:
 
 
 class Step(NamedTuple):
-    """One compiled move: re-pose to `goal`, then `twists` top-layer twists.
+    """One compiled move: re-pose to `goal`, an orientation at PALM_CENTER,
+    then `twists` top-layer twists.
 
     `index` is the move's position in GENERALIZED_MOVES and `face` the body
     face the goal puts up (U, R or B), whose prime move each twist commits.
     """
 
     index: int
-    goal: PoseGoal
+    goal: Quaternion
     face: str
     twists: int
 
 
 def _step(index: int, move: Move) -> Step:
-    goal = PoseGoal(PALM_CENTER, goal_orientation(move))
-    return Step(index, goal, up_face(goal.q_target), 1 if move.is_prime else 3)
+    goal = goal_orientation(move)
+    return Step(index, goal, up_face(goal), 1 if move.is_prime else 3)
 
 
 # the shared Step of each generalized move, by its index

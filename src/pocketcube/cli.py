@@ -30,11 +30,9 @@ from .cube import (
     CubeError,
     apply_seq,
     canonicalize,
-    facelets_to_string,
     format_moves,
     from_facelets,
     parse_moves,
-    string_to_facelets,
     to_facelets,
 )
 from .tables import DistanceTable, InconsistentTable, PatternDB, TableFormatError
@@ -76,7 +74,7 @@ def _load_distance_table(args) -> DistanceTable:
         raise SystemExit(f"error: {path} not found; run 'pocketcube build-tables' first")
     table = DistanceTable.load(path)
     crc = zlib.crc32(table.dist)
-    if (crc, table.dist.size) != (tables.EXACT_DIST_CRC, tables.EXACT_DIST_LENGTH):
+    if crc != tables.EXACT_DIST_CRC:
         raise InconsistentTable(f"{path}: inconsistent distance table: payload CRC-32 "
                                 f"0x{crc:08X}, expected 0x{tables.EXACT_DIST_CRC:08X}")
     return table
@@ -94,7 +92,7 @@ def _parse_state(args) -> cube.CanonicalState:
     if args.scramble is not None:
         seq = parse_moves(args.scramble)
         return canonicalize(apply_seq(cube.SOLVED, seq))
-    return canonicalize(from_facelets(string_to_facelets(args.state)))
+    return canonicalize(from_facelets(args.state))
 
 
 def _from_flags(cls, args, names):
@@ -168,7 +166,7 @@ def cmd_scramble(args) -> int:
     table = _load_distance_table(args)
     rng = np.random.default_rng(args.seed)
     for r in evaluate.sample_at_distance(args.distance, args.count, table, rng):
-        print(facelets_to_string(to_facelets(cube.unrank(r))))
+        print(to_facelets(cube.unrank(r)))
     return 0
 
 

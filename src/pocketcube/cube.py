@@ -3,10 +3,11 @@
 Conventions fixed here and relied on by every other module:
 
 Faces are ordered U, D, R, L, F, B and carry the home colors white, yellow,
-red, orange, green, blue (letters W Y R O G B).  The 24 stickers are
-enumerated four per face in that face order; within a face they run
-row-major from the upper-left of the face's standard unfolded ("cross")
-view::
+red, orange, green, blue (letters W Y R O G B).  A state's stickers are one
+24-letter string of those letters, in the CLI and the API alike:
+to_facelets writes it and from_facelets reads it.  They are enumerated four
+per face in that face order; within a face they run row-major from the
+upper-left of the face's standard unfolded ("cross") view::
 
             U                 indices
           L F R B     U: 0-3   D: 4-7   R: 8-11
@@ -86,7 +87,7 @@ class CubeError(ValueError):
 
 
 class IllegalColoring(CubeError):
-    """A facelet vector does not use each color exactly four times."""
+    """Facelet text is not 24 of the letters W Y R O G B, four of each."""
 
 
 class IllegalCubelet(CubeError):
@@ -105,22 +106,8 @@ class ParseError(CubeError):
         self.position = position
 
 
-class Color(Enum):
-    WHITE = "W"
-    YELLOW = "Y"
-    RED = "R"
-    ORANGE = "O"
-    GREEN = "G"
-    BLUE = "B"
-
-    @property
-    def letter(self) -> str:
-        return self.value
-
-
-# home color of each face, by face index
-FACE_COLORS = (Color.WHITE, Color.YELLOW, Color.RED,
-               Color.ORANGE, Color.GREEN, Color.BLUE)
+# home color letter of each face, by face index
+FACE_COLORS = "WYROGB"
 
 
 class Move(Enum):
@@ -230,29 +217,26 @@ def _corner_axes(slot: int) -> tuple[_Vec, _Vec, _Vec]:
 
 _AXES: tuple[tuple[_Vec, _Vec, _Vec], ...] = tuple(_corner_axes(i) for i in range(8))
 
-# facelet index -> (slot, face normal) and the inverse map
-_FACELET_SLOT: list[int] = []
+# (slot, face normal) -> facelet index
 _FACELET_INDEX: dict[tuple[int, _Vec], int] = {}
 for _face in FACES:
     _n, _r, _d = _FACE_NORMAL[_face], _FACE_RIGHT[_face], _FACE_DOWN[_face]
     for _row in (0, 1):
         for _col in (0, 1):
             _pos = _vadd(_n, _vscale(_r, 2 * _col - 1), _vscale(_d, 2 * _row - 1))
-            _slot = _SLOT_OF_POS[_pos]
-            _FACELET_INDEX[(_slot, _n)] = len(_FACELET_SLOT)
-            _FACELET_SLOT.append(_slot)
+            _FACELET_INDEX[(_SLOT_OF_POS[_pos], _n)] = len(_FACELET_INDEX)
 
-# home sticker colors of cubelet k along its axis cycle (axes of slot k)
-_HOME_COLORS: tuple[tuple[Color, Color, Color], ...] = tuple(
-    tuple(FACE_COLORS[FACES.index(_FACE_OF_NORMAL[a])] for a in _AXES[k])
+# home sticker letters of cubelet k along its axis cycle (axes of slot k)
+_HOME_COLORS: tuple[str, ...] = tuple(
+    "".join(FACE_COLORS[FACES.index(_FACE_OF_NORMAL[a])] for a in _AXES[k])
     for k in range(8)
 )
 
-# color triple as laid out in a slot -> (cubelet id, twist)
-_TRIPLE_TO_CUBELET: dict[tuple[Color, Color, Color], tuple[int, int]] = {}
+# letter triple as laid out in a slot -> (cubelet id, twist)
+_TRIPLE_TO_CUBELET: dict[str, tuple[int, int]] = {}
 for _k in range(8):
     for _t in range(3):
-        _laid = tuple(_HOME_COLORS[_k][(j - _t) % 3] for j in range(3))
+        _laid = "".join(_HOME_COLORS[_k][(j - _t) % 3] for j in range(3))
         _TRIPLE_TO_CUBELET[_laid] = (_k, _t)
 
 
@@ -518,45 +502,48 @@ def random_canonical(rng) -> CanonicalState:
 
 
 # ---------------------------------------------------------------------------
-# facelet conversions and notation
+# facelets and notation
 # ---------------------------------------------------------------------------
 
-FaceletState = tuple[Color, ...]  # length 24, module-docstring enumeration
-
-
-def to_facelets(state: CubeletState) -> FaceletState:
-    stickers: list[Color | None] = [None] * 24
+def to_facelets(state: CubeletState) -> str:
+    """The 24 sticker letters of `state`, in the module docstring's order."""
+    stickers = [""] * 24
     for slot in range(8):
         cubelet, twist = state.perm[slot], state.ori[slot]
         for j in range(3):
             axis = _AXES[slot][(j + twist) % 3]
             stickers[_FACELET_INDEX[(slot, axis)]] = _HOME_COLORS[cubelet][j]
-    return tuple(stickers)  # type: ignore[arg-type]
+    return "".join(stickers)
 
 
-def from_facelets(facelets: Sequence[Color]) -> CubeletState:
-    """Decode and validate a 24-sticker vector.
+def from_facelets(text: str) -> CubeletState:
+    """Decode and validate 24 sticker letters, after stripping the
+    surrounding whitespace and upper-casing.
 
-    Raises IllegalColoring (bad color counts), IllegalCubelet (a corner's
-    colors match no real cubelet, or a cubelet appears twice) or
-    IllegalTwist (total twist nonzero mod 3).
+    Raises, checking in this order, IllegalColoring (a letter outside
+    W Y R O G B, a length other than 24 or a color not used exactly four
+    times), IllegalCubelet (a corner's letters match no real cubelet, or a
+    cubelet appears twice) or IllegalTwist (total twist nonzero mod 3).
     """
-    if len(facelets) != 24:
-        raise IllegalColoring(f"expected 24 stickers, got {len(facelets)}")
-    for color in Color:
-        n = sum(1 for c in facelets if c is color)
+    text = text.strip().upper()
+    bad = [ch for ch in text if ch not in FACE_COLORS]
+    if bad:
+        raise IllegalColoring(f"unknown color letters {bad!r}")
+    if len(text) != 24:
+        raise IllegalColoring(f"expected 24 stickers, got {len(text)}")
+    for color in FACE_COLORS:
+        n = text.count(color)
         if n != 4:
-            raise IllegalColoring(f"color {color.letter} appears {n} times, expected 4")
+            raise IllegalColoring(f"color {color} appears {n} times, expected 4")
     perm: list[int] = []
     ori: list[int] = []
     for slot in range(8):
-        triple = tuple(facelets[_FACELET_INDEX[(slot, a)]] for a in _AXES[slot])
+        triple = "".join(text[_FACELET_INDEX[(slot, a)]] for a in _AXES[slot])
         try:
             cubelet, twist = _TRIPLE_TO_CUBELET[triple]
         except KeyError:
-            letters = "".join(c.letter for c in triple)
             raise IllegalCubelet(
-                f"stickers {letters} at corner {CORNER_NAMES[slot]} form no cubelet"
+                f"stickers {triple} at corner {CORNER_NAMES[slot]} form no cubelet"
             ) from None
         if cubelet in perm:
             raise IllegalCubelet(f"cubelet {CORNER_NAMES[cubelet]} appears twice")
@@ -565,21 +552,6 @@ def from_facelets(facelets: Sequence[Color]) -> CubeletState:
     if sum(ori) % 3 != 0:
         raise IllegalTwist(f"total twist {sum(ori)} != 0 mod 3")
     return CubeletState(tuple(perm), tuple(ori))
-
-
-_COLOR_BY_LETTER = {c.letter: c for c in Color}
-
-
-def facelets_to_string(facelets: Sequence[Color]) -> str:
-    return "".join(c.letter for c in facelets)
-
-
-def string_to_facelets(text: str) -> FaceletState:
-    text = text.strip().upper()
-    bad = [ch for ch in text if ch not in _COLOR_BY_LETTER]
-    if bad:
-        raise IllegalColoring(f"unknown color letters {bad!r}")
-    return tuple(_COLOR_BY_LETTER[ch] for ch in text)
 
 
 _MOVE_BY_NOTATION = {m.value: m for m in Move}

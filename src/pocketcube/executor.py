@@ -72,7 +72,6 @@ from .actions import (
     PALM_CENTER,
     TWIST_TARGET,
     Pose,
-    PoseGoal,
     Quaternion,
     Step,
     Vector3,
@@ -218,7 +217,7 @@ class _ActionLog:
     entries: list[TraceEntry] = field(default_factory=list)
 
     def record(self, kind: str, success: bool, cube: PhysicalCube,
-               goal: PoseGoal | None = None) -> None:
+               goal: Quaternion | None = None) -> None:
         """Trace the action just counted; the loop calls it only when tracing."""
         pos_err, ang_err = (_pose_errors(cube, goal) if goal
                             else (None, abs(cube.layer_misalignment)))
@@ -278,24 +277,25 @@ class _DrawnPose:
         self.turns = 0
 
     def materialize(self) -> Pose:
-        c, u = self.goal.x_target, _unit(self.direction)
+        c, u = PALM_CENTER, _unit(self.direction)
         r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
         position = (c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r)
         wobble = Quaternion.from_axis_angle(_unit(self.axis),
                                             self.delta_q * self.angle_draw ** (1.0 / 3.0))
-        orientation = (wobble * self.goal.q_target).normalized()
+        orientation = (wobble * self.goal).normalized()
         for _ in range(self.turns):
             orientation = (_TWIST_ROTATION * orientation).normalized()
         return Pose(position, orientation)
 
-    def proven_reached(self, goal: PoseGoal, delta_x: float, delta_q: float) -> bool:
-        """True where pose_goal_reached(self.materialize(), goal, delta_x,
-        delta_q) provably holds; False means only that no proof applies.
+    def proven_reached(self) -> bool:
+        """True where pose_goal_reached(self.materialize(), self.goal,
+        self.delta_x, self.delta_q) provably holds; False means only that
+        no proof applies.
 
-        Position: with r the drawn radius, the computed distance is at
-        most r (1 + 2^-41) plus 2^-52 |x_target|_1, allowing up to 2^10
-        ulp of error in math.dist (CPython's is within 1 ulp); 2^-1000
-        covers underflow.
+        Position: with r the drawn radius, the computed distance from
+        PALM_CENTER is at most r (1 + 2^-41), allowing up to 2^10 ulp of
+        error in math.dist (CPython's is within 1 ulp); 2^-1000 covers
+        underflow.
         Orientation: the goal is a unit table quaternion, so the real part
         that orientation_distance reads is cos(a/2) within k = 2^-44.  For
         0 <= a <= b <= pi, cos(a/2) - cos(b/2) >= (b^2 - a^2) / (2 pi^2),
@@ -303,13 +303,12 @@ class _DrawnPose:
         is below delta_q^2 with a 2^-40 relative margin.  A tiny delta_q
         leaves no room for that term, and the proof never applies.
         """
-        if goal is not self.goal or self.turns or not delta_q <= math.pi:
+        delta_x, delta_q = self.delta_x, self.delta_q
+        if self.turns or not delta_q <= math.pi:
             return False
-        c = goal.x_target
-        r = self.delta_x * self.radius_draw ** (1.0 / 3.0)
-        slack = (abs(c[0]) + abs(c[1]) + abs(c[2])) * 2.0 ** -50 + 2.0 ** -1000
-        a = self.delta_q * self.angle_draw ** (1.0 / 3.0)
-        return (r + slack < delta_x * (1.0 - 2.0 ** -40)
+        r = delta_x * self.radius_draw ** (1.0 / 3.0)
+        a = delta_q * self.angle_draw ** (1.0 / 3.0)
+        return (r + 2.0 ** -1000 < delta_x * (1.0 - 2.0 ** -40)
                 and a * a + 2.0 ** -35 < delta_q * delta_q * (1.0 - 2.0 ** -40))
 
 
@@ -330,10 +329,11 @@ def _commit_twist(cube: PhysicalCube) -> None:
                              (_TWIST_ROTATION * cube.pose.orientation).normalized())
 
 
-def _goal_reached(cube: PhysicalCube, goal: PoseGoal, delta_x: float, delta_q: float) -> bool:
-    """pose_goal_reached on the cube's pose, by proof where the pose is still drawn."""
+def _goal_reached(cube: PhysicalCube, goal: Quaternion, delta_x: float, delta_q: float) -> bool:
+    """pose_goal_reached on the cube's pose, by proof where the pose is still
+    drawn (by the re-pose just made to this goal, with these thresholds)."""
     drawn = cube._drawn
-    return ((drawn is not None and drawn.proven_reached(goal, delta_x, delta_q))
+    return ((drawn is not None and drawn.proven_reached())
             or pose_goal_reached(cube.pose, goal, delta_x, delta_q))
 
 
@@ -436,9 +436,9 @@ def attempt_restore(cube: PhysicalCube, model: ActuationModel, rng) -> bool:
     return False
 
 
-def _pose_errors(cube: PhysicalCube, goal: PoseGoal) -> tuple[float, float]:
-    return (math.dist(cube.pose.position, goal.x_target),
-            orientation_distance(cube.pose.orientation, goal.q_target))
+def _pose_errors(cube: PhysicalCube, goal: Quaternion) -> tuple[float, float]:
+    return (math.dist(cube.pose.position, PALM_CENTER),
+            orientation_distance(cube.pose.orientation, goal))
 
 
 # ---------------------------------------------------------------------------

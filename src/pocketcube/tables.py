@@ -67,11 +67,10 @@ KIND_PERM_PDB = 2
 
 _ENTRIES = {KIND_FULL: N_STATES, KIND_ORI_PDB: N_ORI, KIND_PERM_PDB: N_PERM}
 
-# CRC-32 and length of the exact distance table's payload.  The table is a
-# constant, so a file with a valid CRC and any other payload holds a wrong
-# distance, which `check_exact_distances` would find
+# CRC-32 of the exact distance table's payload; the load's entry count fixes
+# its length.  The table is a constant, so a file with a valid CRC and any
+# other payload holds a wrong distance, which `check_exact_distances` finds
 EXACT_DIST_CRC = 0x30A4A9B2
-EXACT_DIST_LENGTH = 3_674_160
 
 
 class TableFormatError(Exception):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from pocketcube.actions import (
     DELTA_Q,
     DELTA_X,
-    PALM_CENTER,
     Pose,
-    PoseGoal,
     Quaternion,
     Step,
     goal_orientation,
@@ -152,25 +150,25 @@ class TestOrientationDistance:
 
 class TestGoalPredicates:
     def test_exact_pose_reached(self):
-        goal = PoseGoal((0.0, 0.0, 0.0), goal_orientation(Move.R))
+        goal = goal_orientation(Move.R)
         pose = Pose((0.0, 0.0, 0.0), goal_orientation(Move.R))
         assert pose_goal_reached(pose, goal)
 
     def test_errors_just_inside_thresholds(self):
         # 0.009 m position error and 0.05 rad orientation error pass at
         # the default thresholds 0.01 m / 0.1 rad
-        goal = PoseGoal((0.0, 0.0, 0.0), Quaternion.identity())
+        goal = Quaternion.identity()
         pose = Pose((0.009, 0.0, 0.0),
                     Quaternion.from_axis_angle((0, 0, 1), 0.05))
         assert pose_goal_reached(pose, goal, DELTA_X, DELTA_Q)
 
     def test_position_just_outside(self):
-        goal = PoseGoal((0.0, 0.0, 0.0), Quaternion.identity())
+        goal = Quaternion.identity()
         pose = Pose((0.011, 0.0, 0.0), Quaternion.identity())
         assert not pose_goal_reached(pose, goal, DELTA_X, DELTA_Q)
 
     def test_threshold_is_strict(self):
-        goal = PoseGoal((0.0, 0.0, 0.0), Quaternion.identity())
+        goal = Quaternion.identity()
         pose = Pose((DELTA_X, 0.0, 0.0), Quaternion.identity())
         assert not pose_goal_reached(pose, goal, DELTA_X, DELTA_Q)
 
@@ -181,7 +179,7 @@ class TestCompile:
         assert atomic_count(plan) == 2
         step, = plan
         assert step.index == GENERALIZED_MOVES.index(Move.U_PRIME)
-        assert step.goal == PoseGoal(PALM_CENTER, goal_orientation(Move.U_PRIME))
+        assert step.goal == goal_orientation(Move.U_PRIME)
         assert step.face == "U"
         assert step.twists == 1
 
@@ -194,8 +192,8 @@ class TestCompile:
     def test_repeated_move_steps_equal_a_fresh_build(self):
         # one shared Step per move, handed out again for every repeat and plan
         for i, m in enumerate(GENERALIZED_MOVES):
-            goal = PoseGoal(PALM_CENTER, goal_orientation(m))
-            fresh = Step(i, goal, up_face(goal.q_target), 1 if m.is_prime else 3)
+            goal = goal_orientation(m)
+            fresh = Step(i, goal, up_face(goal), 1 if m.is_prime else 3)
             a, b = compile_moves([m, m])
             assert a == fresh
             assert a is b is compile_moves([m])[0]

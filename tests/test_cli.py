@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pocketcube import cli, cube, evaluate, tables
-from pocketcube.cube import SOLVED, facelets_to_string, parse_moves, to_facelets, unrank
+from pocketcube.cube import SOLVED, parse_moves, to_facelets, unrank
 
 from conftest import wrong_pdbs
 
@@ -146,7 +146,7 @@ class TestSolve:
             assert length <= 14
 
     def test_facelet_state_input(self, tdir, capsys):
-        text = facelets_to_string(to_facelets(SOLVED))
+        text = to_facelets(SOLVED)
         code, out, _ = run_cli(capsys, "--tables", tdir, "solve", "--state", text)
         assert code == 0
         assert "length: 0" in out
@@ -167,6 +167,27 @@ class TestSolve:
         code, _, err = run_cli(capsys, "--tables", tdir, "solve", "--state", "W" * 24)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("XYZ", "unknown color letters ['X', 'Z']"),
+        ("WWWW", "expected 24 stickers, got 4"),
+        ("WWWWYYYYRRRROOOOGGGGBBBR", "color R appears 5 times, expected 4"),
+        ("WWWWYYYYRRRROOOOGGBGBBGB", "stickers YOB at corner DLF form no cubelet"),
+        # URF and DLB twice, ULB and DFR missing: the color counts still balance
+        ("WWWWYYYYRRORROOOGGGBBGBB", "cubelet URF appears twice"),
+        ("WWWGYYYYWRRROOOOGRGGBBBB", "total twist 1 != 0 mod 3"),
+    ])
+    def test_each_bad_state_names_its_fault(self, tdir, capsys, text, message):
+        code, out, err = run_cli(capsys, "--tables", tdir, "solve", "--state", text,
+                                 "--planner", "oracle")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_state_letters_are_stripped_and_upper_cased(self, tdir, capsys):
+        for text in (" wgwgybybrrrrooooGYGYWBWB ", "WGWGYBYBRRRROOOOGYGYWBWB"):
+            code, out, err = run_cli(capsys, "--tables", tdir, "solve", "--state", text,
+                                     "--planner", "oracle")
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0] == "solution: R'"
 
 
 class TestScramble:
@@ -204,7 +225,7 @@ class TestScramble:
 
 class TestSimulate:
     def test_solved_input(self, tdir, capsys):
-        text = facelets_to_string(to_facelets(SOLVED))
+        text = to_facelets(SOLVED)
         code, out, _ = run_cli(capsys, "--tables", tdir, "simulate", "--state", text)
         assert code == 0
         assert "success: True" in out
@@ -452,7 +473,7 @@ class TestBadInputErrors:
         assert "100 entries" in err
 
     def test_oracle_on_inconsistent_table(self, understated_dir, capsys):
-        state = facelets_to_string(to_facelets(unrank(ANTIPODE_RANK)))
+        state = to_facelets(unrank(ANTIPODE_RANK))
         code, _, err = run_cli_exit(capsys, "--tables", str(understated_dir), "solve",
                                     "--state", state, "--planner", "oracle")
         assert code == 1
@@ -523,7 +544,7 @@ class TestBadInputErrors:
     def test_forged_table_prints_no_state(self, forged_dir, tmp_path, monkeypatch, capsys,
                                           argv):
         if argv[-1] == "--state":
-            argv += (facelets_to_string(to_facelets(unrank(FORGED_RANK))),)
+            argv += (to_facelets(unrank(FORGED_RANK)),)
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli_exit(capsys, "--tables", str(forged_dir), *argv)
         assert code == 1
@@ -593,9 +614,9 @@ def fuzz_dirs(tmp_path_factory, table_dir, dist_table, pdb):
 
 
 MOVES = (("", "R U F'", "R U F' U R' F U'", "D L B", "U U U U R"), ("U2", "X", "u", "R,U"))
-STATES = ((facelets_to_string(to_facelets(SOLVED)),
-           facelets_to_string(to_facelets(unrank(ANTIPODE_RANK))),
-           facelets_to_string(to_facelets(unrank(1_234_567)))),
+STATES = ((to_facelets(SOLVED),
+           to_facelets(unrank(ANTIPODE_RANK)),
+           to_facelets(unrank(1_234_567))),
           ("W" * 24, "WGWG", "x" * 24, ""))
 SEEDS = (("0", "9", str(2**128 + 1)), ("-1", "x", "1e3"))
 RATES = (("0", "0.5", "0.952", "1", "1e-300"), ("-0.1", "1.5", "nan", "inf", "x"))

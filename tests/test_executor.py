@@ -14,7 +14,6 @@ from pocketcube.actions import (
     PALM_CENTER,
     TWIST_TARGET,
     Pose,
-    PoseGoal,
     Quaternion,
     goal_orientation,
     pose_goal_reached,
@@ -87,12 +86,12 @@ def eager_unit_vector(rng):
 def eager_pose_near(rng, goal, delta_x, delta_q):
     u = eager_unit_vector(rng)
     r = delta_x * rng.random() ** (1.0 / 3.0)
-    c = goal.x_target
+    c = PALM_CENTER
     position = (c[0] + u[0] * r, c[1] + u[1] * r, c[2] + u[2] * r)
     axis = eager_unit_vector(rng)
     angle = delta_q * rng.random() ** (1.0 / 3.0)
     wobble = Quaternion.from_axis_angle(axis, angle)
-    return Pose(position, (wobble * goal.q_target).normalized())
+    return Pose(position, (wobble * goal).normalized())
 
 
 EAGER_TURN = Quaternion.from_axis_angle((0.0, 0.0, 1.0), math.pi / 2)
@@ -140,10 +139,10 @@ class TestCompiledSteps:
         # the 729 twist codes cover every rank.
         perm, ori = move_tables()
         for s in compile_moves(GENERALIZED_MOVES):
-            assert s.face == up_face(s.goal.q_target)
+            assert s.face == up_face(s.goal)
             committed, anchored = _COMMITS[s.face]
             p, o = np.arange(len(perm)), np.arange(len(ori))
-            q = s.goal.q_target
+            q = s.goal
             for _ in range(s.twists):
                 p, o = perm[p, committed], ori[o, committed]
                 if anchored:  # the B-up steps turn the body frame
@@ -202,16 +201,14 @@ class TestDrawnPose:
             lazy_rng, eager_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             twist_rng = np.random.default_rng((81, seed))
             for i in range(50):
-                x_target = PALM_CENTER if i % 2 else (0.25, -1.5, 3.0)
                 move_step = step(GENERALIZED_MOVES[i % 6])
-                move_step = move_step._replace(goal=PoseGoal(x_target, move_step.goal.q_target))
                 goal = move_step.goal
                 cube = PhysicalCube.at_rest(0)
                 assert attempt_rotate(cube, move_step, PERFECT, lazy_rng, delta_x, delta_q)
                 assert eager_rng.random() < PERFECT.p_rot
                 pose = eager_pose_near(eager_rng, goal, delta_x, delta_q)
 
-                proven = cube._drawn.proven_reached(goal, delta_x, delta_q)
+                proven = cube._drawn.proven_reached()
                 assert (_goal_reached(cube, goal, delta_x, delta_q)
                         == pose_goal_reached(pose, goal, delta_x, delta_q))
                 assert (cube._drawn is None) == (not proven)  # no proof: the floats were read
@@ -272,7 +269,7 @@ class TestDrawnPose:
                 eager_rng = StubRng(seed)
                 assert eager_rng.random() < ActuationModel().p_rot
                 pose = eager_pose_near(eager_rng, goal, DELTA_X, 0.1)
-                assert not cube._drawn.proven_reached(goal, DELTA_X, 0.1)
+                assert not cube._drawn.proven_reached()
                 reached = _goal_reached(cube, goal, DELTA_X, 0.1)
                 assert cube._drawn is None  # the exact path read the floats
                 assert reached == pose_goal_reached(pose, goal, DELTA_X, 0.1)

@@ -74,6 +74,17 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
     assert record.src_lines(tmp_path) == {"pkg/a.py": 2, "pkg/b.py": 1, "total": 3}
 
 
+def test_compare_prints_each_modules_line_count_from_both_records():
+    old = {"workloads": {}, "src_lines": {"pkg/a.py": 600, "pkg/gone.py": 10, "total": 610}}
+    new = {"workloads": {}, "src_lines": {"pkg/a.py": 572, "pkg/new.py": 5, "total": 577}}
+    lines = record.compare(new, old)
+    assert [ln.split()[:2] for ln in lines] == [["src", "pkg/a.py"], ["src", "total"]]
+    assert lines[0].split()[2:5] == ["600", "->", "572"] and lines[0].endswith("x0.953")
+    assert lines[1].split()[2:5] == ["610", "->", "577"]
+    # a record taken before line counts were kept compares nothing here
+    assert record.compare(new, {"workloads": {}}) == []
+
+
 def test_cli_and_tier1_timings_are_recorded_and_compared():
     def rec(solve_ms, seconds, passed):
         times = {"solve": {"source": solve_ms, "bytecode": [v - 20.0 for v in solve_ms]}}

@@ -505,7 +505,7 @@ class TestPersistence:
         ok, detail = tables.check_exact_distances(dist_table)
         assert ok, detail
         assert zlib.crc32(dist_table.dist) == tables.EXACT_DIST_CRC == 0x30A4A9B2
-        assert dist_table.dist.size == tables.EXACT_DIST_LENGTH == N_STATES
+        assert dist_table.dist.size == N_STATES
 
     def test_save_is_deterministic(self, pdb, tmp_path):
         pdb.save(tmp_path / "a.bin", tmp_path / "ap.bin")
