@@ -11,13 +11,15 @@ Then it times fresh CLI processes, each command CLI_RUNS times from source
 and from bytecode, with `python -c "import numpy"` as the floor, and the
 tier-1 test command once.  The record holds, per workload, the median and
 quartiles of each end-to-end metric over the seeds, every run's values, and
-whether every run was correct; the median, quartiles and runs of each CLI
-command's wall time; the tier-1 wall time and counts; plus the host, the
-git commit and the line count of each module under `src/`.  `--compare`
-prints, for each metric, the ratio of this record's median to an earlier
-record's, and each module's line count in both records, under a warning:
-two records taken apart in time measure the host's drift as well as the
-code, so no ratio is marked as a change.
+whether every run was correct, and for `tables` the same of each run's raw
+build and verify seconds, so that a record shows which phase moved; the
+median, quartiles and runs of each CLI command's wall time; the tier-1 wall
+time and counts; plus the host, the git commit and the line count of each
+module under `src/`.  `--compare` prints, for each metric and phase, the
+ratio of this record's median to an earlier record's, and each module's
+line count in both records, under a warning: two records taken apart in
+time measure the host's drift as well as the code, so no ratio is marked
+as a change.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ RESULTS = ROOT / "perfbench" / "out"
 WORKLOADS = ("tables", "solve", "eval")
 SECONDS = 15  # the run length BENCHMARK.json declares
 SEEDS = (1, 2, 3, 4, 5)  # a median and quartiles need a few runs on a noisy host
+# the per-phase medians of a `tables` run, raw seconds, from its result file's `named`
+PHASES = ("build_s_raw", "verify_s_raw")
 
 # fresh processes per CLI command and form; {tables} is the run's table directory,
 # which build-tables rewrites with the same bytes
@@ -85,11 +89,16 @@ def summarize(runs: list[dict]) -> dict:
         values = [r["metrics"][name]["value"] for r in runs]
         metrics[name] = {"unit": runs[0]["metrics"][name]["unit"],
                          **quartiles(values), "values": values}
+    phases = {}
+    for name in (n for n in PHASES if n in runs[0].get("named", {})):
+        values = [r["named"][name][0] for r in runs]
+        phases[name] = {"unit": runs[0]["named"][name][1], **quartiles(values), "values": values}
     return {"runs": len(runs),
             "correct": all(r["correct"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics}
+            "metrics": metrics,
+            "phases": phases}
 
 
 def src_lines(root: Path = ROOT) -> dict[str, int]:
@@ -125,15 +134,16 @@ def _line(section: str, name: str, b: dict, m: dict, unit: str) -> str:
 
 
 def compare(new: dict, old: dict) -> list[str]:
-    """One line per metric of each workload, per CLI command and form, per
-    tier-1 figure and per module line count that both records hold."""
+    """One line per metric and phase of each workload, per CLI command and
+    form, per tier-1 figure and per module line count that both records hold."""
     lines = []
     for workload, rec in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:
             continue
-        for name, m in rec["metrics"].items():
-            b = before["metrics"].get(name)
+        old_values = {**before["metrics"], **before.get("phases", {})}
+        for name, m in {**rec["metrics"], **rec.get("phases", {})}.items():
+            b = old_values.get(name)
             if b is not None:
                 lines.append(_line(workload, name, b, m, m["unit"]))
     old_cli = old.get("cli", {}).get("commands", {})

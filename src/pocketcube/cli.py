@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -72,11 +71,10 @@ def _load_distance_table(args) -> DistanceTable:
     path = _table_dir(args) / DIST_FILE
     if not path.exists():
         raise SystemExit(f"error: {path} not found; run 'pocketcube build-tables' first")
-    table = DistanceTable.load(path)
-    crc = zlib.crc32(table.dist)
-    if crc != tables.EXACT_DIST_CRC:
+    table = DistanceTable.load(path)  # its CRC, stored and matched against the payload
+    if table.crc != tables.EXACT_DIST_CRC:
         raise InconsistentTable(f"{path}: inconsistent distance table: payload CRC-32 "
-                                f"0x{crc:08X}, expected 0x{tables.EXACT_DIST_CRC:08X}")
+                                f"0x{table.crc:08X}, expected 0x{tables.EXACT_DIST_CRC:08X}")
     return table
 
 

@@ -428,20 +428,21 @@ def check_move_reduction() -> tuple[bool, str]:
 # ranking
 # ---------------------------------------------------------------------------
 
-# the two enumerations that define the perm code and the twist code
-_PERMS = tuple(itertools.permutations(range(7)))
-_TWISTS = tuple(t[::-1] for t in itertools.product(range(3), repeat=6))
+# the two enumerations that define the perm code and the twist code, as
+# whole tuples of a canonical state, so `rank` and `unrank` slice and join
+# none: a perm ends in the anchor; an ori in slot 6's twist, which closes the
+# sum, and the anchor's 0, so every valid canonical state's ori is one of them
+_PERMS = tuple(p + (ANCHOR,) for p in itertools.permutations(range(7)))
+_ORIS = tuple(t[::-1] + ((-sum(t)) % 3, 0) for t in itertools.product(range(3), repeat=6))
 _PERM_CODE = {p: i for i, p in enumerate(_PERMS)}
-_TWIST_CODE = {t: i for i, t in enumerate(_TWISTS)}
-# per twist code, the twists of all eight slots: slot 6 closes the sum
-_ORIS = tuple(t + ((-sum(t)) % 3, 0) for t in _TWISTS)
+_TWIST_CODE = {o: i for i, o in enumerate(_ORIS)}
 
 
 def rank(state: CubeletState) -> int:
     """Index of a canonical state in [0, 3,674,160); solved ranks 0."""
     if state.perm[ANCHOR] != ANCHOR or state.ori[ANCHOR] != 0:
         raise CubeError("rank is defined on canonical states only")
-    return _PERM_CODE[state.perm[:7]] * N_ORI + _TWIST_CODE[state.ori[:6]]
+    return _PERM_CODE[state.perm] * N_ORI + _TWIST_CODE[state.ori]
 
 
 def unrank(index: int) -> CanonicalState:
@@ -449,15 +450,15 @@ def unrank(index: int) -> CanonicalState:
     if not 0 <= index < N_STATES:
         raise CubeError(f"rank {index} out of range [0, {N_STATES})")
     perm_code, twist_code = divmod(index, N_ORI)
-    state = _valid(CanonicalState, _PERMS[perm_code] + (ANCHOR,), _ORIS[twist_code])
+    state = _valid(CanonicalState, _PERMS[perm_code], _ORIS[twist_code])
     state.__dict__["rank"] = index  # the cached property's value: never ranked again
     return state
 
 
 @functools.cache
 def _perm_rows() -> np.ndarray:
-    """`_PERMS` as one (5040, 7) uint8 array, shared by the two below."""
-    return np.frombuffer(bytes(itertools.chain.from_iterable(_PERMS)), np.uint8).reshape(N_PERM, 7)
+    """`_PERMS` as one (5040, 8) uint8 array, shared by the two below."""
+    return np.frombuffer(bytes(itertools.chain.from_iterable(_PERMS)), np.uint8).reshape(N_PERM, 8)
 
 
 @functools.cache
@@ -470,15 +471,15 @@ def move_tables() -> tuple[np.ndarray, np.ndarray]:
     where, so the successor of a rank is
     ``perm[r // 729, m] * 729 + ori[r % 729, m]``.  Each move's transform
     is applied to the whole enumeration at once and re-coded: a perm code
-    is the position of the permutation's key (a zero byte and its seven,
-    a big-endian u8) among those of `_PERMS`, which rise with its order, a
+    is the position of the permutation's key (its eight bytes as a
+    big-endian u8) among those of `_PERMS`, which rise with its order, a
     twist code a base-3 sum.  A move permutes the enumeration, so each
     column's positions are the inverse of its keys' argsort; a transform
     whose sorted keys are not the enumeration's raises RuntimeError.
     """
     src, dori = np.array([_MOVE_TABLE[move] for move in GENERALIZED_MOVES]).swapaxes(0, 1)
-    rows = np.pad(_perm_rows(), ((0, 0), (1, 0)))  # a zero byte, then the permutation
-    keys = rows.take(np.pad(src[:, :7] + 1, ((0, 0), (1, 0))), axis=1).view(">u8")[..., 0]
+    rows = _perm_rows()
+    keys = rows.take(src, axis=1).view(">u8")[..., 0]
     order = np.argsort(keys, axis=0)
     if not (np.take_along_axis(keys, order, axis=0) == rows.view(">u8")).all():
         raise RuntimeError("a generalized move does not permute the enumeration")

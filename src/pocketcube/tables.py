@@ -18,9 +18,10 @@ heavy is vectorized with numpy over those tables; per-rank loops read them
 as `rank_moves()`.  The one BFS runs each depth as the cheapest of a
 push from the frontier, a pull over the ranks left or a pull over the
 whole grid (`_bfs_fill`).  Every pass over the whole table runs one block
-of perm rows at a time, so none allocates anything of the table's size:
+of 168 perm rows at a time, so none allocates anything of the table's size:
 the blocked pull, `_pull`, gives a block's children's bytes as (729, rows)
-arrays, read by the grid levels, the exact-distance check and IDA*'s two
+arrays, reused from the heap, read by the grid levels (each block written
+back as 1 + its least successor), the exact-distance check and IDA*'s two
 rings.  Every move is a quarter turn, an odd corner permutation, so a
 rank's depth parity is its perm code's permutation parity (`cube`'s,
 checked on the move table): a level reads only the 2520 perm rows of its
@@ -159,9 +160,11 @@ def rank_successors(ranks: np.ndarray, moves=range(6)):
 # depths 9 and 13 whole grid, which measured 2-7 ms slower in all.
 _GRID_COST_RATIO = 24
 
-# perm rows per block of the blocked pull: a block's (729, rows) arrays are
-# 230 kB each, so its temporaries stay in cache
-_BLOCK_ROWS = 315
+# perm rows per block of the blocked pull, a divisor of a parity's 2,520: a
+# block's (729, rows) arrays are 122,472 bytes, under glibc's 128 KiB mmap
+# threshold, so they are reused from the heap (315 rows, 230 kB each, took
+# 640 minor faults a whole-table pass, 168 none) and stay in cache
+_BLOCK_ROWS = 168
 
 # a BFS's mark for a rank not reached yet, above every depth of the rank graph
 _UNREACHED = 0xFF
@@ -245,20 +248,16 @@ def nearest_successor(dist: np.ndarray, codes: np.ndarray):
 def _grid_level(dist: np.ndarray, depth: int, colours) -> int:
     """One BFS level over the rows of colour depth % 2 (`colours`, the
     `_rank_colours` split), the half of the rank grid that can take
-    `depth`: every rank of `dist` not reached whose nearest successor is
-    at depth - 1 takes it.  Returns how many did.  A rank not reached is
-    at least `depth` away, so a successor that is reached is at exactly
-    depth - 1: the least successor byte is depth - 1 just when one is.
+    `depth`, each block written back whole as `_bellman` of its least
+    successor bytes, solved restored to 0; returns how many took `depth`.
+    A reached rank keeps its byte, its least successor being one less; a
+    rank not reached is at least `depth` away, so it takes `depth` if a
+    successor is at depth - 1, else stays _UNREACHED, 1 + the cap.
     """
     grid, count = dist.reshape(N_PERM, N_ORI), 0
     for block, least in nearest_successor(dist, colours[depth % 2]):
-        # own bytes in row order: one transposed mask costs less than two transposed copies
-        rows = grid[block]
-        new = np.equal(least, depth - 1, out=least.view(bool)).T & (rows == _UNREACHED)
-        # rows -= new * (_UNREACHED - depth): a boolean-mask store costs ~35x more
-        rows -= np.multiply(new.view(np.uint8), _UNREACHED - depth)
-        grid[block] = rows
-        count += int(np.count_nonzero(new))
+        grid[block] = _bellman(least, block[0] == 0).T
+        count += int(np.count_nonzero(np.equal(least, depth, out=least.view(bool))))
     return count
 
 
@@ -330,6 +329,8 @@ class DistanceTable:
     dist: np.ndarray
     _row_starts: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _histogram: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    # the CRC-32 stored in the file `load` read, already matched against the payload
+    crc: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.dist = np.ascontiguousarray(self.dist, dtype=np.uint8)
@@ -396,7 +397,8 @@ class DistanceTable:
     @classmethod
     def load(cls, path) -> "DistanceTable":
         # read-only, over the file's bytes: no copy of the payload
-        return cls(np.frombuffer(_read_table(path, expect_kind=KIND_FULL), dtype=np.uint8))
+        payload, crc = _read_table(path, expect_kind=KIND_FULL)
+        return cls(np.frombuffer(payload, dtype=np.uint8), crc=crc)
 
 
 def build_distance_table() -> DistanceTable:
@@ -444,8 +446,8 @@ class PatternDB:
         no pass over the ranks: max(ori, perm) <= the exact distance.
         Returns read-only arrays over the files' bytes."""
         perm_moves, ori_moves = move_tables()
-        ori = np.frombuffer(_read_table(ori_path, expect_kind=KIND_ORI_PDB), dtype=np.uint8)
-        perm = np.frombuffer(_read_table(perm_path, expect_kind=KIND_PERM_PDB), dtype=np.uint8)
+        ori = np.frombuffer(_read_table(ori_path, expect_kind=KIND_ORI_PDB)[0], dtype=np.uint8)
+        perm = np.frombuffer(_read_table(perm_path, expect_kind=KIND_PERM_PDB)[0], dtype=np.uint8)
         for path, db, moves in ((ori_path, ori, ori_moves), (perm_path, perm, perm_moves)):
             bad = _bellman_violations(db, db.take(moves).min(axis=1))
             if bad.size:
@@ -476,8 +478,9 @@ def _write_table(path, kind: int, payload) -> None:
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
-def _read_table(path, expect_kind: int) -> memoryview:
-    """The checked payload of a table file, a read-only view into the bytes read."""
+def _read_table(path, expect_kind: int) -> tuple[memoryview, int]:
+    """The checked payload of a table file, a read-only view into the bytes
+    read, and the CRC-32 stored with it, which it matches."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC):
         raise TruncatedFile(f"{path}: shorter than the magic string")
@@ -508,7 +511,7 @@ def _read_table(path, expect_kind: int) -> memoryview:
     stored_crc, = struct.unpack_from("<I", blob, start + count)
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumMismatch(f"{path}: payload CRC mismatch")
-    return payload
+    return payload, stored_crc
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +527,18 @@ def check_rank_roundtrip() -> tuple[bool, str]:
     bad = [r for r in (*range(0, N_STATES, N_ORI), *range(N_ORI)) if rank(unrank(r)) != r]
     return not bad, f"unrank/rank round-trip over {N_PERM} perm x {N_ORI} twist codes"
 
+def _bellman(nearest: np.ndarray, solved: bool) -> np.ndarray:
+    """`nearest` overwritten with 1 + each byte capped at 0xFE, so 1 + 0xFF
+    never wraps to 0, and its first entry 0 if `solved`.  The cap is a row
+    of 0xFE: a Python scalar operand gets no fast loop (~1.7 against ~0.2
+    ms on the whole table, timeit, numpy 2.4.6)."""
+    np.minimum(nearest, np.full(nearest.shape[-1], 0xFE, dtype=np.uint8), out=nearest)
+    nearest += 1
+    if solved:
+        nearest.flat[0] = 0
+    return nearest
+
+
 def _bellman_violations(dist: np.ndarray, nearest: np.ndarray, solved: bool = True) -> np.ndarray:
     """The sorted flat indices where `dist` fails the Bellman certificate
     of distances from the solved entry: the solved entry (the first, if
@@ -532,18 +547,12 @@ def _bellman_violations(dist: np.ndarray, nearest: np.ndarray, solved: bool = Tr
     nearest-successor walk reaches solved in dist steps, and induction
     from solved bounds every dist by the distance.
 
-    Computed in `nearest`'s own uint8 bytes, which it overwrites: `nearest`
-    is capped at 0xFE first, so 1 + 0xFF never wraps to 0.  The cap is
-    sound: by that induction, a passing table holds no entry above its
-    exact distance, at most 14 < 0xFE, so no successor it reads is capped.
-    The cap is a row of 0xFE: a Python scalar operand gets no fast loop
-    (~1.7 against ~0.2 ms on the whole table, timeit, numpy 2.4.6).
+    Computed in `nearest`'s own uint8 bytes by `_bellman`, which overwrites
+    them.  Its cap is sound: by that induction, a passing table holds no
+    entry above its exact distance, at most 14 < 0xFE, so no successor it
+    reads is capped.
     """
-    np.minimum(nearest, np.full(nearest.shape[-1], 0xFE, dtype=np.uint8), out=nearest)
-    nearest += 1
-    if solved:
-        nearest.flat[0] = 0
-    return np.flatnonzero(np.not_equal(dist, nearest, out=nearest.view(bool)))
+    return np.flatnonzero(np.not_equal(dist, _bellman(nearest, solved), out=nearest.view(bool)))
 
 
 def _count_misses(dist: np.ndarray) -> tuple[int, int]:

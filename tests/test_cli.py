@@ -182,6 +182,21 @@ class TestSolve:
                                  "--planner", "oracle")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_oracle_hashes_the_distance_payload_once(self, tdir, capsys, monkeypatch):
+        # the pin reads the CRC the load has already matched against the payload
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return crc32(*args)
+
+        crc32 = zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", counting)
+        code, out, _ = run_cli(capsys, "--tables", tdir, "solve", "--scramble", "R U F'",
+                               "--planner", "oracle")
+        assert code == 0 and "length: 3" in out
+        assert calls == [cube.N_STATES]
+
     def test_state_letters_are_stripped_and_upper_cased(self, tdir, capsys):
         for text in (" wgwgybybrrrrooooGYGYWBWB ", "WGWGYBYBRRRROOOOGYGYWBWB"):
             code, out, err = run_cli(capsys, "--tables", tdir, "solve", "--state", text,
@@ -379,6 +394,19 @@ class TestVerify:
             assert code == 1
             assert "FAIL  table files" in out
             assert "InconsistentTable" in out and wrong in out
+
+    @pytest.mark.parametrize("name", ["_PERM_CODE", "_TWIST_CODE"])
+    def test_swapped_codes_fail_the_round_trip(self, tdir, capsys, monkeypatch, name):
+        # two keys of one code map swap their codes: rank is then not unrank's inverse
+        codes = dict(getattr(cube, name))
+        a, b = list(codes)[1:3]
+        codes[a], codes[b] = codes[b], codes[a]
+        monkeypatch.setattr(cube, name, codes)
+        ok, detail = tables.check_rank_roundtrip()
+        assert not ok
+        code, out, _ = run_cli(capsys, "--tables", tdir, "verify")
+        assert code == 1
+        assert f"FAIL  rank round-trip: {detail}" in out.splitlines()
 
     def test_missing_tables_fail(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--tables", str(tmp_path), "verify")

@@ -66,6 +66,36 @@ def test_compare_of_two_records_warns_of_host_drift(tmp_path, capsys):
     assert len(lines) == len(UNITS) and "*" not in "".join(lines)
 
 
+def tables_record(build_s, verify_s):
+    """A `tables` record whose runs' result files carry each phase's raw seconds."""
+    runs = [{**canned_result(130.0), "named": {"cycle_ms": [130.0, "ms"], "build_s_raw": [b, "s"],
+                                               "verify_s_raw": [v, "s"]}}
+            for b, v in zip(build_s, verify_s)]
+    return {"workloads": {"tables": record.summarize(runs)}}
+
+
+def test_tables_phases_are_recorded_and_compared():
+    old = tables_record([0.080, 0.078, 0.082, 0.079, 0.081], [0.040, 0.041, 0.039, 0.040, 0.042])
+    phases = old["workloads"]["tables"]["phases"]
+    assert list(phases) == ["build_s_raw", "verify_s_raw"]
+    build = phases["build_s_raw"]
+    assert (build["median"], build["q1"], build["q3"], build["unit"]) == (0.080, 0.079, 0.081, "s")
+    assert build["values"] == [0.080, 0.078, 0.082, 0.079, 0.081]
+    assert phases["verify_s_raw"]["median"] == 0.040
+
+    lines = record.compare(tables_record([0.072] * 5, [0.030] * 5), old)
+    (build_line,) = [ln for ln in lines if "build_s_raw" in ln]
+    assert build_line.startswith("tables") and build_line.endswith("x0.900")
+    (verify_line,) = [ln for ln in lines if "verify_s_raw" in ln]
+    assert verify_line.endswith("x0.750")
+    assert len(lines) == len(UNITS) + 2
+    # a run without phases records none, and a record taken before phases
+    # were kept compares its metrics only
+    assert record.summarize([canned_result(1.0)])["phases"] == {}
+    del old["workloads"]["tables"]["phases"]
+    assert len(record.compare(tables_record([0.072] * 5, [0.030] * 5), old)) == len(UNITS)
+
+
 def test_src_lines_counts_each_module_and_the_total(tmp_path):
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)

@@ -92,6 +92,23 @@ class TestBuild:
         assert tables.build_distance_table().histogram == EXPECTED_HISTOGRAM
         assert depths == [10, 11, 12]
 
+    def test_whole_grid_levels_at_every_depth_fill_the_pinned_table(self, monkeypatch,
+                                                                     tmp_path):
+        # a ratio above N_STATES runs depths 1-14 whole grid; the level
+        # counts are read as _bfs_fill returns them, since
+        # build_distance_table recounts a histogram they do not sum up to
+        monkeypatch.setattr(tables, "_GRID_COST_RATIO", N_STATES + 1)
+        depths = []
+        grid_level = tables._grid_level
+        monkeypatch.setattr(tables, "_grid_level",
+                            lambda *args: depths.append(args[1]) or grid_level(*args))
+        dist = np.full(N_STATES, tables._UNREACHED, dtype=np.uint8)
+        assert tables._bfs_fill(dist) == list(EXPECTED_HISTOGRAM)
+        assert depths == list(range(1, 15))
+        DistanceTable(dist).save(tmp_path / "distance_qtm.bin")
+        digest = hashlib.sha256((tmp_path / "distance_qtm.bin").read_bytes()).hexdigest()
+        assert digest == REFERENCE_SHA256["distance_qtm.bin"]
+
     def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
         # solve's set-up, IDA*'s heuristic on a fresh PatternDB, takes its
         # parity from cube.perm_parity: it builds neither the half-grid
