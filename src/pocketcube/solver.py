@@ -6,10 +6,11 @@ IDA*'s heuristic has two parts (perimeter search, Dillenburg & Nelson
 solved, from a breadth-first search of that ball, and beyond it the least
 value above PERIMETER with the parity of the state's distance.  Every
 generalized move is a quarter turn, an odd corner permutation, so a rank's
-distance has its perm code's permutation parity (`cube.perm_parity`);
-every state nearer than PERIMETER + 1 lies in the ball, so the bound is
-admissible.  It is also consistent, changing by exactly 1 along
-every move, so IDA*'s bounds step by 2.
+distance has its perm code's permutation parity (`cube.perm_parity`, split
+and checked on the move table by `tables._rank_colours`); every state
+nearer than PERIMETER + 1 lies in the ball, so the bound is admissible.
+It is also consistent, changing by exactly 1 along every move, so IDA*'s
+bounds step by 2.
 
 The ball also stores its paths to solved, and so do two rings around it:
 the ring, the ranks at distance exactly RING = PERIMETER + 1, and the
@@ -24,11 +25,11 @@ distance d admits no ball rank, as g + exact distance >= d there; at
 bound d the search takes the first descending child at every step; and
 neither the undo filter nor the triple-repeat filter can drop a
 descending move, as both lead back to the rank one move farther out.
-The last TAIL moves of every walk are memoized: the 2,944 ranks within
-TAIL moves of solved map to the tuples of their stored moves, so a walk
-takes stored steps only down to that radius and then appends the tuple.
-The moves appended are the same stored moves, so solutions and node
-counts are unchanged.
+The last TAIL moves of every walk are memoized: a walk takes stored steps
+only down to that radius and then appends the tuple of the rest, which
+the first walk to reach that rank stores, so the memo holds at most the
+2,944 ranks within TAIL.  The moves appended are the same stored moves,
+so solutions and node counts are unchanged.
 
 Beyond the outer ring h is RING or OUTER by parity, and a move flips it:
 every child of a rank there with h = RING has h = OUTER, and every child
@@ -70,13 +71,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cube import (GENERALIZED_MOVES, N_PERM, N_STATES, CanonicalState, CubeletState,
-                   Move, canonicalize, perm_parity)
+                   Move, canonicalize)
 from .tables import (_INV, N_ORI, DistanceTable, InconsistentTable, PatternDB, _pull, _push,
-                     rank_moves)
+                     _rank_colours, rank_moves, successor)
 
 # radius of the exact ball around solved: 519,628 states, filled in tens of ms
 PERIMETER = 9
-# radius of the memoized paths inside it: 2,944 ranks, built in a few ms
+# radius of the memoized paths inside it: at most 2,944 ranks, each stored
+# when a walk first reaches it
 TAIL = 5
 # distance of the ring, the 930,588 ranks one move outside the ball, each
 # storing its first move into it
@@ -117,35 +119,35 @@ def search_heuristic(pdb: PatternDB) -> bytearray:
     child order one move closer; solved holds 0 there and every other rank
     _NO_MOVE.
 
-    The same call caches `pdb.ida_tails`, the stored moves to solved of
-    each of the 2,944 ranks within TAIL moves of it.  Each part is built
-    in its own function, so one's numpy temporaries are freed before the
-    next is made.
+    The same call seeds `pdb.ida_tails`, the memo of the stored moves to
+    solved, with solved alone; `_walk` fills the rest.  Each part of the
+    bytes is built in its own function, so one's numpy temporaries are
+    freed before the next is made.
     """
     if pdb.ida_heuristic is None:
-        parity = perm_parity()
-        h = _ball(parity)
-        _ring(h, parity, RING)
-        _ring(h, parity, OUTER)
-        pdb.ida_heuristic, pdb.ida_tails = h, _ball_tails(h)
+        h = _ball()
+        _ring(h, RING)
+        _ring(h, OUTER)
+        pdb.ida_heuristic, pdb.ida_tails = h, {0: ()}
     return pdb.ida_heuristic
 
 
-def _ball(parity: np.ndarray) -> bytearray:
+def _ball() -> bytearray:
     """`search_heuristic`'s bytes, filled in one buffer in place.
 
     Each perm code's row of 729 ranks gets the least value above PERIMETER
-    with the code's permutation parity (`parity`, `cube.perm_parity`), the
-    parity of every distance in the row, and _NO_MOVE.  Then `tables._push`
-    over depths 1..PERIMETER records each rank's first move one closer,
-    reading any low nibble above the depth as not reached.  The last
-    level's ranks are no frontier, so they are dropped move by move.  No
-    level runs over the whole grid, so the half-grid split is never built.
+    with the code's colour in `tables._rank_colours`, which that split
+    certifies to be the parity of every distance in the row, and _NO_MOVE.
+    Then `tables._push` over depths 1..PERIMETER records each rank's first
+    move one closer, reading any low nibble above the depth as not
+    reached.  The last level's ranks are no frontier, so they are dropped
+    move by move.  No level runs over the whole grid.
     """
     h = bytearray(N_STATES)
     dist = np.frombuffer(h, dtype=np.uint8)
     grid = dist.reshape(N_PERM, N_ORI)
-    grid[:] = (RING + ((parity + RING) & 1) | _NO_MOVE << 4)[:, None]
+    for colour, codes in enumerate(_rank_colours()):
+        grid[codes] = RING + ((colour + RING) & 1) | _NO_MOVE << 4
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
     for depth in range(1, PERIMETER):
@@ -155,21 +157,21 @@ def _ball(parity: np.ndarray) -> bytearray:
     return h
 
 
-def _ring(h: bytearray, parity: np.ndarray, k: int) -> None:
+def _ring(h: bytearray, k: int) -> None:
     """Store in `h` the first move of every rank at distance exactly `k`
     into a rank one closer: into the ball at RING, the ring at OUTER.
 
-    `tables._pull` over the perm rows of k's `parity`, moves last to first,
-    so the first move in child order is the one that stays: a byte that
-    still reads ``k | _NO_MOVE << 4`` and has a child that stores a move
-    takes ``k | m << 4``.  Those children are the ranks at k - 1 as long as
-    every rank beyond k - 1 reads _NO_MOVE, so the ring, whose ranks have
-    children at OUTER too, is built before the outer ring.
+    `tables._pull` over the perm rows of k's parity (`_rank_colours`),
+    moves last to first, so the first move in child order is the one that
+    stays: a byte that still reads ``k | _NO_MOVE << 4`` and has a child
+    that stores a move takes ``k | m << 4``.  Those children are the ranks
+    at k - 1 as long as every rank beyond k - 1 reads _NO_MOVE, so the
+    ring, whose ranks have children at OUTER too, is built before the
+    outer ring.
     """
     grid = np.frombuffer(h, dtype=np.uint8).reshape(N_PERM, N_ORI)
-    codes = np.flatnonzero(parity == k % 2)
     moves = range(5, -1, -1)
-    for block, children in _pull(grid, codes, moves):
+    for block, children in _pull(grid, _rank_colours()[k % 2], moves):
         byte = grid[block].T.copy()
         # masks as uint8 0/1, which multiply a uint8 without a cast
         ring = (byte == (k | _NO_MOVE << 4)).view(np.uint8)
@@ -185,31 +187,6 @@ def _ring(h: bytearray, parity: np.ndarray, k: int) -> None:
         grid[block] = byte.T
 
 
-def _ball_tails(h: bytearray) -> dict[int, tuple[Move, ...]]:
-    """Each rank within TAIL moves of solved, mapped to the moves that the
-    ball `h` stores on its way to solved.
-
-    A small BFS from solved over the stored moves, with no whole-table
-    temporary: a rank one level out is the child, under the inverse of
-    some move m, of a rank it stores m for, so it is reached once, from
-    the rank that move leads to.
-    """
-    perm_parts, ori_parts = rank_moves()
-    tails: dict[int, tuple[Move, ...]] = {0: ()}
-    level = [0]
-    for depth in range(1, TAIL + 1):
-        outer = []
-        for r in level:
-            prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
-            for m, inv in enumerate(_INV):
-                child = prow[inv] + orow[inv]
-                if h[child] == depth | m << 4:
-                    tails[child] = (GENERALIZED_MOVES[m], *tails[r])
-                    outer.append(child)
-        level = outer
-    return tails
-
-
 def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
     """The moves that the heuristic bytes of `pdb` store from rank `r`, d
     moves from solved: stored steps down to TAIL moves, then the memo."""
@@ -220,8 +197,21 @@ def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
         mi = h[r] >> 4
         path.append(GENERALIZED_MOVES[mi])
         r = perm_parts[r // N_ORI][mi] + ori_parts[r % N_ORI][mi]
-    path += tails[r]
+    try:
+        path += tails[r]
+    except KeyError:
+        path += _tail(h, tails, r)
     return path
+
+
+def _tail(h: bytearray, tails: dict[int, tuple[Move, ...]], r: int) -> tuple[Move, ...]:
+    """The moves that `h` stores from rank `r`, within TAIL moves of
+    solved, to solved: `tails[r]`, stored there first if missing, and
+    likewise for each rank on the way."""
+    if r not in tails:
+        mi = h[r] >> 4
+        tails[r] = (GENERALIZED_MOVES[mi], *_tail(h, tails, successor(r, mi)))
+    return tails[r]
 
 
 def _search(pdb: PatternDB, r: int, left: int, m1: int,
@@ -268,11 +258,12 @@ def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResul
     moves are appended, and each rank on them counts as an expanded node,
     as the search would have expanded it.  That walk takes stored steps
     down to TAIL moves from solved and then appends the memoized rest,
-    `pdb.ida_tails`, which is the same stored moves: path and node count
-    are unchanged.  A root within OUTER moves is walked the same way.  A
-    root beyond has h = RING or OUTER by parity: its first bound, h, fails
-    after 1 or 7 nodes, and every later bound, 2 more each, runs `_search`
-    until one finds a path.  At PERIMETER = 9 a root at 12 is settled with
+    `pdb.ida_tails`, which is the same stored moves, stored there when a
+    walk first reaches its rank: path and node count are unchanged.  A
+    root within OUTER moves is walked the same way.  A root beyond has
+    h = RING or OUTER by parity: its first bound, h, fails after 1 or 7
+    nodes, and every later bound, 2 more each, runs `_search` until one
+    finds a path.  At PERIMETER = 9 a root at 12 is settled with
     one scan of its children, and roots at 13 and 14 recurse two and three
     levels deep; the module docstring gives the nodes of each.  `pdb`
     holds the heuristic's cache.

@@ -151,13 +151,16 @@ def rank_successors(ranks: np.ndarray, moves=range(6)):
 
 # The cost of a push or pull per node it expands, over that of a whole-grid
 # level per rank of the whole grid.  Measured in the first BFS of a fresh
-# interpreter (2-core Xeon VM): a grid level, the blocked pull over one
-# parity's half of the grid, costs ~2.4 ns per rank of the whole grid
-# (8-9 ms), a push ~70 ns per frontier node, a pull ~80 ns per node left,
-# its scan included.  Any ratio from 11 to 32 picks the same levels for the
-# rank graph: push at depths 1-9, whole grid at 10-12, pull at 13-14 (no
-# depth 15 runs once every rank is reached).  A ratio of 41 also runs
-# depths 9 and 13 whole grid, which measured 2-7 ms slower in all.
+# interpreter (2-core Xeon VM, medians of 5): a grid level, the blocked pull
+# over one parity's half of the grid, costs ~2.2 ns per rank of the whole
+# grid (8.1-8.4 ms), a push ~68-72 ns per frontier node (depths 8-9), a
+# pull ~88 ns per node left (depth 13), its scan included: ratios of ~31
+# and ~39.  Any ratio from 11 to 32, a range the depth histogram alone
+# fixes, picks the same levels for the rank graph: push at depths 1-9,
+# whole grid at 10-12, pull at 13-14 (no depth 15 runs once every rank is
+# reached).  33 also runs depth 9 whole grid and 41 depth 13 as well; at
+# the costs above both are near ties, 8.2 ms either way at depth 9, and
+# 7.9 ms pulled against 8.2 ms whole grid at depth 13.
 _GRID_COST_RATIO = 24
 
 # perm rows per block of the blocked pull, a divisor of a parity's 2,520: a
@@ -421,8 +424,8 @@ class PatternDB:
 
     ori_db: np.ndarray
     perm_db: np.ndarray
-    # IDA*'s heuristic, one byte per rank, and its memo of the paths from
-    # the ranks nearest solved, both cached by solver.search_heuristic
+    # IDA*'s heuristic, one byte per rank, cached by solver.search_heuristic,
+    # and the memo of paths to solved that its walks fill
     ida_heuristic: bytearray | None = field(default=None, init=False, repr=False, compare=False)
     ida_tails: dict[int, tuple[Move, ...]] | None = field(default=None, init=False, repr=False,
                                                          compare=False)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pocketcube import solver
+from pocketcube import solver, tables
 from pocketcube.cube import (
     ANCHOR,
     GENERALIZED_MOVES,
@@ -216,12 +216,15 @@ class TestSearchHeuristic:
         assert pdb.ida_tails is tails
 
     def test_tails_are_the_stored_walks_of_every_rank_near_solved(self, dist_table, pdb):
-        # the memo holds exactly the ranks within TAIL moves of solved, each
-        # mapped to the walk of its stored moves, as long as its distance,
-        # that ends at solved
+        # once every rank within TAIL moves of solved has been walked, the
+        # memo holds exactly those ranks, each mapped to the walk of its
+        # stored moves, as long as its distance, that ends at solved; the
+        # session's memo holds some of them already, whatever the test order
         h = search_heuristic(pdb)
         tails = pdb.ida_tails
         near = np.flatnonzero(dist_table.dist <= TAIL)
+        for r in near.tolist():
+            solver._walk(pdb, r, int(dist_table.dist[r]))
         assert sorted(tails) == near.tolist()
         assert len(tails) == 2_944
         for r in near.tolist():
@@ -235,6 +238,35 @@ class TestSearchHeuristic:
             for move in tails[r]:
                 state = apply_generalized(state, move)
             assert state.rank == 0
+
+    def test_parity_bound_is_certified(self, monkeypatch, pdb):
+        # the parity bound holds only if every move flips a rank's row
+        # colour; a colouring that no move flips must stop the build
+        monkeypatch.setattr(tables, "perm_parity", lambda: np.zeros(N_PERM, dtype=np.uint8))
+        tables._rank_colours.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="parity"):
+                search_heuristic(PatternDB(pdb.ori_db, pdb.perm_db))
+        finally:
+            tables._rank_colours.cache_clear()
+
+    def test_memo_fills_itself_with_the_walks_last_steps(self, dist_table, pdb):
+        # a fresh heuristic's memo holds solved alone; one solve of a root
+        # at distance 8 walks its stored moves and memoizes the 5 ranks of
+        # the walk's last 5 steps, nothing else
+        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
+        h = search_heuristic(fresh)
+        assert fresh.ida_tails == {0: ()}
+        root = int(bucket(dist_table, 8)[0])
+        walk, r = [], root
+        for _ in range(8):
+            walk.append(r)
+            r = successor(r, h[r] >> 4)
+        res = ida_star(unrank(root), fresh)
+        assert res.nodes_expanded == 8
+        assert sorted(fresh.ida_tails) == sorted([0, *walk[-TAIL:]])
+        for r in walk[-TAIL:]:
+            assert fresh.ida_tails[r] == tuple(res.solution[walk.index(r):])
 
     def test_one_iteration_inside_perimeter(self, dist_table, pdb):
         # exact h: the root's bound is its distance, and only the nodes on

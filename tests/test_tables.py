@@ -110,9 +110,9 @@ class TestBuild:
         assert digest == REFERENCE_SHA256["distance_qtm.bin"]
 
     def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
-        # solve's set-up, IDA*'s heuristic on a fresh PatternDB, takes its
-        # parity from cube.perm_parity: it builds neither the half-grid
-        # split nor a whole-grid level
+        # solve's set-up, IDA*'s heuristic on a fresh PatternDB, reads its
+        # parity from the certified half-grid split and runs no whole-grid
+        # level
         calls = []
         monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
         tables._rank_colours.cache_clear()
@@ -120,7 +120,7 @@ class TestBuild:
         assert fresh.ida_heuristic is None
         solver.search_heuristic(fresh)
         assert calls == []
-        assert tables._rank_colours.cache_info().currsize == 0
+        assert tables._rank_colours.cache_info().currsize == 1
 
     @pytest.mark.parametrize("block_rows", [tables._BLOCK_ROWS, 400])
     def test_grid_level_reproduces_depths_10_to_12(self, monkeypatch, dist_table, block_rows):
@@ -167,8 +167,8 @@ class TestBuild:
     def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, pdb):
         # the table's grid levels, verify's nearest successors and IDA*'s
         # two rings all read the one blocked pull, and the table and the ball
-        # the one push; the heuristic still builds no half-grid split and
-        # runs no grid level
+        # the one push; the heuristic reads the half-grid split and runs
+        # no grid level
         calls = []
 
         def counting(name, kernel):
@@ -197,7 +197,7 @@ class TestBuild:
         fresh = PatternDB(pdb.ori_db, pdb.perm_db)
         solver.search_heuristic(fresh)
         assert calls == ["_push"] * 9 + ["_pull"] * 2 and grid_levels == [10, 11, 12]
-        assert tables._rank_colours.cache_info().currsize == 0
+        assert tables._rank_colours.cache_info().currsize == 1
 
     def test_half_grid_split_is_the_corner_permutation_parity(self):
         # every generalized move is a quarter turn, an odd permutation of
