@@ -66,6 +66,7 @@ heuristic guides it.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,24 +113,26 @@ class SolveResult(NamedTuple):
 _new_result = tuple.__new__
 
 
-def search_heuristic(pdb: PatternDB) -> bytearray:
-    """IDA*'s heuristic, one byte per rank, built on first use and cached
-    on `pdb`: h in the low nibble, and in bits 4-6, for every rank of the
-    ball and both rings but solved (distance 1..OUTER), its first move in
-    child order one move closer; solved holds 0 there and every other rank
-    _NO_MOVE.
+class Heuristic(NamedTuple):
+    h: bytearray  # one byte per rank (search_heuristic)
+    tails: dict[int, tuple[Move, ...]]  # a rank within TAIL -> its stored moves to solved
 
-    The same call seeds `pdb.ida_tails`, the memo of the stored moves to
-    solved, with solved alone; `_walk` fills the rest.  Each part of the
-    bytes is built in its own function, so one's numpy temporaries are
-    freed before the next is made.
+
+@cache
+def search_heuristic() -> Heuristic:
+    """IDA*'s heuristic, built from the move tables alone, once per
+    process: one byte per rank, h in the low nibble, and in bits 4-6, for
+    every rank of the ball and both rings but solved (distance 1..OUTER),
+    its first move in child order one move closer; solved holds 0 there
+    and every other rank _NO_MOVE.  Its walk memo starts with solved
+    alone, and `_walk` fills the rest.  Each part of the bytes is built in
+    its own function, so one's numpy temporaries are freed before the next
+    is made.
     """
-    if pdb.ida_heuristic is None:
-        h = _ball()
-        _ring(h, RING)
-        _ring(h, OUTER)
-        pdb.ida_heuristic, pdb.ida_tails = h, {0: ()}
-    return pdb.ida_heuristic
+    h = _ball()
+    _ring(h, RING)
+    _ring(h, OUTER)
+    return Heuristic(h, {0: ()})
 
 
 def _ball() -> bytearray:
@@ -187,10 +190,9 @@ def _ring(h: bytearray, k: int) -> None:
         grid[block] = byte.T
 
 
-def _walk(pdb: PatternDB, r: int, d: int) -> list[Move]:
-    """The moves that the heuristic bytes of `pdb` store from rank `r`, d
-    moves from solved: stored steps down to TAIL moves, then the memo."""
-    h, tails = pdb.ida_heuristic, pdb.ida_tails
+def _walk(h: bytearray, tails: dict[int, tuple[Move, ...]], r: int, d: int) -> list[Move]:
+    """The moves that the heuristic bytes `h` store from rank `r`, d moves
+    from solved: stored steps down to TAIL moves, then the memo `tails`."""
     perm_parts, ori_parts = rank_moves()
     path = []
     for _ in range(d - TAIL):
@@ -214,7 +216,7 @@ def _tail(h: bytearray, tails: dict[int, tuple[Move, ...]], r: int) -> tuple[Mov
     return tails[r]
 
 
-def _search(pdb: PatternDB, r: int, left: int, m1: int,
+def _search(h: bytearray, tails: dict[int, tuple[Move, ...]], r: int, left: int, m1: int,
             m2: int) -> tuple[int, list[Move] | None]:
     """(nodes, moves from `r` or None) of rank `r`, reached by move m1 after
     m2, in an iteration whose bound admits children up to h = `left`.
@@ -226,7 +228,6 @@ def _search(pdb: PatternDB, r: int, left: int, m1: int,
     OUTER + s's index in allowed and is walked, any other is a dead end of
     1 + len(allowed) nodes (module docstring).  Above it every child
     recurses with left - 1."""
-    h = pdb.ida_heuristic
     perm_parts, ori_parts = rank_moves()
     prow, orow = perm_parts[r // N_ORI], ori_parts[r % N_ORI]
     nodes = 1
@@ -238,10 +239,10 @@ def _search(pdb: PatternDB, r: int, left: int, m1: int,
             if s != _NO_MOVE:
                 # s is in allowed: the filters never drop it (module docstring)
                 return (nodes + OUTER + allowed.index(s),
-                        [GENERALIZED_MOVES[mi], *_walk(pdb, child, OUTER)])
+                        [GENERALIZED_MOVES[mi], *_walk(h, tails, child, OUTER)])
             nodes += 1 + len(allowed)
         else:
-            n, path = _search(pdb, child, left - 1, mi, m1)
+            n, path = _search(h, tails, child, left - 1, mi, m1)
             nodes += n
             if path is not None:
                 return nodes, [GENERALIZED_MOVES[mi], *path]
@@ -251,40 +252,41 @@ def _search(pdb: PatternDB, r: int, left: int, m1: int,
 def ida_star(state: CubeletState | CanonicalState, pdb: PatternDB) -> SolveResult:
     """One optimal solution for `state`, deterministic in path and node count.
 
-    Iterative deepening with bound = g + `search_heuristic(pdb)`; branches
+    Iterative deepening with bound = g + `search_heuristic()`; branches
     whose bound exceeds the current iteration limit are pruned, as are
     immediate undo moves and triple repeats of one move.  The first child
     inside the perimeter within the bound ends the search: its stored
     moves are appended, and each rank on them counts as an expanded node,
     as the search would have expanded it.  That walk takes stored steps
     down to TAIL moves from solved and then appends the memoized rest,
-    `pdb.ida_tails`, which is the same stored moves, stored there when a
+    the memo `tails`, which is the same stored moves, stored there when a
     walk first reaches its rank: path and node count are unchanged.  A
     root within OUTER moves is walked the same way.  A root beyond has
     h = RING or OUTER by parity: its first bound, h, fails after 1 or 7
     nodes, and every later bound, 2 more each, runs `_search` until one
     finds a path.  At PERIMETER = 9 a root at 12 is settled with
     one scan of its children, and roots at 13 and 14 recurse two and three
-    levels deep; the module docstring gives the nodes of each.  `pdb`
-    holds the heuristic's cache.
+    levels deep; the module docstring gives the nodes of each.  No
+    search step reads `pdb`: the heuristic is built once per process from
+    the move tables alone.
     """
     root = canonicalize(state).rank
     if root == 0:
         return SolveResult([], 0, 0)
 
-    h = search_heuristic(pdb)
+    h, tails = search_heuristic()
     first = h[root] & 15
     stored = h[root] >> 4
     if stored != _NO_MOVE:  # a rank within OUTER moves
         nodes = first + stored if first == OUTER else first
-        return _new_result(SolveResult, (_walk(pdb, root, first), nodes, 1, (first,)))
+        return _new_result(SolveResult, (_walk(h, tails, root, first), nodes, 1, (first,)))
 
     # bound h fails after 1 node at RING and 7 at OUTER (module docstring);
     # each failed bound prunes at bound + 2, the next one
     nodes, bound, path = (1 if first == RING else 7), first, None
     while path is None:
         bound += 2
-        n, path = _search(pdb, root, bound - 1, -1, -1)
+        n, path = _search(h, tails, root, bound - 1, -1, -1)
         nodes += n
     bounds = tuple(range(first, bound + 1, 2))
     return _new_result(SolveResult, (path, nodes, len(bounds), bounds))

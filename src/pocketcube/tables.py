@@ -50,7 +50,6 @@ from .cube import (
     N_STATES,
     CanonicalState,
     CubeletState,
-    Move,
     canonicalize,
     move_tables,
     perm_parity,
@@ -420,15 +419,11 @@ def build_distance_table() -> DistanceTable:
 
 @dataclass
 class PatternDB:
-    """Orientation-only and permutation-only abstraction distances."""
+    """Orientation-only and permutation-only abstraction distances; IDA*'s
+    heuristic, `solver.search_heuristic()`, reads neither."""
 
     ori_db: np.ndarray
     perm_db: np.ndarray
-    # IDA*'s heuristic, one byte per rank, cached by solver.search_heuristic,
-    # and the memo of paths to solved that its walks fill
-    ida_heuristic: bytearray | None = field(default=None, init=False, repr=False, compare=False)
-    ida_tails: dict[int, tuple[Move, ...]] | None = field(default=None, init=False, repr=False,
-                                                         compare=False)
 
     def __post_init__(self):
         self.ori_db = np.ascontiguousarray(self.ori_db, dtype=np.uint8)
@@ -522,7 +517,8 @@ def _read_table(path, expect_kind: int) -> tuple[memoryview, int]:
 # ---------------------------------------------------------------------------
 
 def check_diameter(table: DistanceTable) -> tuple[bool, str]:
-    return table.max_depth == DIAMETER, f"max depth {table.max_depth}"
+    depth = table.max_depth
+    return depth == DIAMETER, f"max depth {depth}"
 
 def check_rank_roundtrip() -> tuple[bool, str]:
     # rank and unrank treat the perm code and the twist code independently,

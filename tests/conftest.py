@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from pocketcube import solver
 from pocketcube.actions import STEPS
 from pocketcube.cube import GENERALIZED_MOVES, N_ORI, CanonicalState, CubeError, Move, apply
 from pocketcube.tables import build_distance_table, build_pattern_dbs, rank_moves
@@ -113,6 +114,16 @@ def dist_table():
 @pytest.fixture(scope="session")
 def pdb(dist_table):
     return build_pattern_dbs(dist_table)
+
+
+@pytest.fixture
+def fresh_heuristic():
+    """Clears IDA*'s per-process heuristic before and after the test, so
+    the test builds its own and leaves none behind: not one of another
+    perimeter or parity, nor a memo it filled."""
+    solver.search_heuristic.cache_clear()
+    yield
+    solver.search_heuristic.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -85,7 +85,7 @@ class TestIdaStar:
             s = random_canonical(rng)
             res = ida_star(s, pdb)
             dist = dist_table.distance(s)
-            assert res.bounds[0] == search_heuristic(pdb)[s.rank] & 0x0F
+            assert res.bounds[0] == search_heuristic().h[s.rank] & 0x0F
             assert res.bounds[0] % 2 == dist % 2
             assert all(b - a == 2 for a, b in zip(res.bounds, res.bounds[1:]))
             assert res.bounds[-1] == dist
@@ -120,7 +120,7 @@ class TestIdaStar:
         # solutions, node counts, iterations and bounds are those of a plain
         # IDA* on the same heuristic, on every antipode and on 300 seeded
         # ranks at each distance 10..13
-        h = bytes(np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F)
+        h = bytes(np.frombuffer(search_heuristic().h, dtype=np.uint8) & 0x0F)
         rng = np.random.default_rng(36)
         ranks = bucket(dist_table, 14).tolist()
         for d in range(RING, 14):
@@ -129,11 +129,12 @@ class TestIdaStar:
         for r in ranks:
             assert ida_star(unrank(r), pdb) == plain_ida_star(r, h)
 
-    def test_equals_a_plain_search_at_smaller_perimeters(self, dist_table, pdb, monkeypatch):
+    def test_equals_a_plain_search_at_smaller_perimeters(self, dist_table, pdb, monkeypatch,
+                                                         fresh_heuristic):
         # the search counts by parity, not by the default's depths: at
-        # PERIMETER 6, 7 and 8, on a fresh PatternDB so that `pdb` keeps its
-        # heuristic, ida_star equals a plain IDA* on that P's heuristic nibble
-        # and returns the default's solution, on 20 seeded ranks at each
+        # PERIMETER 6, 7 and 8, each with the heuristic rebuilt for it,
+        # ida_star equals a plain IDA* on that P's heuristic nibble and
+        # returns the default's solution, on 20 seeded ranks at each
         # distance 1..14
         rng = np.random.default_rng(40)
         ranks = []
@@ -145,10 +146,10 @@ class TestIdaStar:
             monkeypatch.setattr(solver, "PERIMETER", p)
             monkeypatch.setattr(solver, "RING", p + 1)
             monkeypatch.setattr(solver, "OUTER", p + 2)
-            small = PatternDB(pdb.ori_db, pdb.perm_db)
-            h = bytes(np.frombuffer(search_heuristic(small), dtype=np.uint8) & 0x0F)
+            solver.search_heuristic.cache_clear()
+            h = bytes(np.frombuffer(search_heuristic().h, dtype=np.uint8) & 0x0F)
             for r, solution in zip(ranks, default):
-                res = ida_star(unrank(r), small)
+                res = ida_star(unrank(r), pdb)
                 assert res == plain_ida_star(r, h)
                 assert res.solution == solution
 
@@ -161,17 +162,17 @@ class TestIdaStar:
 
 
 class TestSearchHeuristic:
-    def test_bytes_are_the_reference(self, pdb):
+    def test_bytes_are_the_reference(self):
         # the outer ring only adds moves: with them masked back to no move,
         # the bytes are those from before it
-        byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        byte = np.frombuffer(search_heuristic().h, dtype=np.uint8)
         assert hashlib.sha256(byte).hexdigest() == OUTER_HEURISTIC_SHA256
         masked = byte.copy()
         masked[(masked & 15) == OUTER] |= 0x70
         assert hashlib.sha256(masked).hexdigest() == REFERENCE_HEURISTIC_SHA256
 
-    def test_exact_in_perimeter_parity_bound_beyond(self, dist_table, pdb):
-        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
+    def test_exact_in_perimeter_parity_bound_beyond(self, dist_table):
+        h = np.frombuffer(search_heuristic().h, dtype=np.uint8) & 0x0F
         dist = dist_table.dist
         inside = dist <= PERIMETER
         assert np.all(h <= dist)
@@ -183,7 +184,7 @@ class TestSearchHeuristic:
     def test_consistent_one_per_move(self, pdb):
         # every move changes h by at most 1, and by an odd amount: h's parity
         # is its perm code's, which every move flips; so by exactly 1
-        h = np.frombuffer(search_heuristic(pdb), dtype=np.uint8) & 0x0F
+        h = np.frombuffer(search_heuristic().h, dtype=np.uint8) & 0x0F
         grid = h.reshape(N_PERM, N_ORI).astype(np.int16)
         perm, ori = move_tables()
         gaps = [int(np.abs(grid[perm[:, mi]][:, ori[:, mi]] - grid).max()) for mi in range(6)]
@@ -192,11 +193,11 @@ class TestSearchHeuristic:
         assert np.all(grid % 2 == colour[:, None])
         assert np.all(colour[perm] != colour[:, None])
 
-    def test_ball_stores_its_first_move_one_closer(self, dist_table, pdb):
+    def test_ball_stores_its_first_move_one_closer(self, dist_table):
         # bits 4-6 of every rank at distance 1..OUTER, the ball and both
         # rings, hold the first move in child order whose successor is one
         # move closer; solved holds 0 and every rank beyond 7, no move
-        byte = np.frombuffer(search_heuristic(pdb), dtype=np.uint8)
+        byte = np.frombuffer(search_heuristic().h, dtype=np.uint8)
         dist = dist_table.dist.astype(np.int16)
         grid = dist.reshape(N_PERM, N_ORI)
         perm, ori = move_tables()
@@ -209,22 +210,27 @@ class TestSearchHeuristic:
         assert byte[0] >> 4 == 0
         assert np.all(byte[dist > OUTER] >> 4 == 7)
 
-    def test_cached_per_pattern_db(self, pdb):
-        assert search_heuristic(pdb) is search_heuristic(pdb)
-        tails = pdb.ida_tails
-        search_heuristic(pdb)
-        assert pdb.ida_tails is tails
+    def test_one_heuristic_per_process(self, monkeypatch, pdb, fresh_heuristic):
+        # two PatternDBs made from the same arrays share one heuristic: its
+        # ball is built once, and both solves walk the same bytes
+        balls, walked = [], []
+        ball, walk = solver._ball, solver._walk
+        monkeypatch.setattr(solver, "_ball", lambda: balls.append(1) or ball())
+        monkeypatch.setattr(solver, "_walk", lambda h, *args: walked.append(h) or walk(h, *args))
+        for db in (PatternDB(pdb.ori_db, pdb.perm_db), PatternDB(pdb.ori_db, pdb.perm_db)):
+            ida_star(unrank(1_234_567), db)
+        assert len(balls) == 1
+        assert len(walked) == 2 and walked[0] is walked[1] is search_heuristic().h
 
-    def test_tails_are_the_stored_walks_of_every_rank_near_solved(self, dist_table, pdb):
+    def test_tails_are_the_stored_walks_of_every_rank_near_solved(self, dist_table):
         # once every rank within TAIL moves of solved has been walked, the
         # memo holds exactly those ranks, each mapped to the walk of its
         # stored moves, as long as its distance, that ends at solved; the
         # session's memo holds some of them already, whatever the test order
-        h = search_heuristic(pdb)
-        tails = pdb.ida_tails
+        h, tails = search_heuristic()
         near = np.flatnonzero(dist_table.dist <= TAIL)
         for r in near.tolist():
-            solver._walk(pdb, r, int(dist_table.dist[r]))
+            solver._walk(h, tails, r, int(dist_table.dist[r]))
         assert sorted(tails) == near.tolist()
         assert len(tails) == 2_944
         for r in near.tolist():
@@ -239,34 +245,34 @@ class TestSearchHeuristic:
                 state = apply_generalized(state, move)
             assert state.rank == 0
 
-    def test_parity_bound_is_certified(self, monkeypatch, pdb):
+    def test_parity_bound_is_certified(self, monkeypatch, fresh_heuristic):
         # the parity bound holds only if every move flips a rank's row
         # colour; a colouring that no move flips must stop the build
         monkeypatch.setattr(tables, "perm_parity", lambda: np.zeros(N_PERM, dtype=np.uint8))
         tables._rank_colours.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="parity"):
-                search_heuristic(PatternDB(pdb.ori_db, pdb.perm_db))
+                search_heuristic()
         finally:
             tables._rank_colours.cache_clear()
 
-    def test_memo_fills_itself_with_the_walks_last_steps(self, dist_table, pdb):
+    def test_memo_fills_itself_with_the_walks_last_steps(self, dist_table, pdb,
+                                                         fresh_heuristic):
         # a fresh heuristic's memo holds solved alone; one solve of a root
         # at distance 8 walks its stored moves and memoizes the 5 ranks of
         # the walk's last 5 steps, nothing else
-        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
-        h = search_heuristic(fresh)
-        assert fresh.ida_tails == {0: ()}
+        h, tails = search_heuristic()
+        assert tails == {0: ()}
         root = int(bucket(dist_table, 8)[0])
         walk, r = [], root
         for _ in range(8):
             walk.append(r)
             r = successor(r, h[r] >> 4)
-        res = ida_star(unrank(root), fresh)
+        res = ida_star(unrank(root), pdb)
         assert res.nodes_expanded == 8
-        assert sorted(fresh.ida_tails) == sorted([0, *walk[-TAIL:]])
+        assert sorted(tails) == sorted([0, *walk[-TAIL:]])
         for r in walk[-TAIL:]:
-            assert fresh.ida_tails[r] == tuple(res.solution[walk.index(r):])
+            assert tails[r] == tuple(res.solution[walk.index(r):])
 
     def test_one_iteration_inside_perimeter(self, dist_table, pdb):
         # exact h: the root's bound is its distance, and only the nodes on
@@ -282,7 +288,7 @@ class TestSearchHeuristic:
     def test_one_iteration_on_the_outer_ring(self, dist_table, pdb):
         # a root at OUTER is walked: each child before its stored move is at
         # OUTER + 1, a one-node dead end, and then the ring walks the rest
-        h = search_heuristic(pdb)
+        h = search_heuristic().h
         at_outer = bucket(dist_table, OUTER)
         rng = np.random.default_rng(37)
         for r in at_outer[rng.choice(at_outer.size, size=300, replace=False)].tolist():

@@ -55,3 +55,26 @@ def test_every_top_level_name_is_read_or_exported():
                 if not any(name in names for key, names in reads.items() if key != (mod, i)):
                     unread.add((mod, name))
     assert unread == UNREAD
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names a module's imports bind, but those of `from __future__`."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" for alias in node.names}
+
+
+def test_every_import_is_read():
+    # no dead imports in src/: each name a module imports is read in that
+    # module as a name, alone or as an attribute's base, annotations
+    # included; `from __future__` and the names __init__ re-exports by
+    # __all__ are exempt
+    unread = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for stmt in tree.body if "__all__" in _defined(stmt)
+                    for elt in stmt.value.elts}
+        unread |= {(path.stem, name) for name in _imported(tree) - read - exported}
+    assert unread == set()

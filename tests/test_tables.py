@@ -109,16 +109,14 @@ class TestBuild:
         digest = hashlib.sha256((tmp_path / "distance_qtm.bin").read_bytes()).hexdigest()
         assert digest == REFERENCE_SHA256["distance_qtm.bin"]
 
-    def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, pdb):
-        # solve's set-up, IDA*'s heuristic on a fresh PatternDB, reads its
-        # parity from the certified half-grid split and runs no whole-grid
-        # level
+    def test_search_heuristic_runs_no_whole_grid_level(self, monkeypatch, fresh_heuristic):
+        # solve's set-up, IDA*'s heuristic built afresh, reads its parity
+        # from the certified half-grid split and runs no whole-grid level
         calls = []
         monkeypatch.setattr(tables, "_grid_level", lambda *args, **kw: calls.append(args))
         tables._rank_colours.cache_clear()
-        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
-        assert fresh.ida_heuristic is None
-        solver.search_heuristic(fresh)
+        assert solver.search_heuristic.cache_info().currsize == 0
+        solver.search_heuristic()
         assert calls == []
         assert tables._rank_colours.cache_info().currsize == 1
 
@@ -164,7 +162,7 @@ class TestBuild:
                 got = np.concatenate([least.T for _, least in blocks])
                 assert np.array_equal(got, want[codes])
 
-    def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, pdb):
+    def test_every_pull_and_push_is_the_one_kernel(self, monkeypatch, fresh_heuristic):
         # the table's grid levels, verify's nearest successors and IDA*'s
         # two rings all read the one blocked pull, and the table and the ball
         # the one push; the heuristic reads the half-grid split and runs
@@ -194,8 +192,7 @@ class TestBuild:
         assert calls == ["_pull"]
         calls.clear()
         tables._rank_colours.cache_clear()
-        fresh = PatternDB(pdb.ori_db, pdb.perm_db)
-        solver.search_heuristic(fresh)
+        solver.search_heuristic()
         assert calls == ["_push"] * 9 + ["_pull"] * 2 and grid_levels == [10, 11, 12]
         assert tables._rank_colours.cache_info().currsize == 1
 
